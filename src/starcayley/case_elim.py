@@ -25,6 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 
+from .gf import is_prime
 from .numbers import (agl_d2_order, divides_mersenne_product,
                       index_binomial_bound, kernel_order_divides_factorial,
                       required_kernel_order, two_adic_obstruction)
@@ -201,20 +202,9 @@ def pgammal_solution_scan(r_max: int) -> list[int]:
             break
         p = 2
         while p ** r - 2 <= 6 * r:
-            if _is_prime(p):
+            if is_prime(p):
                 q = p ** r
                 if q >= 6 and (6 * r) % (q - 2) == 0:
                     hits.append(q)
             p += 1
     return sorted(hits)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True

@@ -18,17 +18,21 @@ yields ``"Unknown"``, because the absence of one witness proves nothing.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from itertools import permutations
+from operator import itemgetter
 from typing import Sequence
 
-from .pairs import AutPair, PairGroup, aut_product, symmetric_nu_group
+from .gf import factorize
+from .pairs import AutPair, PairGroup, aut_order, symmetric_nu_group
 from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
-                   canonical_flag, flag_count, flag_stabilizer,
-                   is_k_transitive)
+                   canonical_flag, closure, cycle_type, flag_count,
+                   flag_stabilizer, is_k_transitive, orbit)
+from .stargraph import rank_weights
 
 VERDICT_CAYLEY = "Cayley"
 VERDICT_NOT_CAYLEY = "NotCayley"
@@ -50,18 +54,8 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p == 0:
-            m = 0
-            while n % p == 0:
-                n //= p
-                m += 1
-            return (p, m) if n == 1 else None
-    return None
+    factors = factorize(n)
+    return factors[0] if len(factors) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -182,7 +176,8 @@ def sabidussi_direct(group: PairGroup, n: int, k: int) -> Certificate:
 
     order_ok = group.order == target
     base = tuple(range(1, k + 1))
-    weights = [math.perm(n - 1 - i, k - 1 - i) for i in range(k)]
+    identity = tuple(range(1, n + 1))
+    weights = rank_weights(n, k)
 
     hits = bytearray(target)
     collision = False
@@ -190,11 +185,11 @@ def sabidussi_direct(group: PairGroup, n: int, k: int) -> Certificate:
     identity_fixes_base = False
     for nu, mus in group.grouped_by_nu():
         nu_inv = nu.inverse().images
-        prefix = tuple(nu_inv[i] - 1 for i in range(k))
+        prefix = [nu_inv[i] - 1 for i in range(k)]
+        vertex_of = itemgetter(*prefix) if k > 1 else lambda img: (img[prefix[0]],)
         nu_identity = nu.is_identity()
         for mu in mus:
-            img = mu.images
-            v = tuple(img[p] for p in prefix)
+            v = vertex_of(mu)
             r = 0
             for i in range(k):
                 a = v[i]
@@ -209,7 +204,7 @@ def sabidussi_direct(group: PairGroup, n: int, k: int) -> Certificate:
                 hits[r] = 1
             if v == base:
                 base_fixers += 1
-                if nu_identity and mu.is_identity():
+                if nu_identity and mu == identity:
                     identity_fixes_base = True
     surjective = not collision and sum(hits) == target and group.order == target
     stabilizer_ok = base_fixers == 1 and identity_fixes_base
@@ -284,25 +279,44 @@ def table_certificate(n: int, k: int) -> Certificate:
 # exhaustive search
 
 
-def _square_free(n: int) -> bool:
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        while n % f == 0:
-            n //= f
-        f += 1
-    return True
+# the search looks at the clock once per this many pairs or closures
+DEADLINE_STRIDE = 256
 
 
-def _vertex_action_has_fixed_point(pair: AutPair, n: int, k: int) -> bool:
-    mu = pair.mu.images
-    nu_inv = pair.nu.inverse().images
-    prefix = tuple(nu_inv[i] - 1 for i in range(k))
-    for v in itertools.permutations(range(1, n + 1), k):
-        if all(mu[v[p] - 1] == v[i] for i, p in enumerate(prefix)):
-            return True
-    return False
+def _fixes_some_vertex(mu_type: tuple[int, ...], nu_type: tuple[int, ...]) -> bool:
+    """Whether a pair with these cycle types (mu on 1..n, nu on 1..k) fixes a vertex.
+
+    A fixed vertex a has mu(a_j) = a_{nu(j)}, so j -> a_j injects {1..k} into
+    {1..n} carrying each l-cycle of nu onto an l-cycle of mu.  Such a map
+    exists iff, for every l, nu has at most as many l-cycles as mu.
+    """
+    have = Counter(mu_type)
+    return all(have[length] >= count for length, count in Counter(nu_type).items())
+
+
+def _candidates(n: int, k: int, target: int, check_clock) -> list[tuple[int, ...]]:
+    """Flat pairs that fix no vertex and whose order divides target, in the
+    order of ``aut_product(n, k).iter_pairs()``: nu outer, mu inner, both
+    lexicographic.  Both tests are decided once per pair of cycle types."""
+    verdicts: dict[tuple, bool] = {}
+    candidates = []
+    total = aut_order(n, k)
+    done = 0
+    for nu in permutations(range(2, k + 1)):
+        nu_type = cycle_type((1,) + nu)
+        tail = tuple(x + n - 1 for x in nu)
+        for mu in permutations(range(1, n + 1)):
+            if done % DEADLINE_STRIDE == 0:
+                check_clock("filtering candidates", f"pair {done}/{total}")
+            done += 1
+            types = (cycle_type(mu), nu_type)
+            keep = verdicts.get(types)
+            if keep is None:
+                keep = verdicts[types] = (not _fixes_some_vertex(*types) and
+                                          target % math.lcm(*types[0], *nu_type) == 0)
+            if keep:
+                candidates.append(mu + tail)
+    return candidates
 
 
 def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
@@ -315,6 +329,7 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
     the vertices and has order dividing P(n,k), so candidates are filtered
     accordingly before generating-set growth; closures are pruned the moment
     they admit an element violating either condition or outgrow P(n,k).
+    Pairs are flat tuples throughout (see :mod:`starcayley.pairs`).
 
     The refutation verdict is only issued when exhausting all generating
     sets of size <= max_gens provably covers every subgroup of order P(n,k):
@@ -324,79 +339,56 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
     the assumption is recorded in the certificate.  Otherwise an exhausted
     search returns Unknown, never NotCayley.
 
-    A time_limit (seconds) truncates the search; a truncated search always
-    returns Unknown, since nothing was exhausted.
+    A time_limit (seconds) truncates the search; the clock is read every
+    DEADLINE_STRIDE steps of every phase, and a truncated search always
+    returns Unknown, with a note naming the phase and how far it got.
     """
     target = math.perm(n, k)
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    aut = aut_product(n, k, cap=cap)
-    if not aut.is_enumerable:
-        raise CapExceeded(f"|Aut| = {aut.order} exceeds cap {cap}")
+    order = aut_order(n, k)
+    if order > cap:
+        raise CapExceeded(f"|Aut| = {order} exceeds cap {cap}")
 
-    identity = AutPair.identity(n)
-    candidates = []
-    for g in aut.iter_pairs():
-        if g.is_identity():
-            continue
-        if target % g.order() != 0:
-            continue
-        if _vertex_action_has_fixed_point(g, n, k):
-            continue
-        candidates.append(g)
-    candidate_set = set(candidates)
+    def check_clock(phase: str, progress: str) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(f"{phase}, {progress}")
 
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() > deadline
+    try:
+        candidates = _candidates(n, k, target, check_clock)
+        total = len(candidates)
+        identity = tuple(range(1, n + k))
+        allowed = set(candidates)
+        allowed.add(identity)
 
-    def grow(gens: Sequence[AutPair]):
-        seen = {identity}
-        boundary = [identity]
-        while boundary:
-            fresh = []
-            for b in boundary:
-                for a in gens:
-                    c = a * b
-                    if c not in seen:
-                        if c != identity and c not in candidate_set:
-                            return None
-                        seen.add(c)
-                        if len(seen) > target:
-                            return None
-                        fresh.append(c)
-            boundary = fresh
-        return seen if len(seen) == target else None
+        def grow(gens):
+            seen = orbit([identity], gens, limit=target, allowed=allowed)
+            return seen if seen is not None and len(seen) == target else None
 
-    truncated = False
-    total = len(candidates)
-    if max_gens >= 1:
-        for g in candidates:
-            if out_of_time():
-                truncated = True
-                break
+        for i, g in enumerate(candidates if max_gens >= 1 else ()):
+            if i % DEADLINE_STRIDE == 0:
+                check_clock("one-generator growth", f"candidate {i}/{total}")
             elements = grow((g,))
             if elements:
                 return _search_hit(n, k, elements, (g,), total)
-    if max_gens >= 2 and not truncated:
-        for i in range(total):
-            if out_of_time():
-                truncated = True
-                break
-            for j in range(i + 1, total):
-                elements = grow((candidates[i], candidates[j]))
+        steps = 0
+        for i, a in enumerate(candidates if max_gens >= 2 else ()):
+            for b in candidates[i + 1:]:
+                if steps % DEADLINE_STRIDE == 0:
+                    check_clock("two-generator growth", f"pair {i}/{total}")
+                steps += 1
+                elements = grow((a, b))
                 if elements:
-                    return _search_hit(n, k, elements,
-                                       (candidates[i], candidates[j]), total)
-
-    if truncated:
+                    return _search_hit(n, k, elements, (a, b), total)
+    except TimeoutError as stop:
         return Certificate(
             n, k, VERDICT_UNKNOWN, METHOD_REFUTATION, None,
             (("search_space_exhausted", False),),
             (f"time budget of {time_limit}s exhausted before the search "
-             "space was covered",))
+             f"space was covered ({stop})",))
 
     generator_bound = assume_generated_by
     justification = None
-    if generator_bound is None and _square_free(target):
+    if generator_bound is None and all(e == 1 for _, e in factorize(target)):
         generator_bound = 2
         justification = (f"groups of square-free order {target} are "
                          "metacyclic, hence 2-generated")
@@ -418,10 +410,9 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
 
 
 def _search_hit(n, k, elements, gens, candidate_count) -> Certificate:
-    group = PairGroup.from_pairs(n, k, sorted(elements, key=lambda p:
-                                              (p.mu.images, p.nu.images)),
-                                 generators=gens,
-                                 name=f"search-regular({n},{k})")
+    group = PairGroup(n, k, flats=sorted(elements),
+                      generators=[AutPair.from_flat(g, n) for g in gens],
+                      name=f"search-regular({n},{k})")
     cert = sabidussi_direct(group, n, k)
     notes = (f"found among {candidate_count} fixed-point-free candidates",)
     return Certificate(cert.n, cert.k, cert.verdict, cert.method,
@@ -496,8 +487,7 @@ def verify_certificate(cert: Certificate,
     n, k = cert.n, cert.k
     if cert.method == METHOD_DIRECT:
         gens = [AutPair.from_dict(g) for g in cert.witness["generators"]]
-        group = PairGroup.generate(n, k, gens, cap=cap,
-                                   name=cert.witness.get("name"))
+        group = _generated_pair_group(n, k, gens, cap, cert.witness.get("name"))
         fresh = sabidussi_direct(group, n, k)
     elif cert.method == METHOD_SHARP_K:
         h = PermGroup.from_dict(cert.witness, cap=cap)
@@ -513,3 +503,19 @@ def verify_certificate(cert: Certificate,
         raise ValueError(f"unknown certificate method {cert.method!r}")
     reproduced = (fresh.verdict == cert.verdict and fresh.checks == cert.checks)
     return reproduced, fresh
+
+
+def _generated_pair_group(n: int, k: int, gens: Sequence[AutPair], cap: int,
+                          name: str | None) -> PairGroup:
+    """The group the recorded pairs generate.  When every generator has mu = 1
+    or nu = 1 it is <mus> x <nus>, built from its factors as certify builds
+    it; any other generating set is closed as a whole."""
+    if not all(g.mu.is_identity() or g.nu.is_identity() for g in gens):
+        return PairGroup.generate(n, k, gens, cap=cap, name=name)
+    mus = [g.mu for g in gens if g.nu.is_identity()]
+    nus = [g.nu for g in gens if not g.nu.is_identity()]
+    h = closure(mus, cap=cap) if mus else PermGroup.trivial(n)
+    t = closure(nus, cap=cap) if nus else None
+    if h.order * (t.order if t else 1) > cap:
+        raise CapExceeded(f"pair closure exceeded cap={cap}")
+    return PairGroup.direct_product(h, k, t, name=name)

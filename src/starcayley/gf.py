@@ -16,15 +16,25 @@ from typing import Sequence
 MAX_TABLE_Q = 1024
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n >= 1 as (p, e) pairs, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -242,18 +252,10 @@ def field_of_order(q: int) -> Field:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    factors = factorize(q) if q >= 2 else []
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            if q != 1:
-                raise ValueError("not a prime power")
-            return p, m
-    raise ValueError("not a prime power")
+    return factors[0]
 
 
 # ---------------------------------------------------------------------------

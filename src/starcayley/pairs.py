@@ -8,15 +8,21 @@ vertex [a1, ..., ak] by
     [a1, ..., ak]  ->  [mu(a_{nu^-1(1)}), ..., mu(a_{nu^-1(k)})]
 
 which is the first-k-coordinates view of the two-sided product mu a nu^-1.
+
+Inside the package a pair is a *flat* tuple, a permutation of n+k-1 points:
+mu on 1..n, and point n+i-1 -> n+nu(i)-1 for 2 <= i <= k.  S_n x S_{k-1} is
+then a subgroup of S_{n+k-1} whose product is the permutation product, and
+sorting flat tuples orders pairs by (mu, nu).  :class:`AutPair` is the
+public, serialised view, built only at the boundary.
 """
 
 from __future__ import annotations
 
 import math
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .perm import DEFAULT_ELEMENT_CAP, CapExceeded, Perm, PermGroup
+from .perm import DEFAULT_ELEMENT_CAP, CapExceeded, Perm, PermGroup, orbit
 
 
 def nu_is_admissible(nu: Perm, k: int) -> bool:
@@ -80,6 +86,15 @@ class AutPair:
     def to_dict(self) -> dict:
         return {"mu": self.mu.to_list(), "nu": self.nu.to_list()}
 
+    def flat(self, k: int) -> tuple[int, ...]:
+        """The pair as one permutation of n+k-1 points (see the module notes)."""
+        shift = self.degree - 1
+        return self.mu.images + tuple(x + shift for x in self.nu.images[1:k])
+
+    @classmethod
+    def from_flat(cls, flat: tuple[int, ...], n: int) -> "AutPair":
+        return cls(Perm._raw(flat[:n]), _nu_of_tail(flat[n:], n))
+
     @classmethod
     def from_dict(cls, data: dict) -> "AutPair":
         return cls(Perm(data["mu"]), Perm(data["nu"]))
@@ -90,7 +105,8 @@ class PairGroup:
 
     Two storage shapes share one interface:
 
-    * explicit: every pair materialized (closures, search results);
+    * explicit: every pair held as a sorted flat tuple (closures, search
+      results);
     * product: factor element lists (mus x nus), iterated lazily, used for
       direct products like H x S_{k-1} whose pair set can be large.
 
@@ -98,19 +114,19 @@ class PairGroup:
     iterating it raises :class:`CapExceeded`.
     """
 
-    __slots__ = ("n", "k", "name", "generators", "_pairs", "_mus", "_nus", "order")
+    __slots__ = ("n", "k", "name", "generators", "_flats", "_mus", "_nus", "order")
 
-    def __init__(self, n: int, k: int, *, generators=None, pairs=None,
+    def __init__(self, n: int, k: int, *, generators=None, flats=None,
                  mus=None, nus=None, order=None, name=None):
         self.n = n
         self.k = k
         self.name = name
         self.generators = tuple(generators) if generators else None
-        self._pairs = tuple(pairs) if pairs is not None else None
+        self._flats = tuple(flats) if flats is not None else None
         self._mus = tuple(mus) if mus is not None else None
         self._nus = tuple(nus) if nus is not None else None
-        if self._pairs is not None:
-            self.order = len(self._pairs)
+        if self._flats is not None:
+            self.order = len(self._flats)
         elif self._mus is not None:
             self.order = len(self._mus) * len(self._nus)
         elif order is not None:
@@ -119,14 +135,6 @@ class PairGroup:
             raise ValueError("need pairs, factors, or an explicit order")
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_pairs(cls, n: int, k: int, pairs: Iterable[AutPair],
-                   generators=None, name=None) -> "PairGroup":
-        pairs = tuple(pairs)
-        for p in pairs:
-            _check_pair(p, n, k)
-        return cls(n, k, generators=generators, pairs=pairs, name=name)
 
     @classmethod
     def direct_product(cls, mu_group: PermGroup, k: int,
@@ -160,24 +168,16 @@ class PairGroup:
     @classmethod
     def generate(cls, n: int, k: int, generators: Sequence[AutPair],
                  cap: int = DEFAULT_ELEMENT_CAP, name=None) -> "PairGroup":
-        """Breadth-first closure of generating pairs."""
+        """Breadth-first closure of generating pairs, as flat tuples."""
         for g in generators:
-            _check_pair(g, n, k)
-        seen = set(generators)
-        boundary = list(seen)
-        while boundary:
-            fresh = []
-            for b in boundary:
-                for a in generators:
-                    c = a * b
-                    if c not in seen:
-                        seen.add(c)
-                        fresh.append(c)
-                        if len(seen) > cap:
-                            raise CapExceeded(f"pair closure exceeded cap={cap}")
-            boundary = fresh
-        pairs = sorted(seen, key=lambda p: (p.mu.images, p.nu.images))
-        return cls(n, k, generators=tuple(generators), pairs=pairs, name=name)
+            if g.degree != n or not nu_is_admissible(g.nu, k):
+                raise ValueError(f"{g!r} is not a pair for the ({n},{k})-star graph")
+        flats = orbit([tuple(range(1, n + k))], [g.flat(k) for g in generators],
+                      limit=cap)
+        if flats is None:
+            raise CapExceeded(f"pair closure exceeded cap={cap}")
+        return cls(n, k, generators=tuple(generators), flats=sorted(flats),
+                   name=name)
 
     @classmethod
     def generator_level(cls, n: int, k: int, generators: Sequence[AutPair],
@@ -188,25 +188,28 @@ class PairGroup:
 
     @property
     def is_enumerable(self) -> bool:
-        return self._pairs is not None or self._mus is not None
+        return self._flats is not None or self._mus is not None
 
     def iter_pairs(self) -> Iterator[AutPair]:
-        if self._pairs is not None:
-            return iter(self._pairs)
+        if self._flats is not None:
+            return (AutPair.from_flat(f, self.n) for f in self._flats)
         if self._mus is not None:
             return (AutPair(mu, nu) for nu in self._nus for mu in self._mus)
         raise CapExceeded(
             f"group of order {self.order} held at generator level; "
             "enumeration was declined at construction")
 
-    def grouped_by_nu(self) -> list[tuple[Perm, Sequence[Perm]]]:
-        """(nu, mus) buckets; cheap for product-shaped groups."""
+    def grouped_by_nu(self) -> list[tuple[Perm, Sequence[tuple[int, ...]]]]:
+        """(nu, image tuples of its mus) buckets, by nu; cheap for products."""
         if self._mus is not None:
-            return [(nu, self._mus) for nu in self._nus]
-        buckets: dict[Perm, list[Perm]] = {}
-        for p in self.iter_pairs():
-            buckets.setdefault(p.nu, []).append(p.mu)
-        return sorted(buckets.items(), key=lambda item: item[0].images)
+            mus = [mu.images for mu in self._mus]
+            return [(nu, mus) for nu in self._nus]
+        n = self.n
+        buckets: dict[tuple, list[tuple]] = {}
+        for f in self._flats:
+            buckets.setdefault(f[n:], []).append(f[:n])
+        return [(_nu_of_tail(tail, n), mus)
+                for tail, mus in sorted(buckets.items())]
 
     def __iter__(self) -> Iterator[AutPair]:
         return self.iter_pairs()
@@ -219,11 +222,10 @@ class PairGroup:
         return f"<{label} <= S_{self.n} x S_{self.k - 1}: order {self.order}>"
 
 
-def _check_pair(p: AutPair, n: int, k: int) -> None:
-    if p.degree != n:
-        raise ValueError(f"pair degree {p.degree} != n={n}")
-    if not nu_is_admissible(p.nu, k):
-        raise ValueError(f"nu moves points outside 2..{k}: {p.nu!r}")
+def _nu_of_tail(tail: tuple[int, ...], n: int) -> Perm:
+    """nu as a degree-n permutation, from the flat images of points n+1.."""
+    return Perm._raw((1,) + tuple(x - n + 1 for x in tail)
+                     + tuple(range(len(tail) + 2, n + 1)))
 
 
 def symmetric_nu_group(n: int, k: int) -> PermGroup:
@@ -233,15 +235,20 @@ def symmetric_nu_group(n: int, k: int) -> PermGroup:
     return PermGroup.symmetric_on(range(2, k + 1), n, name=f"S_{k - 1}")
 
 
+def aut_order(n: int, k: int) -> int:
+    """|S_n x S_{k-1}| = n! (k-1)!, for the star graphs with k >= 2, n >= k+2."""
+    if k < 2 or n < k + 2:
+        raise ValueError(f"need k >= 2 and n >= k+2, got ({n},{k})")
+    return math.factorial(n) * math.factorial(k - 1)
+
+
 def aut_product(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP) -> PairGroup:
     """The full automorphism group S_n x S_{k-1} of the (n,k)-star graph.
 
     Enumerated when n!(k-1)! fits under the cap; otherwise returned at
     generator level with its order only.
     """
-    if k < 2 or n < k + 2:
-        raise ValueError(f"need k >= 2 and n >= k+2, got ({n},{k})")
-    order = math.factorial(n) * math.factorial(k - 1)
+    order = aut_order(n, k)
     if order <= cap:
         return PairGroup.direct_product(
             PermGroup.symmetric(n), k, symmetric_nu_group(n, k),

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ELEMENT_CAP = 2_000_000
@@ -105,10 +106,7 @@ class Perm:
         return all(p in allowed for p in self.moved_points())
 
     def order(self) -> int:
-        o = 1
-        for cyc in self.cycles():
-            o = lcm(o, len(cyc))
-        return o
+        return lcm(*cycle_type(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
@@ -147,6 +145,21 @@ class Perm:
         return f"Perm[{body}, n={self.degree}]"
 
 
+def cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """Sorted cycle lengths of a permutation in one-line notation, 1-cycles included."""
+    seen = [False] * (len(images) + 1)
+    lengths = []
+    for start in range(1, len(images) + 1):
+        length = 0
+        while not seen[start]:
+            seen[start] = True
+            start = images[start - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """Compose two permutations: q acts first, then p."""
     if p.degree != q.degree:
@@ -156,13 +169,9 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 def closure(generators: Sequence[Perm], cap: int = DEFAULT_ELEMENT_CAP,
             name: str | None = None) -> "PermGroup":
-    """Enumerate the group generated by ``generators``.
-
-    Breadth-first products over a deduplicating set; since the group is
-    finite, products of generators alone already reach every element
-    (inverses are high powers).  Raises :class:`CapExceeded` once more than
-    ``cap`` elements appear.
-    """
+    """Enumerate the group generated by ``generators``: the orbit of the
+    identity (see :func:`orbit`).  Raises :class:`CapExceeded` once more than
+    ``cap`` elements appear."""
     if not generators:
         raise ValueError("need at least one generator")
     if cap < 1:
@@ -170,24 +179,46 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_ELEMENT_CAP,
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators must share a degree")
-    gens = list(dict.fromkeys(g.images for g in generators))
-    seen = set(gens)
-    boundary = gens
-    while boundary:
-        fresh = []
-        for b in boundary:
-            for a in gens:
-                c = tuple(a[x - 1] for x in b)
-                if c not in seen:
-                    seen.add(c)
-                    fresh.append(c)
-                    if len(seen) > cap:
-                        raise CapExceeded(
-                            f"closure exceeded cap={cap}; use a certificate-based "
-                            "path instead of enumeration")
-        boundary = fresh
+    seen = orbit([tuple(range(1, degree + 1))], [g.images for g in generators],
+                 limit=cap)
+    if seen is None:
+        raise CapExceeded(f"closure exceeded cap={cap}; use a certificate-based "
+                          "path instead of enumeration")
     elements = tuple(Perm._raw(t) for t in sorted(seen))
     return PermGroup(degree, tuple(generators), elements, name=name)
+
+
+def orbit(starts: Iterable, generators: Iterable[tuple], limit: float = math.inf,
+          allowed: set | None = None, act=None) -> set | None:
+    """Breadth-first orbit under the group the generators (image tuples) produce.
+
+    By default a generator acts on point tuples pointwise, t -> (g(t1), ...),
+    which for the image tuple t of a permutation p is the product g * p.
+    ``act(*x)`` may instead map a generator g, padded so that g[i] is the
+    image of i, to the image of the orbit element x.  Returns None as soon
+    as the orbit outgrows ``limit`` or leaves ``allowed``.
+    """
+    seen = set(starts)
+    if act is None:
+        # a one-index itemgetter returns the item, not a 1-tuple
+        act = itemgetter if len(next(iter(seen))) > 1 else (lambda p: lambda g: (g[p],))
+    padded = [(0,) + g for g in dict.fromkeys(generators)]
+    boundary = list(seen)
+    while boundary:
+        fresh = []
+        for x in boundary:
+            image_under = act(*x)
+            for g in padded:
+                u = image_under(g)
+                if u not in seen:
+                    if allowed is not None and u not in allowed:
+                        return None
+                    seen.add(u)
+                    if len(seen) > limit:
+                        return None
+                    fresh.append(u)
+        boundary = fresh
+    return seen
 
 
 class PermGroup:
@@ -291,38 +322,13 @@ class PermGroup:
 
 def orbit_of_tuple(generators: Sequence[Perm], start: Sequence[int]) -> set[tuple]:
     """Orbit of an ordered point tuple under the group the generators produce."""
-    start = tuple(start)
-    gens = [g.images for g in generators]
-    seen = {start}
-    boundary = [start]
-    while boundary:
-        fresh = []
-        for t in boundary:
-            for g in gens:
-                u = tuple(g[x - 1] for x in t)
-                if u not in seen:
-                    seen.add(u)
-                    fresh.append(u)
-        boundary = fresh
-    return seen
+    return orbit([tuple(start)], [g.images for g in generators])
 
 
 def orbit_of_set(generators: Sequence[Perm], start: Iterable[int]) -> set[frozenset]:
     """Orbit of a point set under the induced action on subsets."""
-    start = frozenset(start)
-    gens = [g.images for g in generators]
-    seen = {start}
-    boundary = [start]
-    while boundary:
-        fresh = []
-        for s in boundary:
-            for g in gens:
-                u = frozenset(g[x - 1] for x in s)
-                if u not in seen:
-                    seen.add(u)
-                    fresh.append(u)
-        boundary = fresh
-    return seen
+    return orbit([frozenset(start)], [g.images for g in generators],
+                 act=lambda *points: lambda g: frozenset(map(g.__getitem__, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +485,6 @@ def is_sharply_lambda_transitive(group: PermGroup, lam) -> bool:
 
 
 def _flag_orbit(generators: Sequence[Perm], flag: Flag) -> set[tuple]:
-    start = tuple(flag.blocks)
-    gens = [g.images for g in generators]
-    seen = {start}
-    boundary = [start]
-    while boundary:
-        fresh = []
-        for blocks in boundary:
-            for g in gens:
-                image = tuple(frozenset(g[x - 1] for x in b) for b in blocks)
-                if image not in seen:
-                    seen.add(image)
-                    fresh.append(image)
-        boundary = fresh
-    return seen
+    return orbit([flag.blocks], [g.images for g in generators],
+                 act=lambda *blocks: lambda g: tuple(
+                     frozenset(map(g.__getitem__, b)) for b in blocks))

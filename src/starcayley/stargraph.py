@@ -56,17 +56,21 @@ def validate_kperm(v: Sequence[int], n: int) -> KPerm:
 # vertex indexing: lexicographic rank over ordered k-tuples
 
 
+def rank_weights(n: int, k: int) -> list[int]:
+    """Place values of the rank: position i weighs P(n-1-i, k-1-i)."""
+    return [math.perm(n - 1 - i, k - 1 - i) for i in range(k)]
+
+
 def rank(v: Sequence[int], n: int) -> int:
     """Lexicographic rank of a k-permutation among all k-permutations of n."""
     v = tuple(v)
-    k = len(v)
     r = 0
-    for i, a in enumerate(v):
+    for i, (a, w) in enumerate(zip(v, rank_weights(n, len(v)))):
         smaller = a - 1
         for j in range(i):
             if v[j] < a:
                 smaller -= 1
-        r += smaller * math.perm(n - 1 - i, k - 1 - i)
+        r += smaller * w
     return r
 
 
@@ -76,8 +80,7 @@ def unrank(index: int, n: int, k: int) -> KPerm:
         raise ValueError(f"rank {index} out of range for P({n},{k})")
     available = list(range(1, n + 1))
     out = []
-    for i in range(k):
-        w = math.perm(n - 1 - i, k - 1 - i)
+    for w in rank_weights(n, k):
         pos, index = divmod(index, w)
         out.append(available.pop(pos))
     return tuple(out)

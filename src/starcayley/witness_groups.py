@@ -17,6 +17,7 @@ import math
 from functools import lru_cache
 
 from .gf import Field, SemilinearMap, field_of_order
+from .numbers import agl_d2_order
 from .perm import Perm, PermGroup, closure, is_sharply_k_transitive
 
 
@@ -31,6 +32,14 @@ def _affine_perm(field: Field, a: int, b: int, frob_exp: int = 0) -> Perm:
         xs = field.frobenius(x, frob_exp)
         img.append(field.add(field.mul(a, xs), b) + 1)
     return Perm(img)
+
+
+def _verified(group: PermGroup, order: int) -> PermGroup:
+    """The group, once its order matches the closed form (survives ``python -O``)."""
+    if group.order != order:
+        raise AssertionError(
+            f"{group.name} has order {group.order}, expected {order}")
+    return group
 
 
 def pgl_order(q: int) -> int:
@@ -53,14 +62,6 @@ def agammal1_order(q: int) -> int:
     return agl1_order(q) * field_of_order(q).m
 
 
-def agl_d2_order(d: int) -> int:
-    n = 1 << d
-    order = n
-    for i in range(d):
-        order *= n - (1 << i)
-    return order
-
-
 @lru_cache(maxsize=None)
 def pgl2(q: int) -> PermGroup:
     """PGL(2,q) acting on the q+1 points of the projective line."""
@@ -70,8 +71,7 @@ def pgl2(q: int) -> PermGroup:
             _perm_of(f, g, 0, 0, 1),   # x -> g x
             _perm_of(f, 0, 1, 1, 0)]   # x -> 1/x
     group = closure(gens, name=f"PGL(2,{q})")
-    assert group.order == pgl_order(q), group.order
-    return group
+    return _verified(group, pgl_order(q))
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +92,7 @@ def psl2(q: int) -> PermGroup:
             _perm_of(f, f.mul(g, g), 0, 0, 1),
             _perm_of(f, 0, f.neg(1), 1, 0)]
     group = closure(gens, name=f"PSL(2,{q})")
-    assert group.order == psl_order(q), group.order
-    return group
+    return _verified(group, psl_order(q))
 
 
 @lru_cache(maxsize=None)
@@ -104,8 +103,7 @@ def pgammal2(q: int) -> PermGroup:
     if f.m > 1:
         gens.append(_perm_of(f, 1, 0, 0, 1, frob_exp=1))
     group = closure(gens, name=f"PGammaL(2,{q})")
-    assert group.order == pgammal_order(q), group.order
-    return group
+    return _verified(group, pgammal_order(q))
 
 
 @lru_cache(maxsize=None)
@@ -115,8 +113,7 @@ def agl1(q: int) -> PermGroup:
     g = f.primitive_element()
     gens = [_affine_perm(f, 1, 1), _affine_perm(f, g, 0)]
     group = closure(gens, name=f"AGL(1,{q})")
-    assert group.order == agl1_order(q), group.order
-    return group
+    return _verified(group, agl1_order(q))
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +124,7 @@ def agammal1(q: int) -> PermGroup:
     if f.m > 1:
         gens.append(_affine_perm(f, 1, 0, frob_exp=1))
     group = closure(gens, name=f"AGammaL(1,{q})")
-    assert group.order == agammal1_order(q), group.order
-    return group
+    return _verified(group, agammal1_order(q))
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +149,7 @@ def agl(d: int) -> PermGroup:
         gens.append(as_perm(lambda x: ((x << 1) | (x >> (d - 1))) & mask))
         gens.append(as_perm(lambda x: x ^ ((x >> 1) & 1)))
     group = closure(gens, name=f"AGL({d},2)")
-    assert group.order == agl_d2_order(d), group.order
-    return group
+    return _verified(group, agl_d2_order(d))
 
 
 # ---------------------------------------------------------------------------

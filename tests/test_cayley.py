@@ -1,14 +1,19 @@
+import itertools
 import json
 import math
+import re
+from types import SimpleNamespace
 
 import pytest
 
+from starcayley import cayley
 from starcayley.cayley import (Certificate, build_certificate, certify_via_lambda,
                                certify_via_sharp_k, classify, is_prime_power,
                                sabidussi_direct, search_regular_subgroup,
                                table_certificate, verify_certificate)
-from starcayley.pairs import PairGroup, project_and_kernel, symmetric_nu_group
-from starcayley.perm import PermGroup, is_k_homogeneous
+from starcayley.pairs import (PairGroup, aut_product, project_and_kernel,
+                              symmetric_nu_group)
+from starcayley.perm import PermGroup, cycle_type, is_k_homogeneous
 from starcayley.witness_groups import agl1, mathieu11, mathieu12, pgl2, psl2
 
 
@@ -176,3 +181,103 @@ def test_constructive_verdicts_match_classification():
         assert cert.verdict == "Cayley"
         assert (cert.verdict == "Cayley") == classify(n, k).is_cayley
         assert cert.method != "ClassificationTable"
+
+
+# ---------------------------------------------------------------------------
+# the flat-pair search and the product-shape rebuild in verify_certificate
+
+
+def _fixes_a_vertex_by_scan(pair, n, k):
+    """Oracle: does any k-permutation satisfy mu(a_{nu^-1(i)}) = a_i for all i?"""
+    mu = pair.mu.images
+    nu_inv = pair.nu.inverse().images
+    return any(all(mu[v[nu_inv[i] - 1] - 1] == v[i] for i in range(k))
+               for v in itertools.permutations(range(1, n + 1), k))
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 3), (6, 4), (7, 3)])
+def test_cycle_type_fixed_point_test_matches_vertex_scan(n, k):
+    target = math.perm(n, k)
+    expected = []
+    for pair in aut_product(n, k).iter_pairs():
+        by_scan = _fixes_a_vertex_by_scan(pair, n, k)
+        by_type = cayley._fixes_some_vertex(cycle_type(pair.mu.images),
+                                            cycle_type(pair.nu.images[:k]))
+        assert by_type == by_scan, pair
+        if not by_scan and target % pair.order() == 0:
+            expected.append(pair.flat(k))
+    # the search sees the surviving pairs as flat tuples, in iter_pairs order
+    assert cayley._candidates(n, k, target, lambda phase, progress: None) == expected
+
+
+def test_search_deadline_checked_while_filtering(monkeypatch):
+    reads = []
+
+    def fake_monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) < 3 else 100.0
+
+    monkeypatch.setattr(cayley, "time", SimpleNamespace(monotonic=fake_monotonic))
+    cert = search_regular_subgroup(7, 2, time_limit=10.0)
+    assert cert.verdict == "Unknown"
+    assert cert.checks == (("search_space_exhausted", False),)
+    (note,) = cert.notes
+    assert "budget" in note
+    assert "filtering candidates" in note
+    assert re.search(r"\d+/5040", note)
+    assert len(reads) == 3
+
+
+@pytest.mark.parametrize("n,k,force_search", [
+    (9, 4, False), (9, 6, False), (11, 4, False), (12, 5, False),
+    (33, 4, False), (33, 30, False),
+    (6, 4, True), (7, 2, True), (8, 3, True),
+])
+def test_build_then_verify_round_trip(n, k, force_search):
+    cert = build_certificate(n, k, force_search=force_search)
+    assert cert.verdict == "Cayley"
+    assert cert.method != "ClassificationTable"
+    reproduced, fresh = verify_certificate(cert)
+    assert reproduced, fresh
+
+
+def _generic_closures(monkeypatch):
+    calls = []
+    generate = PairGroup.generate.__func__
+
+    def spy(cls, *args, **kwargs):
+        calls.append(args[:2])
+        return generate(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PairGroup, "generate", classmethod(spy))
+    return calls
+
+
+def _with_generators(cert, generators):
+    return Certificate.from_dict(dict(cert.to_dict(),
+                                      witness=dict(cert.witness, generators=generators)))
+
+
+def test_tampered_product_witness_fails_to_reproduce(monkeypatch):
+    calls = _generic_closures(monkeypatch)
+    cert = build_certificate(9, 4)
+    gens = cert.witness["generators"]
+    assert verify_certificate(cert)[0]
+    # drop the last S_3 generator: the nu factor shrinks
+    assert not verify_certificate(_with_generators(cert, gens[:-1]))[0]
+    # swap the first mu for a copy of the second: H shrinks
+    wrong = [dict(gens[0], mu=gens[1]["mu"])] + gens[1:]
+    assert not verify_certificate(_with_generators(cert, wrong))[0]
+    # every one of these witnesses is product-shaped
+    assert calls == []
+
+
+def test_mixed_generator_witness_takes_generic_path(monkeypatch):
+    calls = _generic_closures(monkeypatch)
+    cert = build_certificate(9, 4)
+    gens = cert.witness["generators"]
+    mixed = {"mu": gens[0]["mu"], "nu": gens[-1]["nu"]}
+    assert mixed["nu"] != list(range(1, 10)) and mixed["mu"] != list(range(1, 10))
+    reproduced, fresh = verify_certificate(_with_generators(cert, gens + [mixed]))
+    assert reproduced, fresh
+    assert calls == [(9, 4)]

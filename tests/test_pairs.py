@@ -70,3 +70,15 @@ def test_grouped_by_nu_generic():
     buckets = g.grouped_by_nu()
     assert len(buckets) == 6
     assert all(len(mus) == 504 for _, mus in buckets)
+
+
+def test_flat_encoding_is_a_faithful_permutation_of_n_plus_k_minus_1_points():
+    n, k = 5, 3
+    pairs = list(aut_product(n, k).iter_pairs())
+    flats = [p.flat(k) for p in pairs]
+    assert all(sorted(f) == list(range(1, n + k)) for f in flats)
+    by_mu_then_nu = sorted(pairs, key=lambda p: (p.mu.images, p.nu.images))
+    assert sorted(flats) == [p.flat(k) for p in by_mu_then_nu]
+    assert [AutPair.from_flat(f, n) for f in flats] == pairs
+    for a, b in zip(pairs[::7], pairs[3::11]):
+        assert (Perm(a.flat(k)) * Perm(b.flat(k))).images == (a * b).flat(k)

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import starcayley
 from starcayley.perm import (canonical_flag, flag_stabilizer,
                              is_k_homogeneous, is_k_transitive,
                              is_sharply_k_transitive,
@@ -115,3 +120,38 @@ def test_canonical_flag_stabilizers_trivial():
 def test_group_orders_divide_degree_factorial():
     for g in (psl2(8), agl1(8), agammal1(8), mathieu11(), mathieu12(), agl(3)):
         assert math.factorial(g.degree) % g.order == 0
+
+
+_WRONG_ORDER_CASES = """
+import sys
+import starcayley.witness_groups as w
+
+print("optimize", sys.flags.optimize)
+for order_fn, build, arg in [("pgl_order", w.pgl2, 5), ("psl_order", w.psl2, 5),
+                             ("pgammal_order", w.pgammal2, 4),
+                             ("agl1_order", w.agl1, 5),
+                             ("agammal1_order", w.agammal1, 4),
+                             ("agl_d2_order", w.agl, 3)]:
+    right = getattr(w, order_fn)
+    setattr(w, order_fn, lambda _: 0)
+    try:
+        build(arg)
+        print(order_fn, "accepted")
+    except AssertionError:
+        print(order_fn, "raised")
+    setattr(w, order_fn, right)
+"""
+
+
+def test_order_checks_survive_python_O():
+    src = str(Path(starcayley.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-O", "-c", _WRONG_ORDER_CASES],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.split("\n")
+    assert lines[0] == "optimize 1"
+    assert lines[1:7] == [f"{name} raised" for name in (
+        "pgl_order", "psl_order", "pgammal_order", "agl1_order",
+        "agammal1_order", "agl_d2_order")]
