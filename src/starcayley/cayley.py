@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .gf import factorize
-from .pairs import AutPair, PairGroup, aut_order, symmetric_nu_group
+from .pairs import AutPair, PairGroup, aut_order, nu_tail, symmetric_nu_group
 from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
                    canonical_flag, closure, cycle_type, flag_count,
                    flag_stabilizer, is_k_transitive, orbit)
@@ -147,7 +147,7 @@ def _pair_witness(group: PairGroup) -> dict:
         "name": group.name,
         "degree": group.n,
         "k": group.k,
-        "generators": [g.to_dict() for g in (group.generators or ())],
+        "generators": [g.to_dict() for g in group.generators],
     }
 
 
@@ -170,10 +170,6 @@ def sabidussi_direct(group: PairGroup, n: int, k: int) -> Certificate:
     if group.n != n or group.k != k:
         raise ValueError("group does not act on the requested graph")
     target = math.perm(n, k)
-    if not group.is_enumerable:
-        raise CapExceeded(
-            "witness group is generator-level; use the flag-based certificate path")
-
     order_ok = group.order == target
     base = tuple(range(1, k + 1))
     identity = tuple(range(1, n + 1))
@@ -184,10 +180,10 @@ def sabidussi_direct(group: PairGroup, n: int, k: int) -> Certificate:
     base_fixers = 0
     identity_fixes_base = False
     for nu, mus in group.grouped_by_nu():
-        nu_inv = nu.inverse().images
-        prefix = [nu_inv[i] - 1 for i in range(k)]
+        # vertex position i holds mu(a_{nu^-1(i)}); index() gives nu^-1(i) - 1
+        prefix = [nu.index(i) for i in range(1, k + 1)]
         vertex_of = itemgetter(*prefix) if k > 1 else lambda img: (img[prefix[0]],)
-        nu_identity = nu.is_identity()
+        nu_identity = nu == identity
         for mu in mus:
             v = vertex_of(mu)
             r = 0
@@ -282,6 +278,9 @@ def table_certificate(n: int, k: int) -> Certificate:
 # the search looks at the clock once per this many pairs or closures
 DEADLINE_STRIDE = 256
 
+# build_certificate searches (n,k) itself when |S_n x S_{k-1}| is at most this
+SEARCH_AUT_LIMIT = 1000
+
 
 def _fixes_some_vertex(mu_type: tuple[int, ...], nu_type: tuple[int, ...]) -> bool:
     """Whether a pair with these cycle types (mu on 1..n, nu on 1..k) fixes a vertex.
@@ -304,7 +303,7 @@ def _candidates(n: int, k: int, target: int, check_clock) -> list[tuple[int, ...
     done = 0
     for nu in permutations(range(2, k + 1)):
         nu_type = cycle_type((1,) + nu)
-        tail = tuple(x + n - 1 for x in nu)
+        tail = nu_tail(nu, n)
         for mu in permutations(range(1, n + 1)):
             if done % DEADLINE_STRIDE == 0:
                 check_clock("filtering candidates", f"pair {done}/{total}")
@@ -321,7 +320,6 @@ def _candidates(n: int, k: int, target: int, check_clock) -> list[tuple[int, ...
 
 def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
                             cap: int = DEFAULT_ELEMENT_CAP,
-                            assume_generated_by: int | None = None,
                             time_limit: float | None = None) -> Certificate:
     """Bounded exhaustive search for a regular subgroup of S_n x S_{k-1}.
 
@@ -335,9 +333,7 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
     sets of size <= max_gens provably covers every subgroup of order P(n,k):
     by default that is the case when P(n,k) is square-free (groups of
     square-free order are metacyclic, hence 2-generated) and max_gens >= 2.
-    Callers with an external generator bound can pass assume_generated_by;
-    the assumption is recorded in the certificate.  Otherwise an exhausted
-    search returns Unknown, never NotCayley.
+    Otherwise an exhausted search returns Unknown, never NotCayley.
 
     A time_limit (seconds) truncates the search; the clock is read every
     DEADLINE_STRIDE steps of every phase, and a truncated search always
@@ -386,13 +382,8 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
             (f"time budget of {time_limit}s exhausted before the search "
              f"space was covered ({stop})",))
 
-    generator_bound = assume_generated_by
-    justification = None
-    if generator_bound is None and all(e == 1 for _, e in factorize(target)):
-        generator_bound = 2
-        justification = (f"groups of square-free order {target} are "
-                         "metacyclic, hence 2-generated")
-    exhausted = generator_bound is not None and generator_bound <= max_gens
+    square_free = all(e == 1 for _, e in factorize(target))
+    exhausted = square_free and max_gens >= 2
     checks = (
         ("full_automorphism_group_enumerated", True),
         ("candidates_restricted_to_fixed_point_free_elements", True),
@@ -400,7 +391,8 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
         ("no_regular_subgroup_found", True),
         (f"order_{target}_subgroups_need_at_most_{max_gens}_generators", exhausted),
     )
-    notes = (justification,) if justification else ()
+    notes = ((f"groups of square-free order {target} are "
+              "metacyclic, hence 2-generated"),) if square_free else ()
     if exhausted:
         return Certificate(n, k, VERDICT_NOT_CAYLEY, METHOD_REFUTATION,
                            None, checks, notes)
@@ -410,9 +402,9 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
 
 
 def _search_hit(n, k, elements, gens, candidate_count) -> Certificate:
-    group = PairGroup(n, k, flats=sorted(elements),
-                      generators=[AutPair.from_flat(g, n) for g in gens],
-                      name=f"search-regular({n},{k})")
+    group = PairGroup.from_flats(n, k, elements,
+                                 [AutPair.from_flat(g, n) for g in gens],
+                                 name=f"search-regular({n},{k})")
     cert = sabidussi_direct(group, n, k)
     notes = (f"found among {candidate_count} fixed-point-free candidates",)
     return Certificate(cert.n, cert.k, cert.verdict, cert.method,
@@ -426,7 +418,6 @@ def _search_hit(n, k, elements, gens, candidate_count) -> Certificate:
 def build_certificate(n: int, k: int, force_search: bool = False,
                       element_cap: int = DEFAULT_ELEMENT_CAP,
                       vertex_cap: int = DEFAULT_ELEMENT_CAP,
-                      search_aut_limit: int = 1000,
                       time_limit: float | None = None) -> Certificate:
     """Produce the strongest certificate available for (n,k) under the budgets.
 
@@ -442,7 +433,7 @@ def build_certificate(n: int, k: int, force_search: bool = False,
                                        time_limit=time_limit)
     if not result.is_cayley:
         aut_size = math.factorial(n) * math.factorial(k - 1)
-        if aut_size <= search_aut_limit:
+        if aut_size <= SEARCH_AUT_LIMIT:
             return search_regular_subgroup(n, k, cap=element_cap,
                                            time_limit=time_limit)
         return table_certificate(n, k)
@@ -464,7 +455,7 @@ def build_certificate(n: int, k: int, force_search: bool = False,
         return _direct_product_cert(agl1(n), n, k)
     if k == 3 and math.perm(n, k) <= vertex_cap:
         return _direct_product_cert(pgl2(n - 1), n, k)
-    if n == k + 2 and math.factorial(n) * math.factorial(k - 1) <= search_aut_limit:
+    if n == k + 2 and math.factorial(n) * math.factorial(k - 1) <= SEARCH_AUT_LIMIT:
         return search_regular_subgroup(n, k, cap=element_cap,
                                        time_limit=time_limit)
     return table_certificate(n, k)

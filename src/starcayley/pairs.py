@@ -9,11 +9,13 @@ vertex [a1, ..., ak] by
 
 which is the first-k-coordinates view of the two-sided product mu a nu^-1.
 
-Inside the package a pair is a *flat* tuple, a permutation of n+k-1 points:
-mu on 1..n, and point n+i-1 -> n+nu(i)-1 for 2 <= i <= k.  S_n x S_{k-1} is
-then a subgroup of S_{n+k-1} whose product is the permutation product, and
-sorting flat tuples orders pairs by (mu, nu).  :class:`AutPair` is the
-public, serialised view, built only at the boundary.
+Closures and the search treat a pair as a *flat* tuple, a permutation of
+n+k-1 points: mu on 1..n, and point n+i-1 -> n+nu(i)-1 for 2 <= i <= k.
+S_n x S_{k-1} is then a subgroup of S_{n+k-1} whose product is the
+permutation product, and sorting flat tuples orders pairs by (mu, nu).  Only
+this module knows that layout.  A :class:`PairGroup` holds its pairs as
+image tuples bucketed by nu; :class:`AutPair` is the public, serialised
+view, built only at the boundary.
 """
 
 from __future__ import annotations
@@ -88,12 +90,11 @@ class AutPair:
 
     def flat(self, k: int) -> tuple[int, ...]:
         """The pair as one permutation of n+k-1 points (see the module notes)."""
-        shift = self.degree - 1
-        return self.mu.images + tuple(x + shift for x in self.nu.images[1:k])
+        return self.mu.images + nu_tail(self.nu.images[1:k], self.degree)
 
     @classmethod
     def from_flat(cls, flat: tuple[int, ...], n: int) -> "AutPair":
-        return cls(Perm._raw(flat[:n]), _nu_of_tail(flat[n:], n))
+        return cls(Perm._raw(flat[:n]), Perm._raw(_nu_of_tail(flat[n:], n)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "AutPair":
@@ -103,36 +104,24 @@ class AutPair:
 class PairGroup:
     """A subgroup of S_n x S_{k-1}, the automorphism group of the star graph.
 
-    Two storage shapes share one interface:
-
-    * explicit: every pair held as a sorted flat tuple (closures, search
-      results);
-    * product: factor element lists (mus x nus), iterated lazily, used for
-      direct products like H x S_{k-1} whose pair set can be large.
-
-    A third, generator-level shape keeps only generators and the known order;
-    iterating it raises :class:`CapExceeded`.
+    Its one shape is a tuple of (nu, mus) buckets, one per nu component:
+    nu is a degree-n image tuple and mus the sorted image tuples of the mu
+    components paired with it.  A direct product H x N shares H's element
+    tuple across all its buckets, so groups like PGammaL(2,32) x S_3 hold no
+    per-pair storage.  :class:`AutPair` objects are built only by
+    :meth:`iter_pairs` and for the generators.
     """
 
-    __slots__ = ("n", "k", "name", "generators", "_flats", "_mus", "_nus", "order")
+    __slots__ = ("n", "k", "name", "generators", "_buckets", "order")
 
-    def __init__(self, n: int, k: int, *, generators=None, flats=None,
-                 mus=None, nus=None, order=None, name=None):
+    def __init__(self, n: int, k: int, buckets, generators: Sequence[AutPair],
+                 name: str | None = None):
         self.n = n
         self.k = k
         self.name = name
-        self.generators = tuple(generators) if generators else None
-        self._flats = tuple(flats) if flats is not None else None
-        self._mus = tuple(mus) if mus is not None else None
-        self._nus = tuple(nus) if nus is not None else None
-        if self._flats is not None:
-            self.order = len(self._flats)
-        elif self._mus is not None:
-            self.order = len(self._mus) * len(self._nus)
-        elif order is not None:
-            self.order = order
-        else:
-            raise ValueError("need pairs, factors, or an explicit order")
+        self.generators = tuple(generators)
+        self._buckets = tuple(buckets)
+        self.order = sum(len(mus) for _, mus in self._buckets)
 
     # -- constructors -------------------------------------------------------
 
@@ -162,8 +151,19 @@ class PairGroup:
             name = mu_group.name or "H"
             if nu_group.order > 1:
                 name = f"{name} x S_{k - 1}"
-        return cls(n, k, generators=gens, mus=mu_group.elements,
-                   nus=nu_group.elements, name=name)
+        mus = mu_group.elements
+        return cls(n, k, ((nu, mus) for nu in nu_group.elements), gens, name)
+
+    @classmethod
+    def from_flats(cls, n: int, k: int, flats, generators: Sequence[AutPair],
+                   name: str | None = None) -> "PairGroup":
+        """The group whose elements are the given flat pairs, bucketed by nu."""
+        buckets: dict[tuple, list[tuple]] = {}
+        for f in flats:
+            buckets.setdefault(f[n:], []).append(f[:n])
+        return cls(n, k, ((_nu_of_tail(tail, n), tuple(sorted(mus)))
+                          for tail, mus in sorted(buckets.items())),
+                   generators, name)
 
     @classmethod
     def generate(cls, n: int, k: int, generators: Sequence[AutPair],
@@ -176,40 +176,20 @@ class PairGroup:
                       limit=cap)
         if flats is None:
             raise CapExceeded(f"pair closure exceeded cap={cap}")
-        return cls(n, k, generators=tuple(generators), flats=sorted(flats),
-                   name=name)
-
-    @classmethod
-    def generator_level(cls, n: int, k: int, generators: Sequence[AutPair],
-                        order: int, name=None) -> "PairGroup":
-        return cls(n, k, generators=tuple(generators), order=order, name=name)
+        return cls.from_flats(n, k, flats, generators, name)
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def is_enumerable(self) -> bool:
-        return self._flats is not None or self._mus is not None
+    def grouped_by_nu(self) -> tuple[tuple[tuple, tuple], ...]:
+        """The (nu, mus) buckets of image tuples, in increasing nu order."""
+        return self._buckets
 
     def iter_pairs(self) -> Iterator[AutPair]:
-        if self._flats is not None:
-            return (AutPair.from_flat(f, self.n) for f in self._flats)
-        if self._mus is not None:
-            return (AutPair(mu, nu) for nu in self._nus for mu in self._mus)
-        raise CapExceeded(
-            f"group of order {self.order} held at generator level; "
-            "enumeration was declined at construction")
-
-    def grouped_by_nu(self) -> list[tuple[Perm, Sequence[tuple[int, ...]]]]:
-        """(nu, image tuples of its mus) buckets, by nu; cheap for products."""
-        if self._mus is not None:
-            mus = [mu.images for mu in self._mus]
-            return [(nu, mus) for nu in self._nus]
-        n = self.n
-        buckets: dict[tuple, list[tuple]] = {}
-        for f in self._flats:
-            buckets.setdefault(f[n:], []).append(f[:n])
-        return [(_nu_of_tail(tail, n), mus)
-                for tail, mus in sorted(buckets.items())]
+        """Every pair as an :class:`AutPair`, bucket by bucket."""
+        for nu_images, mus in self._buckets:
+            nu = Perm._raw(nu_images)
+            for mu in mus:
+                yield AutPair(Perm._raw(mu), nu)
 
     def __iter__(self) -> Iterator[AutPair]:
         return self.iter_pairs()
@@ -222,10 +202,15 @@ class PairGroup:
         return f"<{label} <= S_{self.n} x S_{self.k - 1}: order {self.order}>"
 
 
-def _nu_of_tail(tail: tuple[int, ...], n: int) -> Perm:
-    """nu as a degree-n permutation, from the flat images of points n+1.."""
-    return Perm._raw((1,) + tuple(x - n + 1 for x in tail)
-                     + tuple(range(len(tail) + 2, n + 1)))
+def nu_tail(nu: Sequence[int], n: int) -> tuple[int, ...]:
+    """The flat images of points n+1.., from nu's images of 2..k."""
+    return tuple(x + n - 1 for x in nu)
+
+
+def _nu_of_tail(tail: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """nu as a degree-n image tuple, from the flat images of points n+1.."""
+    return ((1,) + tuple(x - n + 1 for x in tail)
+            + tuple(range(len(tail) + 2, n + 1)))
 
 
 def symmetric_nu_group(n: int, k: int) -> PermGroup:
@@ -245,21 +230,15 @@ def aut_order(n: int, k: int) -> int:
 def aut_product(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP) -> PairGroup:
     """The full automorphism group S_n x S_{k-1} of the (n,k)-star graph.
 
-    Enumerated when n!(k-1)! fits under the cap; otherwise returned at
-    generator level with its order only.
+    Raises :class:`CapExceeded` when n!(k-1)! exceeds the cap;
+    :func:`aut_order` gives the order without building the group.
     """
     order = aut_order(n, k)
-    if order <= cap:
-        return PairGroup.direct_product(
-            PermGroup.symmetric(n), k, symmetric_nu_group(n, k),
-            name=f"S_{n} x S_{k - 1}")
-    e = Perm.identity(n)
-    gens = [AutPair(Perm.transposition(n, 1, 2), e),
-            AutPair(Perm.from_cycles(n, tuple(range(1, n + 1))), e)]
-    if k > 2:
-        gens.append(AutPair(e, Perm.transposition(n, 2, 3)))
-        gens.append(AutPair(e, Perm.from_cycles(n, tuple(range(2, k + 1)))))
-    return PairGroup.generator_level(n, k, gens, order, name=f"S_{n} x S_{k - 1}")
+    if order > cap:
+        raise CapExceeded(f"|S_{n} x S_{k - 1}| = {order} exceeds cap={cap}")
+    return PairGroup.direct_product(
+        PermGroup.symmetric(n), k, symmetric_nu_group(n, k),
+        name=f"S_{n} x S_{k - 1}")
 
 
 def project_and_kernel(group: PairGroup) -> tuple[PermGroup, PermGroup]:
@@ -270,12 +249,13 @@ def project_and_kernel(group: PairGroup) -> tuple[PermGroup, PermGroup]:
     the first-isomorphism-theorem bookkeeping for the projection onto S_n.
     """
     n = group.n
-    mus: set[Perm] = set()
-    kernel_nus: set[Perm] = set()
-    for pair in group.iter_pairs():
-        mus.add(pair.mu)
-        if pair.mu.is_identity():
-            kernel_nus.add(pair.nu)
+    identity = tuple(range(1, n + 1))
+    mus: set[tuple] = set()
+    kernel_nus = []
+    for nu, bucket in group.grouped_by_nu():
+        mus.update(bucket)
+        if identity in bucket:
+            kernel_nus.append(nu)
     h = PermGroup.from_elements(mus, n, name=f"pi1({group.name or 'G'})")
     t = PermGroup.from_elements(kernel_nus, n, name=f"ker({group.name or 'G'})")
     if h.order * t.order != group.order:

@@ -11,6 +11,7 @@ Two conventions are fixed once, here, and used everywhere:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 from math import lcm
@@ -184,8 +185,7 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_ELEMENT_CAP,
     if seen is None:
         raise CapExceeded(f"closure exceeded cap={cap}; use a certificate-based "
                           "path instead of enumeration")
-    elements = tuple(Perm._raw(t) for t in sorted(seen))
-    return PermGroup(degree, tuple(generators), elements, name=name)
+    return PermGroup(degree, generators, seen, name=name)
 
 
 def orbit(starts: Iterable, generators: Iterable[tuple], limit: float = math.inf,
@@ -224,41 +224,47 @@ def orbit(starts: Iterable, generators: Iterable[tuple], limit: float = math.inf
 class PermGroup:
     """A finite permutation group with its elements fully enumerated.
 
-    Immutable after construction; all queries are pure reads, so instances
-    are safe to share across threads.
+    ``elements`` is the sorted tuple of the elements' image tuples, the form
+    :func:`orbit` produces; ``generators`` are :class:`Perm` objects.
+    Iteration builds a :class:`Perm` per element on demand, and membership
+    of a :class:`Perm` is a binary search.  Immutable after construction;
+    all queries are pure reads, so instances are safe to share across
+    threads.
     """
 
-    __slots__ = ("degree", "generators", "elements", "name", "_element_set")
+    __slots__ = ("degree", "generators", "elements", "name")
 
     def __init__(self, degree: int, generators: Sequence[Perm],
-                 elements: Sequence[Perm], name: str | None = None):
+                 elements: Iterable[tuple[int, ...]], name: str | None = None):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
+        self.elements = tuple(sorted(elements))
         self.name = name
-        self._element_set = frozenset(elements)
         if not self.generators:
             raise ValueError("a group needs at least one generator")
 
     @classmethod
-    def generate(cls, generators: Sequence[Perm], cap: int = DEFAULT_ELEMENT_CAP,
-                 name: str | None = None) -> "PermGroup":
-        return closure(generators, cap=cap, name=name)
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[Perm], degree: int,
+    def from_elements(cls, elements: Iterable[tuple[int, ...]], degree: int,
                       name: str | None = None) -> "PermGroup":
-        """Wrap an element set already known to be a subgroup."""
-        elements = tuple(sorted(set(elements)))
-        gens = elements if elements else (Perm.identity(degree),)
-        if not elements:
-            elements = gens
-        return cls(degree, gens, elements, name=name)
+        """Wrap image tuples already known to form a subgroup.
+
+        Generators are picked greedily: each element outside the group the
+        earlier picks generate becomes the next pick.
+        """
+        identity = tuple(range(1, degree + 1))
+        elements = sorted(set(elements)) or [identity]
+        gens: list[tuple] = []
+        reached = {identity}
+        for t in elements:
+            if t not in reached:
+                gens.append(t)
+                reached = orbit([identity], gens)
+        return cls(degree, map(Perm._raw, gens or [identity]), elements, name=name)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         e = Perm.identity(degree)
-        return cls(degree, (e,), (e,), name="1")
+        return cls(degree, (e,), (e.images,), name="1")
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
@@ -275,13 +281,13 @@ class PermGroup:
             img = base[:]
             for src, dst in zip(pts, assignment):
                 img[src - 1] = dst
-            elems.append(Perm._raw(tuple(img)))
+            elems.append(tuple(img))
         if len(pts) >= 2:
             gens = (Perm.transposition(degree, pts[0], pts[1]),
                     Perm.from_cycles(degree, tuple(pts)))
         else:
             gens = (Perm.identity(degree),)
-        return cls(degree, gens, tuple(sorted(elems)), name=name)
+        return cls(degree, gens, elems, name=name)
 
     @property
     def order(self) -> int:
@@ -291,10 +297,11 @@ class PermGroup:
         return Perm.identity(self.degree)
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self._element_set
+        i = bisect_left(self.elements, p.images)
+        return i < len(self.elements) and self.elements[i] == p.images
 
     def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
+        return map(Perm._raw, self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -366,8 +373,7 @@ def tuple_stabilizer_is_trivial(group: PermGroup, points: Sequence[int]) -> bool
     """True iff only the identity fixes every listed point."""
     pts = [p - 1 for p in points]
     hits = 0
-    for g in group.elements:
-        img = g.images
+    for img in group.elements:
         if all(img[p] == p + 1 for p in pts):
             hits += 1
             if hits > 1:
@@ -456,7 +462,7 @@ def _flag_fixed_by(images: tuple, blocks: tuple[frozenset, ...]) -> bool:
 
 def flag_stabilizer(group: PermGroup, flag: Flag) -> PermGroup:
     """Subgroup of elements mapping every block of the flag onto itself."""
-    keep = [g for g in group.elements if _flag_fixed_by(g.images, flag.blocks)]
+    keep = [g for g in group.elements if _flag_fixed_by(g, flag.blocks)]
     return PermGroup.from_elements(keep, group.degree,
                                    name=f"stab({group.name or 'G'})")
 
@@ -464,27 +470,13 @@ def flag_stabilizer(group: PermGroup, flag: Flag) -> PermGroup:
 def is_sharply_lambda_transitive(group: PermGroup, lam) -> bool:
     """True iff the group acts regularly on ordered disjoint-subset tuples of type lam.
 
-    When |G| equals the number of such tuples, regularity is equivalent to
-    freeness, and freeness needs checking only at the canonical flag: a
-    trivial stabilizer there makes the orbit exhaust all tuples, and the
-    stabilizers elsewhere are conjugate.  Otherwise fall back to an explicit
-    orbit computation (which can only confirm non-regularity, since a regular
-    action forces the order to match the tuple count).
+    A regular action needs |G| equal to the number of such tuples.  Given
+    that, regularity is equivalent to freeness, and freeness needs checking
+    only at the canonical flag: a trivial stabilizer there makes the orbit
+    exhaust all tuples, and the stabilizers elsewhere are conjugate.
     """
     parts = _parts(lam)
     n = group.degree
-    if sum(parts) > n:
-        raise ValueError(f"parts {parts} exceed degree {n}")
-    count = flag_count(parts, n)
-    flag = canonical_flag(parts, n)
-    stab_trivial = flag_stabilizer(group, flag).order == 1
-    if group.order == count:
-        return stab_trivial
-    orbit = _flag_orbit(group.generators, flag)
-    return len(orbit) == count and stab_trivial
-
-
-def _flag_orbit(generators: Sequence[Perm], flag: Flag) -> set[tuple]:
-    return orbit([flag.blocks], [g.images for g in generators],
-                 act=lambda *blocks: lambda g: tuple(
-                     frozenset(map(g.__getitem__, b)) for b in blocks))
+    if group.order != flag_count(parts, n):
+        return False
+    return flag_stabilizer(group, canonical_flag(parts, n)).order == 1

@@ -123,14 +123,13 @@ class StarGraph:
     The backbone is one flat index row per vertex with the k-1 star
     neighbors first and the n-k residual neighbors after them, so the edge
     kind is positional and the million-vertex graphs stay materializable.
-    The kind-tagged ``adjacency`` view and the per-vertex neighbor sets are
-    built on first use and cached.
+    The kind-tagged ``adjacency`` view is built on first use and cached;
+    every other query reads the rows.
 
     Immutable after construction; every query is a pure read.
     """
 
-    __slots__ = ("n", "k", "vertices", "index", "_rows", "_adjacency",
-                 "_adjacent_sets")
+    __slots__ = ("n", "k", "vertices", "index", "_rows", "_adjacency")
 
     def __init__(self, n, k, vertices, index, rows):
         self.n = n
@@ -139,7 +138,6 @@ class StarGraph:
         self.index = index
         self._rows = rows
         self._adjacency = None
-        self._adjacent_sets = None
 
     @property
     def vertex_count(self) -> int:
@@ -156,12 +154,6 @@ class StarGraph:
                 for row in self._rows]
         return self._adjacency
 
-    @property
-    def _neighbor_sets(self) -> list[frozenset[int]]:
-        if self._adjacent_sets is None:
-            self._adjacent_sets = [frozenset(row) for row in self._rows]
-        return self._adjacent_sets
-
     def rank_of(self, v: Sequence[int]) -> int:
         return self.index[tuple(v)]
 
@@ -173,7 +165,7 @@ class StarGraph:
                 for pos, j in enumerate(row)]
 
     def are_adjacent(self, u: Sequence[int], v: Sequence[int]) -> bool:
-        return self.index[tuple(v)] in self._neighbor_sets[self.index[tuple(u)]]
+        return self.index[tuple(v)] in self._rows[self.index[tuple(u)]]
 
     def edges(self) -> Iterator[tuple[int, int, EdgeKind]]:
         """Each undirected edge once, as (smaller rank, larger rank, kind)."""
@@ -187,10 +179,14 @@ class StarGraph:
         return sum(len(row) for row in self._rows) // 2
 
     def triangle_count(self) -> int:
-        sets = self._neighbor_sets
+        """Each triangle is seen once from each of its three edges."""
+        rows = self._rows
         total = 0
-        for i, j, _ in self.edges():
-            total += len(sets[i] & sets[j])
+        for i, row in enumerate(rows):
+            mine = set(row)
+            for j in row:
+                if i < j:
+                    total += len(mine.intersection(rows[j]))
         return total // 3
 
     def degree_split(self) -> tuple[int, int]:
@@ -232,9 +228,9 @@ def apply_automorphism(f: AutPair | tuple[Perm, Perm], v: Sequence[int]) -> KPer
 def is_edge_in_triangle(graph: StarGraph, u: Sequence[int], v: Sequence[int]) -> bool:
     """True iff the edge uv lies in a 3-cycle (shares a common neighbor)."""
     iu, iv = graph.index[tuple(u)], graph.index[tuple(v)]
-    if iv not in graph._neighbor_sets[iu]:
+    if iv not in graph._rows[iu]:
         raise ValueError(f"{u!r} and {v!r} are not adjacent")
-    return bool(graph._neighbor_sets[iu] & graph._neighbor_sets[iv])
+    return not set(graph._rows[iu]).isdisjoint(graph._rows[iv])
 
 
 def six_cycles_through(graph: StarGraph, u: Sequence[int], v: Sequence[int],
@@ -272,7 +268,7 @@ def six_cycles_through(graph: StarGraph, u: Sequence[int], v: Sequence[int],
                 if kz is not kinds[2] or z in path or z in (x, y):
                     continue
                 iz = graph.index[z]
-                if iu in graph._neighbor_sets[iz]:
+                if iu in graph._rows[iz]:
                     close = edge_kind(z, u)
                     if close is kinds[3]:
                         found.append((u, v, w, x, y, z))
@@ -345,7 +341,7 @@ def brute_force_automorphism_count(graph: StarGraph, node_budget: int = 10_000_0
     size = graph.vertex_count
     if size > max_vertices:
         raise ValueError(f"{size} vertices exceeds max_vertices={max_vertices}")
-    adj = graph._neighbor_sets
+    adj = [frozenset(row) for row in graph._rows]
     start = 0 if fix_vertex is None else fix_vertex
     order = [start]
     placed = {start}

@@ -62,15 +62,21 @@ def agammal1_order(q: int) -> int:
     return agl1_order(q) * field_of_order(q).m
 
 
+def _pgl2_generators(f: Field) -> list[Perm]:
+    g = f.primitive_element()
+    return [_perm_of(f, 1, 1, 0, 1),   # x -> x + 1
+            _perm_of(f, g, 0, 0, 1),   # x -> g x
+            _perm_of(f, 0, 1, 1, 0)]   # x -> 1/x
+
+
+def _agl1_generators(f: Field) -> list[Perm]:
+    return [_affine_perm(f, 1, 1), _affine_perm(f, f.primitive_element(), 0)]
+
+
 @lru_cache(maxsize=None)
 def pgl2(q: int) -> PermGroup:
     """PGL(2,q) acting on the q+1 points of the projective line."""
-    f = field_of_order(q)
-    g = f.primitive_element()
-    gens = [_perm_of(f, 1, 1, 0, 1),   # x -> x + 1
-            _perm_of(f, g, 0, 0, 1),   # x -> g x
-            _perm_of(f, 0, 1, 1, 0)]   # x -> 1/x
-    group = closure(gens, name=f"PGL(2,{q})")
+    group = closure(_pgl2_generators(field_of_order(q)), name=f"PGL(2,{q})")
     return _verified(group, pgl_order(q))
 
 
@@ -99,7 +105,7 @@ def psl2(q: int) -> PermGroup:
 def pgammal2(q: int) -> PermGroup:
     """PGammaL(2,q): PGL(2,q) extended by the Frobenius x -> x^p."""
     f = field_of_order(q)
-    gens = list(pgl2(q).generators)
+    gens = _pgl2_generators(f)
     if f.m > 1:
         gens.append(_perm_of(f, 1, 0, 0, 1, frob_exp=1))
     group = closure(gens, name=f"PGammaL(2,{q})")
@@ -109,10 +115,7 @@ def pgammal2(q: int) -> PermGroup:
 @lru_cache(maxsize=None)
 def agl1(q: int) -> PermGroup:
     """AGL(1,q): the maps x -> a x + b (a nonzero) on the q field points."""
-    f = field_of_order(q)
-    g = f.primitive_element()
-    gens = [_affine_perm(f, 1, 1), _affine_perm(f, g, 0)]
-    group = closure(gens, name=f"AGL(1,{q})")
+    group = closure(_agl1_generators(field_of_order(q)), name=f"AGL(1,{q})")
     return _verified(group, agl1_order(q))
 
 
@@ -120,7 +123,7 @@ def agl1(q: int) -> PermGroup:
 def agammal1(q: int) -> PermGroup:
     """AGammaL(1,q): AGL(1,q) extended by the Frobenius."""
     f = field_of_order(q)
-    gens = list(agl1(q).generators)
+    gens = _agl1_generators(f)
     if f.m > 1:
         gens.append(_affine_perm(f, 1, 0, frob_exp=1))
     group = closure(gens, name=f"AGammaL(1,{q})")

@@ -62,12 +62,24 @@ def test_closure_s3():
 def test_closure_contains_inverses_and_products():
     g = closure([Perm.from_cycles(4, (1, 2, 3, 4)), Perm.from_cycles(4, (1, 2))])
     assert g.order == 24
-    for a in g.elements:
+    for a in g:
         assert a.inverse() in g
     # spot-check products on a small slice
-    for a in g.elements[:6]:
-        for b in g.elements[:6]:
+    for a in list(g)[:6]:
+        for b in list(g)[:6]:
             assert a * b in g
+
+
+def test_group_elements_are_image_tuples_and_perms_at_the_boundary():
+    a4 = closure([Perm.from_cycles(4, (1, 2, 3)), Perm.from_cycles(4, (2, 3, 4))])
+    assert a4.order == 12
+    assert list(a4.elements) == sorted(a4.elements)
+    members = list(a4)
+    assert all(isinstance(p, Perm) for p in members)
+    assert [p.images for p in members] == list(a4.elements)
+    assert all(p in a4 for p in members)
+    assert Perm.from_cycles(4, (1, 2)) not in a4
+    assert Perm.from_cycles(4, (1, 2, 3, 4)) not in a4
 
 
 def test_closure_cap():
@@ -164,7 +176,7 @@ def test_flag_stabilizer_s4_two_blocks():
         Perm.from_cycles(4, (3, 4)),
         Perm.from_cycles(4, (1, 2), (3, 4)),
     }
-    assert set(stab.elements) == expected
+    assert set(stab) == expected
 
 
 def test_psl28_flag_stabilizer_trivial():
@@ -182,8 +194,8 @@ def test_sharply_lambda_transitive_psl28():
 
 
 def test_sharply_lambda_transitive_fallback_path():
-    # order != tuple count forces the explicit-orbit fallback, which can
-    # only answer False
+    # order 24 != 6 tuples: the action cannot be regular, so the answer is
+    # False without looking at any orbit
     s4 = PermGroup.symmetric(4)
     assert not is_sharply_lambda_transitive(s4, (2, 2))
 

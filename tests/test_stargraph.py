@@ -259,9 +259,10 @@ def test_exports():
     assert all(line.split()[2] in {"S", "R"} for line in lines)
 
 
-def test_triangle_census_matches_clique_structure():
-    # triangles come only from residual cliques: P(n,k-1)... counted directly
-    g = build(5, 3)
-    # each residual clique has n-k+1 = 3 vertices -> C(3,3)=1 triangle per
-    # clique, and there are P(n, k-1) = 20 cliques (one per tail)
-    assert g.triangle_count() == 20
+@pytest.mark.parametrize("n,k,expected", [
+    (5, 3, 20), (6, 1, 20), (6, 2, 60), (7, 3, 420), (8, 4, 3360), (7, 5, 840)])
+def test_triangle_census_matches_clique_structure(n, k, expected):
+    # triangles come only from residual cliques: one clique of n-k+1
+    # vertices per tail, P(n, k-1) tails, C(n-k+1, 3) triangles per clique
+    assert math.perm(n, k - 1) * math.comb(n - k + 1, 3) == expected
+    assert build(n, k).triangle_count() == expected
