@@ -14,16 +14,30 @@ from .stargraph import (EdgeKind, StarGraph, apply_automorphism,
                         six_cycles_through, star_neighbors,
                         transposition_identity_check, unrank)
 from .gf import Field, ProjPoint, SemilinearMap, field, field_of_order, proj_line
-from .witness_groups import (agammal1, agl, agl1, mathieu11, mathieu12,
-                             pgammal2, pgl2, psl2)
 from .cayley import (Certificate, ClassificationResult, build_certificate,
                      certify_via_lambda, certify_via_sharp_k, classify,
                      is_prime_power, sabidussi_direct, search_regular_subgroup,
                      table_certificate, verify_certificate)
-from .case_elim import CaseFamily, CaseRecord, eliminate_case, pgammal_solution_scan
 from . import numbers
 
 __version__ = "0.1.0"
+
+# Imported on first use: no command needs them at start-up, and every
+# process pays for each module it imports.
+_LAZY = {name: module for module, names in [
+    ("witness_groups", ("agammal1", "agl", "agl1", "mathieu11", "mathieu12",
+                        "pgammal2", "pgl2", "psl2")),
+    ("case_elim", ("CaseFamily", "CaseRecord", "eliminate_case",
+                   "pgammal_solution_scan")),
+] for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
 __all__ = [
     "AutPair", "CapExceeded", "CaseFamily", "CaseRecord", "Certificate",

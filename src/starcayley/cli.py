@@ -2,7 +2,8 @@
 
 Subcommands: graph, classify, certify, check, zsigmondy, verify-lemmas.
 Exit codes: 0 all checks pass / verdict delivered; 2 a recorded claim failed
-to reproduce; 3 a budget was exhausted.  Output is deterministic: fixed point
+to reproduce, or a certificate or checkpoint is malformed (one line on
+stderr); 3 a budget was exhausted.  Output is deterministic: fixed point
 orders, fixed field moduli, no randomness anywhere.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -110,28 +112,64 @@ def cmd_certify(args) -> int:
     return EXIT_OK if consistent else EXIT_MISMATCH
 
 
+def _one_line(exc: Exception) -> str:
+    return " ".join(f"{type(exc).__name__}: {exc}".split())
+
+
+def _check_entry(checks: tuple, i: int) -> str:
+    if i >= len(checks):
+        return "absent"
+    name, ok = checks[i]
+    return f"{name}={'pass' if ok else 'fail'}"
+
+
 def cmd_check(args) -> int:
-    cert = Certificate.from_json(Path(args.certificate).read_text())
     try:
+        cert = Certificate.from_json(Path(args.certificate).read_text())
         reproduced, fresh = verify_certificate(cert, cap=args.budget_elements)
     except CapExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"malformed certificate {args.certificate}: {_one_line(exc)}",
+              file=sys.stderr)
+        return EXIT_MISMATCH
     if reproduced:
         print(f"certificate reproduced: ({cert.n},{cert.k}) {cert.verdict} "
               f"via {cert.method}")
         return EXIT_OK
     print("certificate MISMATCH")
-    print("recorded:", json.dumps(cert.to_dict()))
-    print("fresh:   ", json.dumps(fresh.to_dict()))
+    if fresh.verdict != cert.verdict:
+        print(f"verdict: recorded {cert.verdict}, fresh {fresh.verdict}")
+    for i in range(max(len(cert.checks), len(fresh.checks))):
+        recorded, rerun = _check_entry(cert.checks, i), _check_entry(fresh.checks, i)
+        if recorded != rerun:
+            print(f"check {i + 1}: recorded {recorded}, fresh {rerun}")
     return EXIT_MISMATCH
+
+
+def _write_checkpoint(path: Path, d: int) -> None:
+    """Replace the checkpoint's value by d.  The value goes to a temporary
+    file in the same directory, which is synced and then renamed over the
+    checkpoint, so a crash leaves either the old value or the new one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "w") as out:
+        out.write(f"{d}\n")
+        out.flush()
+        os.fsync(out.fileno())
+    os.replace(tmp, path)
 
 
 def cmd_zsigmondy(args) -> int:
     start = 3
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
     if checkpoint and checkpoint.exists():
-        start = max(start, int(checkpoint.read_text().strip()) + 1)
+        text = checkpoint.read_text().strip()
+        if not (text.isascii() and text.isdigit()):
+            print(f"corrupt checkpoint {checkpoint}: {text[:40]!r} is not a "
+                  "decimal integer", file=sys.stderr)
+            return EXIT_MISMATCH
+        start = max(start, int(text) + 1)
     failing = []
     for d in range(start, args.d_max + 1):
         t0 = time.perf_counter()
@@ -141,9 +179,9 @@ def cmd_zsigmondy(args) -> int:
         if not primitive:
             failing.append(d)
         if checkpoint and d % args.checkpoint_every == 0:
-            checkpoint.write_text(f"{d}\n")
+            _write_checkpoint(checkpoint, d)
     if checkpoint and args.d_max >= start:
-        checkpoint.write_text(f"{args.d_max}\n")
+        _write_checkpoint(checkpoint, args.d_max)
     expected = [7] if start <= 7 <= args.d_max else []
     if failing != expected:
         print(f"unexpected failing set {failing} (expected {expected})",

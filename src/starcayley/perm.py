@@ -11,9 +11,7 @@ Two conventions are fixed once, here, and used everywhere:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations as _all_permutations
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -170,9 +168,11 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 def closure(generators: Sequence[Perm], cap: int = DEFAULT_ELEMENT_CAP,
             name: str | None = None) -> "PermGroup":
-    """Enumerate the group generated by ``generators``: the orbit of the
-    identity (see :func:`orbit`).  Raises :class:`CapExceeded` once more than
-    ``cap`` elements appear."""
+    """The group generated by ``generators``, held as a :class:`StabChain`.
+
+    Raises :class:`CapExceeded` when the group's order exceeds ``cap``, so
+    that listing its elements stays within the cap.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     if cap < 1:
@@ -180,12 +180,11 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_ELEMENT_CAP,
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators must share a degree")
-    seen = orbit([tuple(range(1, degree + 1))], [g.images for g in generators],
-                 limit=cap)
-    if seen is None:
-        raise CapExceeded(f"closure exceeded cap={cap}; use a certificate-based "
-                          "path instead of enumeration")
-    return PermGroup(degree, generators, seen, name=name)
+    chain = StabChain(degree, [g.images for g in generators])
+    if chain.order() > cap:
+        raise CapExceeded(f"group order {chain.order()} exceeds cap={cap}; use a "
+                          "certificate-based path instead of enumeration")
+    return PermGroup(degree, generators, name=name, chain=chain)
 
 
 def orbit(starts: Iterable, generators: Iterable[tuple], limit: float = math.inf,
@@ -221,50 +220,216 @@ def orbit(starts: Iterable, generators: Iterable[tuple], limit: float = math.inf
     return seen
 
 
-class PermGroup:
-    """A finite permutation group with its elements fully enumerated.
+def _padded_inverse(u: tuple) -> tuple:
+    """The inverse of u, padded so that entry x is the preimage of x."""
+    inv = [0] * (len(u) + 1)
+    for i, x in enumerate(u, 1):
+        inv[x] = i
+    return tuple(inv)
 
-    ``elements`` is the sorted tuple of the elements' image tuples, the form
-    :func:`orbit` produces; ``generators`` are :class:`Perm` objects.
-    Iteration builds a :class:`Perm` per element on demand, and membership
-    of a :class:`Perm` is a binary search.  Immutable after construction;
-    all queries are pure reads, so instances are safe to share across
-    threads.
+
+class StabChain:
+    """A deterministic Schreier-Sims stabiliser chain (Sims 1970; Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).
+
+    The base lists every point: the given base points first, then the rest
+    in increasing order.  Level i belongs to the i-th base point b.  It
+    holds the strong generators that fix the base points before b, and a
+    transversal that maps each point beta of b's basic orbit to a pair
+    (u, u^-1 padded as in :func:`_padded_inverse`) with u(b) = beta.  Every
+    Schreier generator is sifted, none is sampled, so :meth:`order` is
+    exact.  Since every point is a base point, a permutation that sifts
+    through all levels is the identity.  Elements are image tuples.
     """
 
-    __slots__ = ("degree", "generators", "elements", "name")
+    __slots__ = ("degree", "base", "_gens", "_tested", "_orbits", "_transversals")
 
-    def __init__(self, degree: int, generators: Sequence[Perm],
-                 elements: Iterable[tuple[int, ...]], name: str | None = None):
+    def __init__(self, degree: int, generators: Iterable[tuple] = (),
+                 base: Sequence[int] = ()):
+        rest = set(base)
+        if len(rest) != len(base) or not all(1 <= b <= degree for b in rest):
+            raise ValueError(f"base {base!r} is not a list of distinct points of 1..{degree}")
+        self.degree = degree
+        self.base = tuple(base) + tuple(x for x in range(1, degree + 1) if x not in rest)
+        identity = tuple(range(1, degree + 1))
+        entry = (identity, (0,) + identity)
+        self._gens: list[list[tuple]] = [[] for _ in self.base]
+        # _tested[i][j]: how many points of orbit i were tried with generator j
+        self._tested: list[list[int]] = [[] for _ in self.base]
+        self._orbits = [[b] for b in self.base]
+        self._transversals = [{b: entry} for b in self.base]
+        for g in generators:
+            self.add(g)
+
+    def order(self, level: int = 0) -> int:
+        """The order of the pointwise stabiliser of the first ``level`` base points."""
+        return math.prod(map(len, self._orbits[level:]))
+
+    def orbit_lengths(self) -> list[int]:
+        """The basic orbit length of each base point, in base order."""
+        return [len(orbit) for orbit in self._orbits]
+
+    def sift(self, g: tuple, level: int = 0) -> tuple[tuple, int] | None:
+        """None when g lies in the stabiliser of the first ``level`` base
+        points; otherwise the residue and the level whose orbit it left."""
+        base, transversals = self.base, self._transversals
+        for i in range(level, len(base)):
+            b = base[i]
+            beta = g[b - 1]
+            if beta != b:
+                entry = transversals[i].get(beta)
+                if entry is None:
+                    return g, i
+                g = tuple(map(entry[1].__getitem__, g))
+        return None
+
+    def __contains__(self, g: tuple) -> bool:
+        return self.sift(g) is None
+
+    def add(self, g: tuple) -> bool:
+        """Extend the group by g, keeping the chain complete; False when g
+        was already a member."""
+        found = self.sift(g)
+        if found is None:
+            return False
+        h, level = found
+        self._extend(h, 0, level)
+        self._complete(level)
+        return True
+
+    def _extend(self, h: tuple, first: int, last: int) -> None:
+        """Make h a strong generator of levels first..last and grow their orbits."""
+        for i in range(first, last + 1):
+            gens, orbit, transversal = self._gens[i], self._orbits[i], self._transversals[i]
+            gens.append(h)
+            self._tested[i].append(0)
+            padded = [(0,) + s for s in gens]
+            # h on the old points, then every generator on the new ones
+            todo = [(beta, (padded[-1],)) for beta in orbit]
+            while todo:
+                beta, movers = todo.pop()
+                u = transversal[beta][0]
+                for s in movers:
+                    gamma = s[beta]
+                    if gamma not in transversal:
+                        v = tuple(map(s.__getitem__, u))
+                        transversal[gamma] = (v, _padded_inverse(v))
+                        orbit.append(gamma)
+                        todo.append((gamma, padded))
+
+    def _complete(self, level: int) -> None:
+        """Sift the untested Schreier generators of levels ``level``..0, given
+        that the levels below ``level`` are complete (the SCHREIERSIMS loop
+        of Holt, Eick and O'Brien, *Handbook of Computational Group
+        Theory*, 2005, 4.4.2)."""
+        i = level
+        while i >= 0:
+            found = self._failing_schreier_generator(i)
+            if found is None:
+                i -= 1
+            else:
+                h, last = found
+                self._extend(h, i + 1, last)
+                i = last
+
+    def _failing_schreier_generator(self, i: int) -> tuple[tuple, int] | None:
+        b = self.base[i]
+        orbit, transversal, tested = self._orbits[i], self._transversals[i], self._tested[i]
+        for j, s in enumerate(self._gens[i]):
+            padded = (0,) + s
+            # a generator that fixes b was added to level i+1 as well, and
+            # its Schreier generator at beta = b is itself
+            skip_base = s[b - 1] == b
+            while tested[j] < len(orbit):
+                beta = orbit[tested[j]]
+                tested[j] += 1
+                if beta == b and skip_base:
+                    continue
+                x = tuple(map(padded.__getitem__, transversal[beta][0]))
+                found = self.sift(tuple(map(transversal[x[b - 1]][1].__getitem__, x)), i + 1)
+                if found is not None:
+                    return found
+        return None
+
+    def elements(self, level: int = 0) -> list[tuple]:
+        """Every element of the stabiliser of the first ``level`` base points.
+
+        Each is a product of one transversal element per level.  They come
+        in lexicographic order of their images read along the base, which
+        for the natural base 1..n is sorted order: an element at or below
+        level i fixes every base point before b_i, so the images before
+        b_i are set by the levels above, and the image of b_i by this one.
+        """
+        identity = tuple(range(1, self.degree + 1))
+        # per level: the getter of the orbit points' images under a prefix,
+        # and for each orbit point the getter of prefix * u
+        levels = [(itemgetter(*[beta - 1 for beta in t]),
+                   [itemgetter(*[x - 1 for x in u]) for u, _ in t.values()])
+                  for t in self._transversals[level:] if len(t) > 1]
+        if not levels:
+            return [identity]
+        out: list[tuple] = []
+
+        def walk(prefix: tuple, depth: int) -> None:
+            images_of_orbit, products = levels[depth]
+            # the images are distinct, so the getters are never compared
+            ordered = sorted(zip(images_of_orbit(prefix), products))
+            if depth == len(levels) - 1:
+                out.extend([times(prefix) for _, times in ordered])
+            else:
+                for _, times in ordered:
+                    walk(times(prefix), depth + 1)
+
+        walk(identity, 0)
+        return out
+
+
+class PermGroup:
+    """A finite permutation group, held as a :class:`StabChain` on the
+    natural base 1..n.
+
+    ``generators`` are :class:`Perm` objects.  The order, membership and
+    k-transitivity are read off the chain; ``elements``, the sorted tuple of
+    the elements' image tuples, is built from the chain's transversals on
+    first access.  Iteration builds a :class:`Perm` per element on demand.
+    The chain and the element tuple are built on first use and never
+    change afterwards, so instances are safe to share.
+    """
+
+    __slots__ = ("degree", "generators", "name", "_chain", "_elements")
+
+    def __init__(self, degree: int, generators: Sequence[Perm], name: str | None = None,
+                 chain: StabChain | None = None, elements: tuple | None = None):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
         self.name = name
+        self._chain = chain
+        self._elements = elements
         if not self.generators:
             raise ValueError("a group needs at least one generator")
 
     @classmethod
     def from_elements(cls, elements: Iterable[tuple[int, ...]], degree: int,
                       name: str | None = None) -> "PermGroup":
-        """Wrap image tuples already known to form a subgroup.
+        """The group whose elements are the given image tuples.
 
-        Generators are picked greedily: each element outside the group the
-        earlier picks generate becomes the next pick.
+        Generators are picked greedily: each element that does not sift
+        through the chain of the earlier picks becomes the next pick.
+        Raises ValueError when the tuples are not closed under products,
+        that is, when the picks generate more elements than were given.
         """
         identity = tuple(range(1, degree + 1))
-        elements = sorted(set(elements)) or [identity]
-        gens: list[tuple] = []
-        reached = {identity}
-        for t in elements:
-            if t not in reached:
-                gens.append(t)
-                reached = orbit([identity], gens)
-        return cls(degree, map(Perm._raw, gens or [identity]), elements, name=name)
+        elements = tuple(sorted(set(elements))) or (identity,)
+        chain = StabChain(degree)
+        gens = [Perm._raw(t) for t in elements if chain.add(t)]
+        if chain.order() != len(elements):
+            raise ValueError(f"{len(elements)} permutations are not a group: they "
+                             f"generate a group of order {chain.order()}")
+        return cls(degree, gens or [Perm._raw(identity)], name, chain, elements)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        e = Perm.identity(degree)
-        return cls(degree, (e,), (e.images,), name="1")
+        return cls(degree, (Perm.identity(degree),), name="1")
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
@@ -275,36 +440,48 @@ class PermGroup:
                      name: str | None = None) -> "PermGroup":
         """The full symmetric group on ``points``, embedded with the given degree."""
         pts = sorted(points)
-        base = list(range(1, degree + 1))
-        elems = []
-        for assignment in _all_permutations(pts):
-            img = base[:]
-            for src, dst in zip(pts, assignment):
-                img[src - 1] = dst
-            elems.append(tuple(img))
         if len(pts) >= 2:
             gens = (Perm.transposition(degree, pts[0], pts[1]),
                     Perm.from_cycles(degree, tuple(pts)))
         else:
             gens = (Perm.identity(degree),)
-        return cls(degree, gens, elems, name=name)
+        return cls(degree, gens, name=name)
+
+    @property
+    def chain(self) -> StabChain:
+        if self._chain is None:
+            self._chain = StabChain(self.degree, [g.images for g in self.generators])
+        return self._chain
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        if self._elements is None:
+            self._elements = tuple(self.chain.elements())
+        return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.chain.order()
+
+    def chain_from(self, points: Sequence[int]) -> StabChain:
+        """A chain for this group whose base starts with the given distinct
+        points: the group's own chain when its base already does."""
+        points = tuple(points)
+        if self.chain.base[:len(points)] == points:
+            return self.chain
+        return StabChain(self.degree, [g.images for g in self.generators], points)
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
     def __contains__(self, p: Perm) -> bool:
-        i = bisect_left(self.elements, p.images)
-        return i < len(self.elements) and self.elements[i] == p.images
+        return p.degree == self.degree and p.images in self.chain
 
     def __iter__(self) -> Iterator[Perm]:
         return map(Perm._raw, self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __repr__(self) -> str:
         label = self.name or "PermGroup"
@@ -345,12 +522,13 @@ def orbit_of_set(generators: Sequence[Perm], start: Iterable[int]) -> set[frozen
 def is_k_transitive(group: PermGroup, k: int) -> bool:
     """True iff the group is transitive on ordered k-tuples of distinct points.
 
-    Tested on the single orbit of (1, ..., k): orbits partition the tuples,
-    so one representative suffices.
+    Read off the chain on the base 1..n: the group is k-transitive iff the
+    stabiliser of 1..i is transitive on the other n-i points for every
+    i < k, that is, iff the first k basic orbits have lengths n, ..., n-k+1.
     """
     _check_k(group, k)
-    orbit = orbit_of_tuple(group.generators, range(1, k + 1))
-    return len(orbit) == math.perm(group.degree, k)
+    lengths = group.chain.orbit_lengths()
+    return all(lengths[i] == group.degree - i for i in range(k))
 
 
 def is_k_homogeneous(group: PermGroup, k: int) -> bool:
@@ -371,14 +549,8 @@ def is_sharply_k_transitive(group: PermGroup, k: int) -> bool:
 
 def tuple_stabilizer_is_trivial(group: PermGroup, points: Sequence[int]) -> bool:
     """True iff only the identity fixes every listed point."""
-    pts = [p - 1 for p in points]
-    hits = 0
-    for img in group.elements:
-        if all(img[p] == p + 1 for p in pts):
-            hits += 1
-            if hits > 1:
-                return False
-    return hits == 1
+    points = tuple(dict.fromkeys(points))
+    return group.chain_from(points).order(len(points)) == 1
 
 
 def _check_k(group: PermGroup, k: int) -> None:
@@ -461,8 +633,14 @@ def _flag_fixed_by(images: tuple, blocks: tuple[frozenset, ...]) -> bool:
 
 
 def flag_stabilizer(group: PermGroup, flag: Flag) -> PermGroup:
-    """Subgroup of elements mapping every block of the flag onto itself."""
-    keep = [g for g in group.elements if _flag_fixed_by(g, flag.blocks)]
+    """Subgroup of elements mapping every block of the flag onto itself.
+
+    Only the pointwise stabiliser of the singleton blocks is scanned, since
+    every element outside it moves a singleton block.
+    """
+    singles = tuple(x for block in flag.blocks if len(block) == 1 for x in block)
+    keep = [g for g in group.chain_from(singles).elements(len(singles))
+            if _flag_fixed_by(g, flag.blocks)]
     return PermGroup.from_elements(keep, group.degree,
                                    name=f"stab({group.name or 'G'})")
 

@@ -2,11 +2,12 @@
 groups over small fields, affine groups over GF(2)^d, and the two sharply
 transitive Mathieu groups.
 
-Every constructor returns a fully enumerated :class:`~starcayley.perm.PermGroup`
-acting on 1-based points.  Projective groups act on the q+1 points of the
-projective line in the fixed order of :func:`starcayley.gf.proj_line`
-(finite points by element code, infinity last); affine groups over GF(q) act
-on the q finite points in the same order.
+Every constructor returns a :class:`~starcayley.perm.PermGroup` acting on
+1-based points, with its order verified on a stabiliser chain.  Projective
+groups act on the q+1 points of the projective line in the fixed order of
+:func:`starcayley.gf.proj_line` (finite points by element code, infinity
+last); affine groups over GF(q) act on the q finite points in the same
+order.
 
 Constructors are cached: groups are immutable, so sharing is safe.
 """
@@ -91,8 +92,8 @@ def psl2(q: int) -> PermGroup:
     f = field_of_order(q)
     if f.p == 2:
         group = pgl2(q)
-        return PermGroup(group.degree, group.generators, group.elements,
-                         name=f"PSL(2,{q})")
+        return PermGroup(group.degree, group.generators, name=f"PSL(2,{q})",
+                         chain=group.chain)
     g = f.primitive_element()
     gens = [_perm_of(f, 1, 1, 0, 1),
             _perm_of(f, f.mul(g, g), 0, 0, 1),
@@ -130,17 +131,9 @@ def agammal1(q: int) -> PermGroup:
     return _verified(group, agammal1_order(q))
 
 
-@lru_cache(maxsize=None)
-def agl(d: int) -> PermGroup:
-    """AGL(d,2): affine maps v -> Av + b of GF(2)^d.
-
-    Points are indexed 1 .. 2^d by the binary code of the vector plus one.
-    Generated by the translation by e0, the cyclic coordinate shift, and one
-    transvection (e1 -> e0 + e1); the order assertion certifies that these
-    really generate the full group.
-    """
-    if d < 1:
-        raise ValueError("need d >= 1")
+def _agl_d2_generators(d: int) -> list[Perm]:
+    """The translation by e0, the cyclic coordinate shift and the
+    transvection e1 -> e0 + e1, as permutations of GF(2)^d."""
     size = 1 << d
 
     def as_perm(f) -> Perm:
@@ -151,7 +144,20 @@ def agl(d: int) -> PermGroup:
         mask = size - 1
         gens.append(as_perm(lambda x: ((x << 1) | (x >> (d - 1))) & mask))
         gens.append(as_perm(lambda x: x ^ ((x >> 1) & 1)))
-    group = closure(gens, name=f"AGL({d},2)")
+    return gens
+
+
+@lru_cache(maxsize=None)
+def agl(d: int) -> PermGroup:
+    """AGL(d,2): affine maps v -> Av + b of GF(2)^d.
+
+    Points are indexed 1 .. 2^d by the binary code of the vector plus one.
+    The order check certifies that :func:`_agl_d2_generators` really
+    generate the full group.
+    """
+    if d < 1:
+        raise ValueError("need d >= 1")
+    group = closure(_agl_d2_generators(d), name=f"AGL({d},2)")
     return _verified(group, agl_d2_order(d))
 
 

@@ -1,5 +1,11 @@
 import json
+import os
+import re
+from pathlib import Path
 
+import pytest
+
+from starcayley import cli
 from starcayley.cli import main
 
 
@@ -145,3 +151,73 @@ def test_verify_lemmas_expected_failures(capsys):
     code, out, _ = run_cli(capsys, "verify-lemmas", "--d", "3..7")
     assert code == 0
     assert out.count("EXPECTED-FAIL ok") == 5
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 9, "k": 4}',
+    "not json at all",
+    "[1, 2, 3]",
+    '{"n": 5, "k": 2, "verdict": "Cayley", "method": "DirectRegularAction",'
+    ' "witness": {"generators": [{"mu": [1, 1, 2, 3, 4], "nu": [1, 2, 3, 4, 5]}]},'
+    ' "checks": []}',
+    '{"n": 5, "k": 2, "verdict": "Cayley", "method": "NoSuchMethod",'
+    ' "witness": null, "checks": [{"name": "x", "pass": true}]}',
+], ids=["missing-fields", "not-json", "json-list", "bad-generator", "unknown-method"])
+def test_check_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("malformed certificate")
+
+
+def test_check_mismatch_prints_only_the_differing_checks(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "certify", "5", "2")
+    payload = json.loads(out)
+    first, *rest = payload["checks"]
+    first["pass"] = False
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "check", str(bad))
+    assert code == 2
+    assert out.splitlines() == [
+        "certificate MISMATCH",
+        f"check 1: recorded {first['name']}=fail, fresh {first['name']}=pass"]
+    assert rest and not any(c["name"] in out for c in rest)
+
+
+def test_zsigmondy_corrupt_checkpoint_exits_2_with_one_line(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    for text in ("garbage\n", "", "12x\n", "²\n"):
+        ckpt.write_text(text)
+        code, out, err = run_cli(capsys, "zsigmondy", "--d-max", "50",
+                                 "--checkpoint", str(ckpt))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("corrupt checkpoint")
+        assert ckpt.read_text() == text
+
+
+def test_zsigmondy_checkpoint_writes_are_atomic(tmp_path, capsys, monkeypatch):
+    # every rename puts a complete value in place of a complete value, and
+    # the temporary file lives next to the checkpoint
+    ckpt = tmp_path / "ckpt"
+    seen = []
+    real_replace = os.replace
+
+    def watched_replace(src, dst):
+        assert Path(src).parent == Path(dst).parent == tmp_path
+        new = Path(src).read_text()
+        old = Path(dst).read_text() if Path(dst).exists() else None
+        seen.append((old, new))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", watched_replace)
+    code, _, _ = run_cli(capsys, "zsigmondy", "--d-max", "45", "--checkpoint",
+                         str(ckpt), "--checkpoint-every", "10")
+    assert code == 0
+    assert [new for _, new in seen] == ["10\n", "20\n", "30\n", "40\n", "45\n"]
+    assert all(re.fullmatch(r"\d+\n", old) for old, _ in seen[1:])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+    assert ckpt.read_text() == "45\n"

@@ -1,13 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starcayley.perm import (CapExceeded, Flag, Lambda, Perm, PermGroup,
-                             canonical_flag, closure, compose, flag_count,
-                             flag_stabilizer, is_k_homogeneous,
+                             StabChain, canonical_flag, closure, compose,
+                             flag_count, flag_stabilizer, is_k_homogeneous,
                              is_k_transitive, is_sharply_k_transitive,
-                             is_sharply_lambda_transitive, orbit_of_set,
-                             orbit_of_tuple, tuple_stabilizer_is_trivial)
+                             is_sharply_lambda_transitive, orbit,
+                             orbit_of_set, orbit_of_tuple,
+                             tuple_stabilizer_is_trivial)
 from starcayley.witness_groups import mathieu11, mathieu12, psl2
 
 
@@ -213,3 +215,63 @@ def test_group_serialization_roundtrip():
     data = g.to_dict()
     assert data["degree"] == 4 and data["name"] == "A4"
     assert PermGroup.from_dict(data).order == g.order
+
+
+def test_from_elements_rejects_a_set_that_is_not_closed():
+    with pytest.raises(ValueError):
+        PermGroup.from_elements([(2, 1, 3), (1, 3, 2)], 3)
+    a4 = closure([Perm.from_cycles(4, (1, 2, 3)), Perm.from_cycles(4, (2, 3, 4))])
+    with pytest.raises(ValueError):
+        PermGroup.from_elements(a4.elements[:-1], 4)
+    with pytest.raises(ValueError):
+        PermGroup.from_elements(a4.elements + ((2, 1, 3, 4),), 4)
+    assert PermGroup.from_elements(a4.elements, 4).elements == a4.elements
+
+
+def test_chain_base_prefix_and_stabilizer_orders():
+    m11 = mathieu11()
+    chain = StabChain(11, [g.images for g in m11.generators], base=(11, 5))
+    assert chain.base[:3] == (11, 5, 1)
+    assert chain.order() == 7920
+    assert chain.order(1) == 720 and chain.order(2) == 72
+    assert sorted(chain.elements(2)) == sorted(
+        g for g in m11.elements if g[10] == 11 and g[4] == 5)
+    with pytest.raises(ValueError):
+        StabChain(4, base=(1, 1))
+    with pytest.raises(ValueError):
+        StabChain(4, base=(5,))
+
+
+@st.composite
+def generated_groups(draw):
+    """A degree n <= 7, one to three generators, a probe permutation and a flag."""
+    n = draw(st.integers(1, 7))
+    points = list(range(1, n + 1))
+    gens = [Perm(draw(st.permutations(points)))
+            for _ in range(draw(st.integers(1, 3)))]
+    probe = Perm(draw(st.permutations(points)))
+    shuffled = draw(st.permutations(points))
+    cuts = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=4)))
+    blocks = [shuffled[a:b] for a, b in zip([0] + cuts, cuts)]
+    return n, gens, probe, Flag(tuple(frozenset(b) for b in blocks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_groups())
+def test_chain_matches_breadth_first_closure(case):
+    n, gens, probe, flag = case
+    identity = tuple(range(1, n + 1))
+    oracle = orbit([identity], [g.images for g in gens])
+    group = closure(gens)
+    assert group.order == len(oracle)
+    assert group.elements == tuple(sorted(oracle))
+    assert (probe in group) == (probe.images in oracle)
+    for k in range(1, n + 1):
+        assert is_k_transitive(group, k) == (
+            len(orbit_of_tuple(gens, range(1, k + 1))) == math.perm(n, k))
+        fixers = [g for g in oracle if all(g[p - 1] == p for p in probe.images[:k])]
+        assert tuple_stabilizer_is_trivial(group, probe.images[:k]) == (len(fixers) == 1)
+    stabilizer = [g for g in oracle
+                  if all(g[x - 1] in block for block in flag.blocks for x in block)]
+    assert flag_stabilizer(group, flag).order == len(stabilizer)
+    assert PermGroup.from_elements(oracle, n).order == len(oracle)

@@ -5,12 +5,14 @@ import sys
 from pathlib import Path
 
 import starcayley
-from starcayley.perm import (canonical_flag, flag_stabilizer,
+from starcayley.case_elim import _FINITE_FAMILY_DATA, CaseFamily
+from starcayley.perm import (StabChain, canonical_flag, flag_stabilizer,
                              is_k_homogeneous, is_k_transitive,
                              is_sharply_k_transitive,
                              is_sharply_lambda_transitive)
 from starcayley.perm import Flag
-from starcayley.witness_groups import (agammal1, agl, agl1, agl_d2_order,
+from starcayley.witness_groups import (_agl_d2_generators, agammal1, agl, agl1,
+                                       agl_d2_order,
                                        mathieu11, mathieu12, pgammal2, pgl2,
                                        pgl_order, psl2)
 
@@ -155,3 +157,20 @@ def test_order_checks_survive_python_O():
     assert lines[1:7] == [f"{name} raised" for name in (
         "pgl_order", "psl_order", "pgammal_order", "agl1_order",
         "agammal1_order", "agl_d2_order")]
+
+
+def test_agl_d2_orders_beyond_the_element_cap():
+    # |AGL(5,2)| = 319,979,520 is past the closure cap; the chain's order
+    # needs no enumeration
+    for d in (5, 6, 7):
+        chain = StabChain(1 << d, [g.images for g in _agl_d2_generators(d)])
+        assert chain.order() == agl_d2_order(d)
+    assert agl_d2_order(5) == 319_979_520
+
+
+def test_constructed_orders_match_the_family_table():
+    for family, group in [(CaseFamily.M11, mathieu11()), (CaseFamily.M12, mathieu12()),
+                          (CaseFamily.AGL1_8, agl1(8)),
+                          (CaseFamily.AGAMMAL1_8, agammal1(8)),
+                          (CaseFamily.AGAMMAL1_32, agammal1(32))]:
+        assert (group.degree, group.order) == _FINITE_FAMILY_DATA[family], family
