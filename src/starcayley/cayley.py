@@ -24,7 +24,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from itertools import permutations
-from operator import itemgetter
 from typing import Sequence
 
 from .gf import factorize
@@ -32,7 +31,6 @@ from .pairs import AutPair, PairGroup, aut_order, nu_tail, symmetric_nu_group
 from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
                    canonical_flag, closure, cycle_type, flag_count,
                    flag_stabilizer, is_k_transitive, orbit)
-from .stargraph import rank_weights
 
 VERDICT_CAYLEY = "Cayley"
 VERDICT_NOT_CAYLEY = "NotCayley"
@@ -160,55 +158,23 @@ def _group_witness(group: PermGroup) -> dict:
 
 
 def sabidussi_direct(group: PairGroup, n: int, k: int) -> Certificate:
-    """Certify a regular action directly, via Sabidussi's criterion.
-
-    Three checks are run and recorded: the order count |G| = P(n,k), the
-    triviality of the stabilizer of the base vertex [1..k], and - as an
-    independent route - the bijectivity of the evaluation map g -> g([1..k])
-    onto all vertex ranks.  The verdict is Cayley only if all three pass.
+    """Certify a regular action directly, via Sabidussi's criterion: G is
+    regular on the vertices iff |G| = P(n,k) and the stabiliser of the base
+    vertex [1..k] is trivial.  Both numbers are counted without listing a
+    pair (see :meth:`PairGroup.base_stabilizer_order`).  The third recorded
+    check, that g -> g([1..k]) is a bijection onto the vertices, follows by
+    orbit-stabiliser: the map's fibres are the cosets of the stabiliser and
+    its image has |G| / |Stab| vertices.  The verdict is Cayley only if all
+    three checks pass.
     """
     if group.n != n or group.k != k:
         raise ValueError("group does not act on the requested graph")
-    target = math.perm(n, k)
-    order_ok = group.order == target
-    base = tuple(range(1, k + 1))
-    identity = tuple(range(1, n + 1))
-    weights = rank_weights(n, k)
-
-    hits = bytearray(target)
-    collision = False
-    base_fixers = 0
-    identity_fixes_base = False
-    for nu, mus in group.grouped_by_nu():
-        # vertex position i holds mu(a_{nu^-1(i)}); index() gives nu^-1(i) - 1
-        prefix = [nu.index(i) for i in range(1, k + 1)]
-        vertex_of = itemgetter(*prefix) if k > 1 else lambda img: (img[prefix[0]],)
-        nu_identity = nu == identity
-        for mu in mus:
-            v = vertex_of(mu)
-            r = 0
-            for i in range(k):
-                a = v[i]
-                s = a - 1
-                for j in range(i):
-                    if v[j] < a:
-                        s -= 1
-                r += s * weights[i]
-            if hits[r]:
-                collision = True
-            else:
-                hits[r] = 1
-            if v == base:
-                base_fixers += 1
-                if nu_identity and mu == identity:
-                    identity_fixes_base = True
-    surjective = not collision and sum(hits) == target and group.order == target
-    stabilizer_ok = base_fixers == 1 and identity_fixes_base
-
+    order_ok = group.order == math.perm(n, k)
+    stabilizer_ok = group.base_stabilizer_order() == 1
     checks = (
         ("order_equals_vertex_count", order_ok),
         ("base_vertex_stabilizer_trivial", stabilizer_ok),
-        ("evaluation_map_bijective", surjective),
+        ("evaluation_map_bijective", order_ok and stabilizer_ok),
     )
     verdict = VERDICT_CAYLEY if all(ok for _, ok in checks) else VERDICT_UNKNOWN
     return Certificate(n, k, verdict, METHOD_DIRECT, _pair_witness(group), checks)

@@ -2,9 +2,9 @@
 
 Subcommands: graph, classify, certify, check, zsigmondy, verify-lemmas.
 Exit codes: 0 all checks pass / verdict delivered; 2 a recorded claim failed
-to reproduce, or a certificate or checkpoint is malformed (one line on
-stderr); 3 a budget was exhausted.  Output is deterministic: fixed point
-orders, fixed field moduli, no randomness anywhere.
+to reproduce, or a certificate or checkpoint is malformed or cannot be read
+or written (one line on stderr); 3 a budget was exhausted.  Output is
+deterministic: fixed point orders, fixed field moduli, no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -134,6 +134,10 @@ def cmd_check(args) -> int:
         print(f"malformed certificate {args.certificate}: {_one_line(exc)}",
               file=sys.stderr)
         return EXIT_MISMATCH
+    except OSError as exc:
+        print(f"cannot read certificate {args.certificate}: {_one_line(exc)}",
+              file=sys.stderr)
+        return EXIT_MISMATCH
     if reproduced:
         print(f"certificate reproduced: ({cert.n},{cert.k}) {cert.verdict} "
               f"via {cert.method}")
@@ -163,8 +167,13 @@ def _write_checkpoint(path: Path, d: int) -> None:
 def cmd_zsigmondy(args) -> int:
     start = 3
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
-    if checkpoint and checkpoint.exists():
-        text = checkpoint.read_text().strip()
+    try:
+        text = checkpoint.read_text().strip() if checkpoint and checkpoint.exists() else None
+    except OSError as exc:
+        print(f"cannot read checkpoint {checkpoint}: {_one_line(exc)}",
+              file=sys.stderr)
+        return EXIT_MISMATCH
+    if text is not None:
         if not (text.isascii() and text.isdigit()):
             print(f"corrupt checkpoint {checkpoint}: {text[:40]!r} is not a "
                   "decimal integer", file=sys.stderr)
@@ -178,10 +187,13 @@ def cmd_zsigmondy(args) -> int:
         print(f"{d},{1 if primitive else 0},{elapsed_ms:.3f}")
         if not primitive:
             failing.append(d)
-        if checkpoint and d % args.checkpoint_every == 0:
-            _write_checkpoint(checkpoint, d)
-    if checkpoint and args.d_max >= start:
-        _write_checkpoint(checkpoint, args.d_max)
+        if checkpoint and (d % args.checkpoint_every == 0 or d == args.d_max):
+            try:
+                _write_checkpoint(checkpoint, d)
+            except OSError as exc:
+                print(f"cannot write checkpoint {checkpoint}: {_one_line(exc)}",
+                      file=sys.stderr)
+                return EXIT_MISMATCH
     expected = [7] if start <= 7 <= args.d_max else []
     if failing != expected:
         print(f"unexpected failing set {failing} (expected {expected})",

@@ -21,7 +21,9 @@ view, built only at the boundary.
 from __future__ import annotations
 
 import math
+from itertools import permutations
 from math import lcm
+from operator import countOf, itemgetter
 from typing import Iterator, Sequence
 
 from .perm import DEFAULT_ELEMENT_CAP, CapExceeded, Perm, PermGroup, orbit
@@ -104,24 +106,28 @@ class AutPair:
 class PairGroup:
     """A subgroup of S_n x S_{k-1}, the automorphism group of the star graph.
 
-    Its one shape is a tuple of (nu, mus) buckets, one per nu component:
+    A direct product H x T keeps its two factors and lists no pair: its
+    order is |H| |T|, and :meth:`base_stabilizer_order` reads H's chain.
+    Any other group is a tuple of (nu, mus) buckets, one per nu component:
     nu is a degree-n image tuple and mus the sorted image tuples of the mu
-    components paired with it.  A direct product H x N shares H's element
-    tuple across all its buckets, so groups like PGammaL(2,32) x S_3 hold no
-    per-pair storage.  :class:`AutPair` objects are built only by
+    components paired with it.  A product builds its buckets, all sharing
+    H's element tuple, only when :meth:`grouped_by_nu` or :meth:`iter_pairs`
+    asks for them.  :class:`AutPair` objects are built only by
     :meth:`iter_pairs` and for the generators.
     """
 
-    __slots__ = ("n", "k", "name", "generators", "_buckets", "order")
+    __slots__ = ("n", "k", "name", "generators", "_buckets", "_factors", "order")
 
     def __init__(self, n: int, k: int, buckets, generators: Sequence[AutPair],
-                 name: str | None = None):
+                 name: str | None = None, factors: tuple | None = None):
         self.n = n
         self.k = k
         self.name = name
         self.generators = tuple(generators)
-        self._buckets = tuple(buckets)
-        self.order = sum(len(mus) for _, mus in self._buckets)
+        self._factors = factors
+        self._buckets = None if factors else tuple(buckets)
+        self.order = (math.prod(f.order for f in factors) if factors
+                      else sum(len(mus) for _, mus in self._buckets))
 
     # -- constructors -------------------------------------------------------
 
@@ -151,8 +157,7 @@ class PairGroup:
             name = mu_group.name or "H"
             if nu_group.order > 1:
                 name = f"{name} x S_{k - 1}"
-        mus = mu_group.elements
-        return cls(n, k, ((nu, mus) for nu in nu_group.elements), gens, name)
+        return cls(n, k, None, gens, name, factors=(mu_group, nu_group))
 
     @classmethod
     def from_flats(cls, n: int, k: int, flats, generators: Sequence[AutPair],
@@ -182,11 +187,32 @@ class PairGroup:
 
     def grouped_by_nu(self) -> tuple[tuple[tuple, tuple], ...]:
         """The (nu, mus) buckets of image tuples, in increasing nu order."""
+        if self._buckets is None:
+            h, t = self._factors
+            self._buckets = tuple((nu, h.elements) for nu in t.elements)
         return self._buckets
+
+    def base_stabilizer_order(self) -> int:
+        """How many pairs fix the base vertex [1..k], i.e. have mu(j) = nu(j)
+        for j <= k.  In a product H x T the mus agreeing with one nu on 1..k
+        are none or a coset of H_(1..k), so the count is |H_(1..k)| times the
+        number of nu in T (found among the permutations of 2..k) whose images
+        of 1..k some element of H has."""
+        k = self.k
+        if self._factors is None:
+            prefix = itemgetter(slice(k))
+            return sum(countOf(map(prefix, mus), nu[:k]) for nu, mus in self._buckets)
+        h, t = self._factors
+        chain = h.chain_from(range(1, k + 1))
+        rest = tuple(range(k + 1, self.n + 1))
+        realised = sum(chain.has_base_image((1,) + nu)
+                       for nu in permutations(range(2, k + 1))
+                       if (1,) + nu + rest in t.chain)
+        return chain.order(k) * realised
 
     def iter_pairs(self) -> Iterator[AutPair]:
         """Every pair as an :class:`AutPair`, bucket by bucket."""
-        for nu_images, mus in self._buckets:
+        for nu_images, mus in self.grouped_by_nu():
             nu = Perm._raw(nu_images)
             for mu in mus:
                 yield AutPair(Perm._raw(mu), nu)
@@ -247,7 +273,10 @@ def project_and_kernel(group: PairGroup) -> tuple[PermGroup, PermGroup]:
     H collects the distinct mu components; T collects the nu components of
     pairs whose mu is the identity.  |H| * |T| = |G| is asserted, which is
     the first-isomorphism-theorem bookkeeping for the projection onto S_n.
+    A direct product returns its own factors.
     """
+    if group._factors is not None:
+        return group._factors
     n = group.n
     identity = tuple(range(1, n + 1))
     mus: set[tuple] = set()

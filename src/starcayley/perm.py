@@ -286,6 +286,16 @@ class StabChain:
     def __contains__(self, g: tuple) -> bool:
         return self.sift(g) is None
 
+    def has_base_image(self, images: Sequence[int]) -> bool:
+        """Whether some element maps the first len(images) base points to
+        ``images``: a sift of those images alone through the first levels."""
+        for i in range(len(images)):
+            entry = self._transversals[i].get(images[i])
+            if entry is None:
+                return False
+            images = tuple(map(entry[1].__getitem__, images))
+        return True
+
     def add(self, g: tuple) -> bool:
         """Extend the group by g, keeping the chain complete; False when g
         was already a member."""

@@ -5,15 +5,18 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starcayley import cayley
 from starcayley.cayley import (Certificate, build_certificate, certify_via_lambda,
                                certify_via_sharp_k, classify, is_prime_power,
                                sabidussi_direct, search_regular_subgroup,
                                table_certificate, verify_certificate)
-from starcayley.pairs import (PairGroup, aut_product, project_and_kernel,
+from starcayley.pairs import (AutPair, PairGroup, aut_product, project_and_kernel,
                               symmetric_nu_group)
-from starcayley.perm import PermGroup, cycle_type, is_k_homogeneous
+from starcayley.perm import (Perm, PermGroup, StabChain, closure, cycle_type,
+                             is_k_homogeneous)
+from starcayley.stargraph import rank
 from starcayley.witness_groups import agl1, mathieu11, mathieu12, pgl2, psl2
 
 
@@ -273,3 +276,143 @@ def test_mixed_generator_witness_takes_generic_path(monkeypatch):
     reproduced, fresh = verify_certificate(_with_generators(cert, gens + [mixed]))
     assert reproduced, fresh
     assert calls == [(9, 4)]
+
+
+# ---------------------------------------------------------------------------
+# Sabidussi's criterion from two counts, against the element-by-element pass
+
+
+def _sabidussi_by_ranks(group, n, k):
+    """Oracle: the rank pass sabidussi_direct ran before it counted.  Every
+    pair's image of [1..k] is ranked; returns the three recorded booleans
+    (order, trivial stabiliser, bijective evaluation map) and the number of
+    pairs that fix [1..k]."""
+    target = math.perm(n, k)
+    base = tuple(range(1, k + 1))
+    identity = tuple(range(1, n + 1))
+    hits = bytearray(target)
+    collision = False
+    base_fixers = 0
+    identity_fixes_base = False
+    for nu, mus in group.grouped_by_nu():
+        # vertex position i holds mu(a_{nu^-1(i)}); index() gives nu^-1(i) - 1
+        prefix = [nu.index(i) for i in range(1, k + 1)]
+        for mu in mus:
+            v = tuple(mu[j] for j in prefix)
+            r = rank(v, n)
+            if hits[r]:
+                collision = True
+            hits[r] = 1
+            if v == base:
+                base_fixers += 1
+                identity_fixes_base |= nu == identity and mu == identity
+    order_ok = group.order == target
+    bijective = not collision and sum(hits) == target and order_ok
+    return (order_ok, base_fixers == 1 and identity_fixes_base, bijective), base_fixers
+
+
+def _booleans(cert):
+    return tuple(ok for _, ok in cert.checks)
+
+
+def _s5_fixing_6():
+    return closure([Perm.from_cycles(6, (1, 2)), Perm.from_cycles(6, (1, 2, 3, 4, 5))],
+                   name="S_5")
+
+
+_FACTORS = {"S4": lambda: PermGroup.symmetric(4), "S5fix6": _s5_fixing_6,
+            "PSL(2,8)": lambda: psl2(8), "M11": mathieu11, "PGL(2,7)": lambda: pgl2(7)}
+
+
+def _nu_factor(kind, n, k):
+    """T trivial ("1"), T = S_{k-1} ("S"), or the proper subgroup <(2 .. k)> ("C")."""
+    if kind == "1":
+        return None
+    if kind == "S":
+        return symmetric_nu_group(n, k)
+    assert k >= 4, "for k <= 3 the cycle (2 .. k) generates all of S_{k-1}"
+    return closure([Perm.from_cycles(n, tuple(range(2, k + 1)))], name=f"C_{k - 1}")
+
+
+# regular: PSL(2,8) x 1 at (9,3), PSL(2,8) x S_3 at (9,4), M11 x 1 at (11,4),
+# PGL(2,7) x 1 at (8,3); S_5 x 1 at (6,3) has the right order, but (4 5)
+# fixes [1,2,3]; the rest have the wrong order
+@pytest.mark.parametrize("h,n,k,t", [
+    ("S4", 4, 2, "1"), ("S5fix6", 6, 3, "1"), ("S5fix6", 6, 3, "S"),
+    ("PSL(2,8)", 9, 3, "1"), ("PSL(2,8)", 9, 3, "S"),
+    ("PSL(2,8)", 9, 4, "1"), ("PSL(2,8)", 9, 4, "S"), ("PSL(2,8)", 9, 4, "C"),
+    ("PSL(2,8)", 9, 5, "1"), ("PSL(2,8)", 9, 5, "S"), ("PSL(2,8)", 9, 5, "C"),
+    ("M11", 11, 2, "1"), ("M11", 11, 3, "1"), ("M11", 11, 3, "S"),
+    ("M11", 11, 4, "1"), ("M11", 11, 4, "S"), ("M11", 11, 4, "C"),
+    ("M11", 11, 5, "1"), ("M11", 11, 5, "C"),
+    ("PGL(2,7)", 8, 2, "1"), ("PGL(2,7)", 8, 3, "1"), ("PGL(2,7)", 8, 3, "S"),
+    ("PGL(2,7)", 8, 4, "1"), ("PGL(2,7)", 8, 4, "S"), ("PGL(2,7)", 8, 4, "C"),
+    ("PGL(2,7)", 8, 5, "1"), ("PGL(2,7)", 8, 5, "S"), ("PGL(2,7)", 8, 5, "C"),
+])
+def test_counted_sabidussi_matches_the_rank_pass(h, n, k, t):
+    product = PairGroup.direct_product(_FACTORS[h](), k, _nu_factor(t, n, k))
+    expected, fixers = _sabidussi_by_ranks(product, n, k)
+    assert product.base_stabilizer_order() == fixers
+    assert _booleans(sabidussi_direct(product, n, k)) == expected
+    # the same group, closed from the same generators and held in buckets
+    bucketed = PairGroup.generate(n, k, product.generators)
+    assert bucketed.order == product.order
+    assert _sabidussi_by_ranks(bucketed, n, k) == (expected, fixers)
+    assert bucketed.base_stabilizer_order() == fixers
+    assert _booleans(sabidussi_direct(bucketed, n, k)) == expected
+
+
+def test_rank_oracle_sees_regular_and_non_regular_groups():
+    regular = PairGroup.direct_product(psl2(8), 4, symmetric_nu_group(9, 4))
+    assert _sabidussi_by_ranks(regular, 9, 4) == ((True, True, True), 1)
+    same_order = PairGroup.direct_product(_s5_fixing_6(), 3)
+    assert _sabidussi_by_ranks(same_order, 6, 3) == ((True, False, False), 2)
+
+
+@st.composite
+def _generating_pairs(draw):
+    """A star graph with n <= 7 and one to three generating pairs; either
+    every pair has mu = 1 or nu = 1 (a product), or the sides mix freely."""
+    n = draw(st.integers(4, 7))
+    k = draw(st.integers(2, 3 if n == 7 else min(4, n - 2)))
+    mixed = draw(st.booleans())
+    identity = Perm.identity(n)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        mu = Perm(draw(st.permutations(range(1, n + 1))))
+        nu = Perm((1,) + tuple(draw(st.permutations(range(2, k + 1))))
+                  + tuple(range(k + 1, n + 1)))
+        if not mixed:
+            mu, nu = (mu, identity) if draw(st.booleans()) else (identity, nu)
+        gens.append(AutPair(mu, nu))
+    return n, k, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generating_pairs())
+def test_counted_sabidussi_matches_the_rank_pass_on_random_pairs(case):
+    n, k, gens = case
+    group = PairGroup.generate(n, k, gens)
+    expected, fixers = _sabidussi_by_ranks(group, n, k)
+    assert group.base_stabilizer_order() == fixers
+    assert _booleans(sabidussi_direct(group, n, k)) == expected
+    if all(g.mu.is_identity() or g.nu.is_identity() for g in gens):
+        product = cayley._generated_pair_group(n, k, gens, 10**6, None)
+        assert product.order == group.order
+        assert product.base_stabilizer_order() == fixers
+        assert _booleans(sabidussi_direct(product, n, k)) == expected
+
+
+@pytest.mark.parametrize("n,k", [(33, 4), (12, 5), (9, 6)])
+def test_yes_case_certify_and_check_list_no_elements(monkeypatch, n, k):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group's elements were listed")
+
+    monkeypatch.setattr(StabChain, "elements", refuse)
+    # the witness groups are cached, and may have listed their elements in
+    # an earlier test
+    monkeypatch.setattr(PermGroup, "elements", property(refuse))
+    cert = build_certificate(n, k)
+    assert cert.verdict == "Cayley" and cert.method == "DirectRegularAction"
+    reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()))
+    assert reproduced, fresh

@@ -221,3 +221,29 @@ def test_zsigmondy_checkpoint_writes_are_atomic(tmp_path, capsys, monkeypatch):
     assert all(re.fullmatch(r"\d+\n", old) for old, _ in seen[1:])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
     assert ckpt.read_text() == "45\n"
+
+
+def test_check_missing_or_directory_certificate_exits_2_with_one_line(tmp_path, capsys):
+    for path in (tmp_path / "absent.json", tmp_path):
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"cannot read certificate {path}")
+
+
+def test_zsigmondy_checkpoint_directory_exits_2_with_one_line(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "zsigmondy", "--d-max", "10",
+                             "--checkpoint", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"cannot read checkpoint {tmp_path}")
+
+
+def test_zsigmondy_unwritable_checkpoint_exits_2_with_one_line(tmp_path, capsys):
+    ckpt = tmp_path / "no-such-dir" / "ckpt"
+    code, out, err = run_cli(capsys, "zsigmondy", "--d-max", "10",
+                             "--checkpoint", str(ckpt))
+    assert code == 2
+    assert [int(line.split(",")[0]) for line in out.splitlines()] == list(range(3, 11))
+    assert err.count("\n") == 1 and err.startswith(f"cannot write checkpoint {ckpt}")
+    assert not ckpt.parent.exists()

@@ -4,8 +4,9 @@ import pytest
 
 from starcayley.pairs import (AutPair, PairGroup, aut_order, aut_product,
                               project_and_kernel, symmetric_nu_group)
-from starcayley.perm import CapExceeded, Perm, is_k_homogeneous
-from starcayley.witness_groups import mathieu11, psl2
+from starcayley.perm import (CapExceeded, Perm, PermGroup, StabChain, closure,
+                             is_k_homogeneous)
+from starcayley.witness_groups import mathieu11, pgammal2, psl2
 
 
 def test_autpair_validation_and_algebra():
@@ -81,3 +82,36 @@ def test_flat_encoding_is_a_faithful_permutation_of_n_plus_k_minus_1_points():
     assert [AutPair.from_flat(f, n) for f in flats] == pairs
     for a, b in zip(pairs[::7], pairs[3::11]):
         assert (Perm(a.flat(k)) * Perm(b.flat(k))).images == (a * b).flat(k)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a group's elements were listed")
+
+
+def test_direct_product_keeps_its_factors_and_lists_no_pair(monkeypatch):
+    h, t = pgammal2(32), symmetric_nu_group(33, 4)
+    monkeypatch.setattr(StabChain, "elements", _refuse)
+    monkeypatch.setattr(PermGroup, "elements", property(_refuse))
+    g = PairGroup.direct_product(h, 4, t)
+    assert g.order == 163680 * 6 == math.perm(33, 4)
+    # PGammaL(2,32) is sharply 3-transitive, so each nu on 1..4 meets one
+    # mu on 1..3 and the pair moves 4 unless nu(4) = mu(4); exactly the
+    # identity fixes [1..4]
+    assert g.base_stabilizer_order() == 1
+    factors = project_and_kernel(g)
+    assert factors[0] is h and factors[1] is t
+
+
+def test_base_stabilizer_order_of_a_product_with_unrealised_prefixes():
+    # S_4 on 1..4 inside degree 6, times S_3 on 2..4, at k = 4: every nu has
+    # an mu agreeing with it on 1..4, and H_(1..4) is trivial
+    h = PermGroup.symmetric_on(range(1, 5), 6)
+    g = PairGroup.direct_product(h, 4, symmetric_nu_group(6, 4))
+    assert g.base_stabilizer_order() == 6
+    # with H = <(1 2 3 4)> only the identity prefix is realised
+    c4 = PairGroup.direct_product(closure([Perm.from_cycles(6, (1, 2, 3, 4))]), 4,
+                                  symmetric_nu_group(6, 4))
+    assert c4.base_stabilizer_order() == 1
+    # and H_(1..k) counts: S_2 on {5, 6} fixes 1..4 pointwise
+    s = PairGroup.direct_product(PermGroup.symmetric(6), 4, symmetric_nu_group(6, 4))
+    assert s.base_stabilizer_order() == 6 * 2

@@ -275,3 +275,18 @@ def test_chain_matches_breadth_first_closure(case):
                   if all(g[x - 1] in block for block in flag.blocks for x in block)]
     assert flag_stabilizer(group, flag).order == len(stabilizer)
     assert PermGroup.from_elements(oracle, n).order == len(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_groups())
+def test_base_image_sift_matches_the_listed_prefixes(case):
+    n, gens, probe, _ = case
+    elements = orbit([tuple(range(1, n + 1))], [g.images for g in gens])
+    for base in ((), tuple(range(n, 0, -2))):
+        chain = StabChain(n, [g.images for g in gens], base)
+        for m in range(n + 1):
+            points = chain.base[:m]
+            prefixes = {tuple(e[b - 1] for b in points) for e in elements}
+            assert all(chain.has_base_image(p) for p in prefixes)
+            wanted = tuple(probe(b) for b in points)
+            assert chain.has_base_image(wanted) == (wanted in prefixes)
