@@ -28,12 +28,14 @@ from starcayley.pairs import PairGroup
 bad = sc.sabidussi_direct(PairGroup.direct_product(sc.PermGroup.symmetric(4), 2), 4, 2)
 print("\nwrong-order witness for (4,2):", bad.verdict)
 
-# the one machine-refutable no-case at desk scale: S_6,2.  The search space
-# is provably exhausted because groups of square-free order 30 are
+# the two machine-refutable no-cases at desk scale: S_6,2 and S_7,3.  The
+# search takes its first generator up to conjugacy, and the search space is
+# provably exhausted because groups of square-free order 30 and 210 are
 # 2-generated.
-cert = sc.search_regular_subgroup(6, 2)
-print("\n(6,2):", cert.verdict, "via", cert.method)
-print("  justification:", cert.notes[0])
+for n, k in [(6, 2), (7, 3)]:
+    cert = sc.search_regular_subgroup(n, k)
+    print(f"\n({n},{k}):", cert.verdict, "via", cert.method)
+    print("  justification:", cert.notes[0])
 
 # certificates round-trip through JSON and re-verify bit for bit
 text = sc.build_certificate(5, 2).to_json()

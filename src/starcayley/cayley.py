@@ -244,8 +244,11 @@ def table_certificate(n: int, k: int) -> Certificate:
 # the search looks at the clock once per this many pairs or closures
 DEADLINE_STRIDE = 256
 
-# build_certificate searches (n,k) itself when |S_n x S_{k-1}| is at most this
-SEARCH_AUT_LIMIT = 1000
+# build_certificate searches a no-case when |S_n x S_{k-1}| is at most 7! 2!
+SEARCH_AUT_LIMIT = 10_080
+
+# the check a search without the conjugacy reduction records, before max_gens
+_FULL_SEARCH_CHECK = "all_generating_sets_up_to_"
 
 
 def _fixes_some_vertex(mu_type: tuple[int, ...], nu_type: tuple[int, ...]) -> bool:
@@ -259,10 +262,12 @@ def _fixes_some_vertex(mu_type: tuple[int, ...], nu_type: tuple[int, ...]) -> bo
     return all(have[length] >= count for length, count in Counter(nu_type).items())
 
 
-def _candidates(n: int, k: int, target: int, check_clock) -> list[tuple[int, ...]]:
+def _candidates(n: int, k: int, target: int, check_clock,
+                representatives: list | None = None) -> list[tuple[int, ...]]:
     """Flat pairs that fix no vertex and whose order divides target, in the
     order of ``aut_product(n, k).iter_pairs()``: nu outer, mu inner, both
-    lexicographic.  Both tests are decided once per pair of cycle types."""
+    lexicographic.  Both tests are decided once per pair of cycle types, and
+    the first candidate of each such class is appended to representatives."""
     verdicts: dict[tuple, bool] = {}
     candidates = []
     total = aut_order(n, k)
@@ -279,6 +284,8 @@ def _candidates(n: int, k: int, target: int, check_clock) -> list[tuple[int, ...
             if keep is None:
                 keep = verdicts[types] = (not _fixes_some_vertex(*types) and
                                           target % math.lcm(*types[0], *nu_type) == 0)
+                if keep and representatives is not None:
+                    representatives.append(mu + tail)
             if keep:
                 candidates.append(mu + tail)
     return candidates
@@ -286,7 +293,8 @@ def _candidates(n: int, k: int, target: int, check_clock) -> list[tuple[int, ...
 
 def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
                             cap: int = DEFAULT_ELEMENT_CAP,
-                            time_limit: float | None = None) -> Certificate:
+                            time_limit: float | None = None,
+                            up_to_conjugacy: bool = True) -> Certificate:
     """Bounded exhaustive search for a regular subgroup of S_n x S_{k-1}.
 
     Every non-identity element of a regular subgroup is fixed-point-free on
@@ -294,6 +302,16 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
     accordingly before generating-set growth; closures are pruned the moment
     they admit an element violating either condition or outgrow P(n,k).
     Pairs are flat tuples throughout (see :mod:`starcayley.pairs`).
+
+    With up_to_conjugacy the first generator is only the representative of
+    its conjugacy class in S_n x S_{k-1}: a pair of cycle types, mu's on
+    1..n and nu's on 1..k, whose first candidate represents it.  Both
+    filters depend on the class alone.  If G = <a, b> is regular and sigma
+    conjugates a to rep(a), then sigma G sigma^-1 = <rep(a), sigma b
+    sigma^-1> is regular too, since sigma is a graph automorphism, and
+    sigma b sigma^-1 is again a candidate; so the second generator ranges
+    over every candidate.  Without it, as in certificates written before
+    the reduction, every candidate a is paired with every later candidate b.
 
     The refutation verdict is only issued when exhausting all generating
     sets of size <= max_gens provably covers every subgroup of order P(n,k):
@@ -316,8 +334,10 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
             raise TimeoutError(f"{phase}, {progress}")
 
     try:
-        candidates = _candidates(n, k, target, check_clock)
-        total = len(candidates)
+        representatives = []
+        candidates = _candidates(n, k, target, check_clock, representatives)
+        firsts = representatives if up_to_conjugacy else candidates
+        total = len(firsts)
         identity = tuple(range(1, n + k))
         allowed = set(candidates)
         allowed.add(identity)
@@ -326,21 +346,21 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
             seen = orbit([identity], gens, limit=target, allowed=allowed)
             return seen if seen is not None and len(seen) == target else None
 
-        for i, g in enumerate(candidates if max_gens >= 1 else ()):
+        for i, g in enumerate(firsts if max_gens >= 1 else ()):
             if i % DEADLINE_STRIDE == 0:
                 check_clock("one-generator growth", f"candidate {i}/{total}")
             elements = grow((g,))
             if elements:
-                return _search_hit(n, k, elements, (g,), total)
+                return _search_hit(n, k, elements, (g,), len(candidates))
         steps = 0
-        for i, a in enumerate(candidates if max_gens >= 2 else ()):
-            for b in candidates[i + 1:]:
+        for i, a in enumerate(firsts if max_gens >= 2 else ()):
+            for b in candidates if up_to_conjugacy else candidates[i + 1:]:
                 if steps % DEADLINE_STRIDE == 0:
                     check_clock("two-generator growth", f"pair {i}/{total}")
                 steps += 1
                 elements = grow((a, b))
                 if elements:
-                    return _search_hit(n, k, elements, (a, b), total)
+                    return _search_hit(n, k, elements, (a, b), len(candidates))
     except TimeoutError as stop:
         return Certificate(
             n, k, VERDICT_UNKNOWN, METHOD_REFUTATION, None,
@@ -353,7 +373,8 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
     checks = (
         ("full_automorphism_group_enumerated", True),
         ("candidates_restricted_to_fixed_point_free_elements", True),
-        (f"all_generating_sets_up_to_{max_gens}_generators_closed", True),
+        (f"generator_sets_up_to_{max_gens}_closed_up_to_conjugacy" if up_to_conjugacy
+         else f"{_FULL_SEARCH_CHECK}{max_gens}_generators_closed", True),
         ("no_regular_subgroup_found", True),
         (f"order_{target}_subgroups_need_at_most_{max_gens}_generators", exhausted),
     )
@@ -388,8 +409,8 @@ def build_certificate(n: int, k: int, force_search: bool = False,
     """Produce the strongest certificate available for (n,k) under the budgets.
 
     Preference order: a known witness group checked directly (or via the
-    flag route for (33,30)); an exhaustive search when the automorphism
-    group is small enough; the labeled classification table otherwise.
+    flag route for (33,30)); a search for a no-case whose automorphism group
+    is small enough; the labeled classification table otherwise.
     """
     from .witness_groups import agl1, mathieu11, mathieu12, pgammal2, pgl2, psl2
 
@@ -421,9 +442,6 @@ def build_certificate(n: int, k: int, force_search: bool = False,
         return _direct_product_cert(agl1(n), n, k)
     if k == 3 and math.perm(n, k) <= vertex_cap:
         return _direct_product_cert(pgl2(n - 1), n, k)
-    if n == k + 2 and math.factorial(n) * math.factorial(k - 1) <= SEARCH_AUT_LIMIT:
-        return search_regular_subgroup(n, k, cap=element_cap,
-                                       time_limit=time_limit)
     return table_certificate(n, k)
 
 
@@ -440,6 +458,7 @@ def verify_certificate(cert: Certificate,
 
     Returns (reproduced, fresh_certificate): reproduced is True when the
     fresh run agrees bit-for-bit on the verdict and on every recorded check.
+    A refutation is replayed as the search variant its checks name.
     """
     n, k = cert.n, cert.k
     if cert.method == METHOD_DIRECT:
@@ -455,7 +474,8 @@ def verify_certificate(cert: Certificate,
     elif cert.method == METHOD_TABLE:
         fresh = table_certificate(n, k)
     elif cert.method == METHOD_REFUTATION:
-        fresh = search_regular_subgroup(n, k, cap=cap)
+        full = any(name.startswith(_FULL_SEARCH_CHECK) for name, _ in cert.checks)
+        fresh = search_regular_subgroup(n, k, cap=cap, up_to_conjugacy=not full)
     else:
         raise ValueError(f"unknown certificate method {cert.method!r}")
     reproduced = (fresh.verdict == cert.verdict and fresh.checks == cert.checks)

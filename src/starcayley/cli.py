@@ -102,7 +102,12 @@ def cmd_certify(args) -> int:
         return EXIT_BUDGET
     text = cert.to_json()
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            print(f"cannot write certificate {args.out}: {_one_line(exc)}",
+                  file=sys.stderr)
+            return EXIT_MISMATCH
     print(text)
     if cert.verdict == "Unknown" and any("budget" in note for note in cert.notes):
         return EXIT_BUDGET

@@ -21,7 +21,6 @@ view, built only at the boundary.
 from __future__ import annotations
 
 import math
-from itertools import permutations
 from math import lcm
 from operator import countOf, itemgetter
 from typing import Iterator, Sequence
@@ -196,19 +195,16 @@ class PairGroup:
         """How many pairs fix the base vertex [1..k], i.e. have mu(j) = nu(j)
         for j <= k.  In a product H x T the mus agreeing with one nu on 1..k
         are none or a coset of H_(1..k), so the count is |H_(1..k)| times the
-        number of nu in T (found among the permutations of 2..k) whose images
-        of 1..k some element of H has."""
+        number of nu in T whose images of 1..k some element of H has.  Those
+        images are T's orbit of (1..k), which holds |T| tuples."""
         k = self.k
+        prefix = itemgetter(slice(k))
         if self._factors is None:
-            prefix = itemgetter(slice(k))
             return sum(countOf(map(prefix, mus), nu[:k]) for nu, mus in self._buckets)
         h, t = self._factors
         chain = h.chain_from(range(1, k + 1))
-        rest = tuple(range(k + 1, self.n + 1))
-        realised = sum(chain.has_base_image((1,) + nu)
-                       for nu in permutations(range(2, k + 1))
-                       if (1,) + nu + rest in t.chain)
-        return chain.order(k) * realised
+        nus = orbit([tuple(range(1, k + 1))], [prefix(g.images) for g in t.generators])
+        return chain.order(k) * sum(map(chain.has_base_image, nus))
 
     def iter_pairs(self) -> Iterator[AutPair]:
         """Every pair as an :class:`AutPair`, bucket by bucket."""

@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import re
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -416,3 +418,115 @@ def test_yes_case_certify_and_check_list_no_elements(monkeypatch, n, k):
     assert cert.verdict == "Cayley" and cert.method == "DirectRegularAction"
     reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()))
     assert reproduced, fresh
+
+
+# ---------------------------------------------------------------------------
+# the search up to conjugacy, against the full enumeration
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4), (7, 2)])
+def test_search_up_to_conjugacy_matches_the_full_search(n, k):
+    reduced = search_regular_subgroup(n, k)
+    full = search_regular_subgroup(n, k, up_to_conjugacy=False)
+    expected = "Cayley" if classify(n, k).is_cayley else "NotCayley"
+    assert reduced.verdict == full.verdict == expected
+    for cert in (reduced, full):
+        reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()))
+        assert reproduced, fresh
+
+
+@pytest.mark.parametrize("n,k,classes", [(6, 2, 5), (7, 3, 16), (6, 4, 27)])
+def test_representatives_are_the_first_candidate_of_each_class(n, k, classes):
+    representatives = []
+    candidates = cayley._candidates(n, k, math.perm(n, k),
+                                    lambda phase, progress: None, representatives)
+    first = {}
+    for flat in candidates:
+        pair = AutPair.from_flat(flat, n)
+        types = (cycle_type(pair.mu.images), cycle_type(pair.nu.images[:k]))
+        first.setdefault(types, flat)
+    assert representatives == list(first.values())
+    assert len(representatives) == classes
+
+
+def test_refutation_closes_each_representative_with_every_candidate(monkeypatch):
+    n, k = 6, 2
+    representatives = []
+    candidates = cayley._candidates(n, k, math.perm(n, k),
+                                    lambda phase, progress: None, representatives)
+    closures = []
+    orbit = cayley.orbit
+
+    def counting(starts, gens, **kwargs):
+        closures.append(gens)
+        return orbit(starts, gens, **kwargs)
+
+    monkeypatch.setattr(cayley, "orbit", counting)
+    assert search_regular_subgroup(n, k).verdict == "NotCayley"
+    expected = [(a,) for a in representatives]
+    expected += [(a, b) for a in representatives for b in candidates]
+    assert closures == expected
+    closures.clear()
+    assert search_regular_subgroup(n, k, up_to_conjugacy=False).verdict == "NotCayley"
+    c = len(candidates)
+    assert len(closures) == c + c * (c - 1) // 2
+
+
+def test_build_certificate_refutes_7_3_by_search():
+    cert = build_certificate(7, 3)
+    assert cert.verdict == "NotCayley"
+    assert cert.method == "ExhaustiveSearchRefutation"
+    assert cert.all_passed()
+    assert ("generator_sets_up_to_2_closed_up_to_conjugacy", True) in cert.checks
+    reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()))
+    assert reproduced, fresh
+
+
+def test_refutation_without_the_reduction_replays_the_full_search(monkeypatch):
+    text = (Path(__file__).parent / "data" / "refutation-6-2-full.json").read_text()
+    variants = []
+    search = cayley.search_regular_subgroup
+
+    def spy(*args, **kwargs):
+        variants.append(kwargs.get("up_to_conjugacy", True))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cayley, "search_regular_subgroup", spy)
+    old = Certificate.from_json(text)
+    assert verify_certificate(old)[0]
+    new = search(6, 2)
+    assert verify_certificate(new)[0]
+    assert variants == [False, True]
+    # the two certificates differ in the name of the third check alone
+    assert new.to_json() == text.rstrip("\n").replace(
+        "all_generating_sets_up_to_2_generators_closed",
+        "generator_sets_up_to_2_closed_up_to_conjugacy")
+
+
+def test_trivial_nu_factor_costs_one_base_image_sift(monkeypatch):
+    # A_20 is sharply 18-transitive, and (1 2 3), (2 3 ... 20) generate it;
+    # with nu = 1 the stabiliser count must not walk the 17! permutations of 2..18
+    n, k = 20, 18
+    e = list(range(1, n + 1))
+    three_cycle = [2, 3, 1] + e[3:]
+    long_cycle = [1] + e[2:] + [2]
+    cert = Certificate(n, k, "Cayley", "DirectRegularAction",
+                       {"name": "A_20", "degree": n, "k": k,
+                        "generators": [{"mu": three_cycle, "nu": e},
+                                       {"mu": long_cycle, "nu": e}]},
+                       (("order_equals_vertex_count", True),
+                        ("base_vertex_stabilizer_trivial", True),
+                        ("evaluation_map_bijective", True)))
+    sifts = []
+    has_base_image = StabChain.has_base_image
+
+    def counting(chain, images):
+        sifts.append(images)
+        return has_base_image(chain, images)
+
+    monkeypatch.setattr(StabChain, "has_base_image", counting)
+    start = time.perf_counter()
+    reproduced, fresh = verify_certificate(cert, cap=10**19)
+    assert reproduced, fresh
+    assert time.perf_counter() - start < 1.0
+    assert sifts == [tuple(range(1, k + 1))]

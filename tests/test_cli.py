@@ -247,3 +247,21 @@ def test_zsigmondy_unwritable_checkpoint_exits_2_with_one_line(tmp_path, capsys)
     assert [int(line.split(",")[0]) for line in out.splitlines()] == list(range(3, 11))
     assert err.count("\n") == 1 and err.startswith(f"cannot write checkpoint {ckpt}")
     assert not ckpt.parent.exists()
+
+
+def test_certify_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    out_path = tmp_path / "no-such-dir" / "cert.json"
+    code, out, err = run_cli(capsys, "certify", "5", "2", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"cannot write certificate {out_path}")
+    assert not out_path.parent.exists()
+
+
+def test_check_replays_a_refutation_written_before_the_conjugacy_reduction(capsys):
+    path = Path(__file__).parent / "data" / "refutation-6-2-full.json"
+    names = [c["name"] for c in json.loads(path.read_text())["checks"]]
+    assert "all_generating_sets_up_to_2_generators_closed" in names
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 0
+    assert out == "certificate reproduced: (6,2) NotCayley via ExhaustiveSearchRefutation\n"
