@@ -1,6 +1,6 @@
 """The exact-arithmetic battery behind the AGL(d,2) impossibility: 2-adic
 valuations, a binomial index bound, and the primitive-divisor scan of the
-sequence 2^d - 3 (gcd method, no factorization).
+sequence 2^d - 3 (one gcd with a folded Mersenne residue, no factorization).
 """
 
 from starcayley import numbers
@@ -24,8 +24,8 @@ print("   (the valuation is (r+2) - v2((r+2)!) =",
 print("\nv2(12) =", numbers.v2(12))
 print("v2(28!) =", numbers.v2_factorial(28), " (Legendre: 14+7+3+1)")
 
-# the primitive-divisor scan: strip every gcd with earlier terms and see
-# whether anything survives
+# the primitive-divisor scan: strip the primes of 2^d - 3 that already divide
+# an earlier term (found by one gcd) and see whether anything survives
 for d in (4, 7, 8):
     print(f"2^{d}-3 = {(1 << d) - 3} has a primitive prime divisor:",
           numbers.has_primitive_divisor(d))

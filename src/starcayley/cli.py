@@ -36,6 +36,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {value}")
+    return value
+
+
 def cmd_graph(args) -> int:
     try:
         graph = build(args.n, args.k, vertex_cap=args.budget_vertices)
@@ -270,7 +277,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="scan 2^d-3 for primitive prime divisors (CSV)")
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--checkpoint", help="resume file holding the last verified d")
-    p.add_argument("--checkpoint-every", type=int, default=100)
+    p.add_argument("--checkpoint-every", type=_positive_int, default=100)
     p.set_defaults(func=cmd_zsigmondy)
 
     p = sub.add_parser("verify-lemmas",

@@ -10,7 +10,7 @@ would have to exist.  For d < 8 already t does not divide (2^d - 4)!.  For
 d >= 8 the refutation rests on two exact inequalities (checked here as
 :func:`index_binomial_bound` and :func:`two_adic_obstruction`), and,
 independently, on 2^d - 3 having a primitive prime divisor (scanned here by
-the gcd method, no factorization required).
+one gcd per d, no factorization required).
 
 Everything in this module is exact integer or Fraction arithmetic; there is
 no floating point anywhere.
@@ -107,6 +107,18 @@ def kernel_order_divides_factorial(d: int) -> bool:
     return factorial((1 << d) - 4) % t == 0
 
 
+def _mersenne_residue(d: int, lo: int) -> int:
+    """(2^lo - 1)...(2^(d-3) - 1) mod 2^d - 3 for lo >= 1, by shifts: the bits
+    above 2^d fold back in times 3 (2^d = 3 mod 2^d - 3), and one fold keeps
+    x < 2^(d+1), so no step divides by a d-bit number."""
+    mask = (1 << d) - 1
+    x = 1
+    for j in range(lo, d - 2):
+        x = (x << j) - x
+        x = 3 * (x >> d) + (x & mask)
+    return x % ((1 << d) - 3)
+
+
 def divides_mersenne_product(d: int) -> bool:
     """Whether 2^d - 3 divides (2^(d-3)-1)(2^(d-4)-1)...(2^3-1).
 
@@ -118,30 +130,28 @@ def divides_mersenne_product(d: int) -> bool:
     """
     if d < 7:
         raise ValueError("need d >= 7")
-    product = 1
-    for j in range(3, d - 2):
-        product *= (1 << j) - 1
-    return product % ((1 << d) - 3) == 0
+    return _mersenne_residue(d, 3) == 0
 
 
 def has_primitive_divisor(d: int) -> bool:
     """Whether 2^d - 3 has a prime divisor dividing no earlier 2^i - 3 (i < d).
 
-    Uses the gcd-stripping method: repeatedly divide m = 2^d - 3 by
-    gcd(m, 2^i - 3) until coprime, for every 2 <= i < d; m > 1 survives
-    exactly when a primitive prime divisor exists.  The inner loop matters:
-    one gcd division can leave residual shared prime powers behind.
-    No factorization is ever performed.
+    Let p be a prime of m = 2^d - 3 and o = ord_p(2).  p divides 2^i - 3
+    exactly when o | d - i, and 2^1 - 3, 2^2 - 3 have no prime, so p is
+    non-primitive iff o <= d - 3.  Every such o has a multiple in
+    [floor((d-2)/2), d - 3] (o itself, or the range is longer than o), so
+    those primes are the primes of g = gcd(m, R), R the product of 2^j - 1
+    over that range (j >= 1, as 2^0 - 1 = 0).  m is divided by g until
+    coprime to it; m > 1 survives exactly when a primitive prime divisor
+    exists.  No factorization is ever performed.
     """
     if d < 3:
         raise ValueError("need d >= 3")
     m = (1 << d) - 3
-    for i in range(2, d):
-        other = (1 << i) - 3
-        g = gcd(m, other)
-        while g > 1:
-            m //= g
-            g = gcd(m, other)
+    g = gcd(m, _mersenne_residue(d, max(1, (d - 2) // 2)))
+    while g > 1:
+        m //= g
+        g = gcd(m, g)
     return m > 1
 
 

@@ -223,6 +223,20 @@ def test_zsigmondy_checkpoint_writes_are_atomic(tmp_path, capsys, monkeypatch):
     assert ckpt.read_text() == "45\n"
 
 
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_zsigmondy_checkpoint_every_below_1_is_a_usage_error(tmp_path, capsys, every):
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(SystemExit) as exc:
+        main(["zsigmondy", "--d-max", "5", "--checkpoint", str(ckpt),
+              "--checkpoint-every", every])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: starcayley zsigmondy")
+    assert f"argument --checkpoint-every: need an integer >= 1, got {every}" in captured.err
+    assert not ckpt.exists()
+
+
 def test_check_missing_or_directory_certificate_exits_2_with_one_line(tmp_path, capsys):
     for path in (tmp_path / "absent.json", tmp_path):
         code, out, err = run_cli(capsys, "check", str(path))

@@ -1,10 +1,10 @@
 import math
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
-from starcayley.numbers import (AglCase, agl_d2_order,
+from starcayley.numbers import (AglCase, _mersenne_residue, agl_d2_order,
                                 divides_mersenne_product,
                                 has_primitive_divisor, index_binomial_bound,
                                 kernel_order_divides_factorial,
@@ -74,6 +74,46 @@ def test_primitive_divisor_small_cases():
     assert has_primitive_divisor(8)
     for d in (3, 4, 5, 6):                # 5, 13, 29, 61 all prime, all new
         assert has_primitive_divisor(d)
+
+
+def strip(m, g):
+    # divide m by g until it is coprime to every prime of g
+    while g > 1:
+        m //= g
+        g = gcd(m, g)
+    return m
+
+
+def d_bit_stripping(d):
+    # the oracle: strip m = 2^d - 3 by gcd(m, 2^i - 3) for every 2 <= i < d
+    m = (1 << d) - 3
+    for i in range(2, d):
+        m = strip(m, gcd(m, (1 << i) - 3))
+    return m > 1
+
+
+@pytest.mark.parametrize("ds", [range(3, 1001), (1500, 2000, 2500, 4000)],
+                         ids=["3..1000", "spot"])
+def test_folded_residue_agrees_with_d_bit_stripping(ds):
+    for d in ds:
+        assert has_primitive_divisor(d) == d_bit_stripping(d), d
+
+
+def test_half_range_strips_like_the_full_range():
+    # every ord_p(2) <= d - 3 has a multiple in [floor((d-2)/2), d - 3]
+    for d in range(3, 401):
+        m = (1 << d) - 3
+        half = strip(m, gcd(m, _mersenne_residue(d, max(1, (d - 2) // 2))))
+        full = strip(m, gcd(m, _mersenne_residue(d, 1)))
+        assert half == full, d
+
+
+def test_mersenne_residue_is_the_literal_product():
+    for d in range(3, 120):
+        m = (1 << d) - 3
+        for lo in range(1, d - 2):
+            product = math.prod((1 << j) - 1 for j in range(lo, d - 2))
+            assert _mersenne_residue(d, lo) == product % m, (d, lo)
 
 
 def test_zsigmondy_scan():
