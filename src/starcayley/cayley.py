@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import permutations
 from typing import Sequence
 
-from .gf import factorize
+from .gf import factorize, is_prime_power
 from .pairs import AutPair, PairGroup, aut_order, nu_tail, symmetric_nu_group
 from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
                    canonical_flag, closure, cycle_type, flag_count,
@@ -43,17 +43,6 @@ METHOD_TABLE = "ClassificationTable"
 METHOD_REFUTATION = "ExhaustiveSearchRefutation"
 
 SPORADIC_CAYLEY_PAIRS = frozenset({(9, 4), (9, 6), (11, 4), (12, 5), (33, 4), (33, 30)})
-
-
-def is_prime_power(n: int) -> tuple[int, int] | None:
-    """(p, m) with n = p^m when n is a prime power, else None.
-
-    By convention 1 is not a prime power here.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    factors = factorize(n)
-    return factors[0] if len(factors) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -388,6 +377,14 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
                         f"that order-{target} subgroups are {max_gens}-generated",))
 
 
+def is_truncated_search(cert: Certificate) -> bool:
+    """Whether cert records a search that a budget cut short: an Unknown
+    refutation whose one check is search_space_exhausted=fail.  Nothing in
+    it can be reproduced, since the truncation point depends on the clock."""
+    return (cert.method == METHOD_REFUTATION and cert.verdict == VERDICT_UNKNOWN
+            and cert.checks == (("search_space_exhausted", False),))
+
+
 def _search_hit(n, k, elements, gens, candidate_count) -> Certificate:
     group = PairGroup.from_flats(n, k, elements,
                                  [AutPair.from_flat(g, n) for g in gens],
@@ -404,13 +401,14 @@ def _search_hit(n, k, elements, gens, candidate_count) -> Certificate:
 
 def build_certificate(n: int, k: int, force_search: bool = False,
                       element_cap: int = DEFAULT_ELEMENT_CAP,
-                      vertex_cap: int = DEFAULT_ELEMENT_CAP,
                       time_limit: float | None = None) -> Certificate:
     """Produce the strongest certificate available for (n,k) under the budgets.
 
     Preference order: a known witness group checked directly (or via the
     flag route for (33,30)); a search for a no-case whose automorphism group
-    is small enough; the labeled classification table otherwise.
+    is small enough; the labeled classification table otherwise.  The k = 2
+    and k = 3 witnesses have order P(n,k), so they are built when that fits
+    element_cap.
     """
     from .witness_groups import agl1, mathieu11, mathieu12, pgammal2, pgl2, psl2
 
@@ -438,9 +436,9 @@ def build_certificate(n: int, k: int, force_search: bool = False,
     }
     if (n, k) in special:
         return special[(n, k)]()
-    if k == 2 and math.perm(n, k) <= vertex_cap:
+    if k == 2 and math.perm(n, k) <= element_cap:
         return _direct_product_cert(agl1(n), n, k)
-    if k == 3 and math.perm(n, k) <= vertex_cap:
+    if k == 3 and math.perm(n, k) <= element_cap:
         return _direct_product_cert(pgl2(n - 1), n, k)
     return table_certificate(n, k)
 

@@ -18,10 +18,10 @@ from pathlib import Path
 
 from . import numbers
 from .cayley import (Certificate, build_certificate, classify,
-                     verify_certificate)
+                     is_truncated_search, verify_certificate)
 from .perm import DEFAULT_ELEMENT_CAP, CapExceeded
-from .stargraph import (DEFAULT_VERTEX_CAP, BudgetExceeded,
-                        GraphSizeExceeded, build, edge_list_lines, to_dot)
+from .stargraph import (DEFAULT_VERTEX_CAP, GraphSizeExceeded, build,
+                        edge_list_lines, to_dot)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -102,7 +102,6 @@ def cmd_certify(args) -> int:
         cert = build_certificate(args.n, args.k,
                                  force_search=args.force_search,
                                  element_cap=args.budget_elements,
-                                 vertex_cap=args.budget_vertices,
                                  time_limit=args.time_limit)
     except CapExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
@@ -116,7 +115,7 @@ def cmd_certify(args) -> int:
                   file=sys.stderr)
             return EXIT_MISMATCH
     print(text)
-    if cert.verdict == "Unknown" and any("budget" in note for note in cert.notes):
+    if is_truncated_search(cert):
         return EXIT_BUDGET
     expected = classify(args.n, args.k)
     consistent = (cert.verdict == "Unknown"
@@ -138,6 +137,10 @@ def _check_entry(checks: tuple, i: int) -> str:
 def cmd_check(args) -> int:
     try:
         cert = Certificate.from_json(Path(args.certificate).read_text())
+        if is_truncated_search(cert):
+            print(f"budget exhausted: {args.certificate} records a truncated "
+                  "search, which cannot be reproduced", file=sys.stderr)
+            return EXIT_BUDGET
         reproduced, fresh = verify_certificate(cert, cap=args.budget_elements)
     except CapExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
@@ -262,7 +265,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--force-search", action="store_true")
     p.add_argument("--budget-elements", type=int, default=DEFAULT_ELEMENT_CAP)
-    p.add_argument("--budget-vertices", type=int, default=DEFAULT_VERTEX_CAP)
     p.add_argument("--time-limit", type=float, default=None,
                    help="seconds before a search truncates to Unknown")
     p.add_argument("--out", help="also write the certificate JSON to this path")
@@ -290,11 +292,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    return args.func(args)
 
 
 if __name__ == "__main__":

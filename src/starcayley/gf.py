@@ -1,19 +1,18 @@
-"""Small finite fields GF(p^m), their projective lines, and semilinear maps.
+"""Finite fields GF(p^m), their projective lines, and semilinear maps.
 
 Field elements are encoded as integers 0 .. p^m - 1: the base-p digits of the
 code, least significant first, are the coefficients of the polynomial residue.
-For p = 2 this is the usual bitmask encoding.  All arithmetic is table-driven,
-which keeps group construction fast for the field sizes this package needs
-(q <= 1024).
+For p = 2 this is the usual bitmask encoding.  Products, inverses and powers
+read a logarithm table over the smallest primitive element; sums work on the
+digits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
-
-MAX_TABLE_Q = 1024
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -35,6 +34,17 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == [(n, 1)]
+
+
+def is_prime_power(n: int) -> tuple[int, int] | None:
+    """(p, m) with n = p^m when n is a prime power, else None.
+
+    By convention 1 is not a prime power here.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    factors = factorize(n)
+    return factors[0] if len(factors) == 1 else None
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -84,10 +94,12 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 class Field:
-    """GF(p^m) with integer-coded elements and table-driven arithmetic.
+    """GF(p^m) with integer-coded elements.
 
-    Immutable once built: the tables are filled in the constructor and only
-    read afterwards.
+    Built once from two tables of q entries: exp[i] = g^i for the smallest
+    primitive element g (exp[q-1] = 1 again), and log, its inverse on the
+    nonzero elements.  Multiplicative operations read these tables; addition
+    works on the base-p digits.  Immutable once built.
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
@@ -96,8 +108,6 @@ class Field:
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         q = p ** m
-        if q > MAX_TABLE_Q:
-            raise ValueError(f"field size {q} exceeds the table budget {MAX_TABLE_Q}")
         if modulus is None:
             modulus = smallest_irreducible(p, m)
         else:
@@ -110,19 +120,22 @@ class Field:
         self.m = m
         self.q = q
         self.modulus = modulus
-        self._add = [[self._add_slow(x, y) for y in range(q)] for x in range(q)]
-        self._mul = [[self._mul_slow(x, y) for y in range(q)] for x in range(q)]
-        self._neg = [next(y for y in range(q) if self._add[x][y] == 0)
-                     for x in range(q)]
-        self._inv = [0] * q
-        for x in range(1, q):
-            self._inv[x] = next(y for y in range(1, q) if self._mul[x][y] == 1)
-        self._frob = [self.pow(x, p) for x in range(q)]
-        gen = self.primitive_element()
-        if self.mult_order(gen) != q - 1:
-            raise AssertionError("multiplicative group has wrong order")
+        # g = 1 has order 1, which is q - 1 only for q = 2
+        for g in range(1, q):
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = self._mul_slow(x, g)
+            if len(powers) == q - 1:
+                break
+        else:
+            raise AssertionError("no multiplicative generator found")
+        self._exp = powers + [1]
+        self._log = [0] * q
+        for i, x in enumerate(powers):
+            self._log[x] = i
 
-    # slow digit arithmetic, used only to fill the tables
+    # digit arithmetic: addition, and the products that fill the tables
     def _digits(self, x: int) -> list[int]:
         return [(x // self.p ** i) % self.p for i in range(self.m)]
 
@@ -132,67 +145,49 @@ class Field:
             v = v * self.p + d % self.p
         return v
 
-    def _add_slow(self, x: int, y: int) -> int:
-        return self._code([(a + b) % self.p
-                           for a, b in zip(self._digits(x), self._digits(y))])
-
     def _mul_slow(self, x: int, y: int) -> int:
         prod = _poly_mul(self._digits(x), self._digits(y), self.p)
         return self._code(_poly_rem(prod, self.modulus, self.p))
 
     # public arithmetic
     def add(self, x: int, y: int) -> int:
-        return self._add[x][y]
+        return self._code([a + b for a, b in zip(self._digits(x), self._digits(y))])
 
     def sub(self, x: int, y: int) -> int:
-        return self._add[x][self._neg[y]]
+        return self._code([a - b for a, b in zip(self._digits(x), self._digits(y))])
 
     def neg(self, x: int) -> int:
-        return self._neg[x]
+        return self._code([-a for a in self._digits(x)])
 
     def mul(self, x: int, y: int) -> int:
-        return self._mul[x][y]
+        if x == 0 or y == 0:
+            return 0
+        return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self._inv[x]
+        return self._exp[-self._log[x] % (self.q - 1)]
 
     def div(self, x: int, y: int) -> int:
-        return self._mul[x][self.inv(y)]
+        return self.mul(x, self.inv(y))
 
     def pow(self, x: int, e: int) -> int:
-        r = 1
-        b = x
-        while e:
-            if e & 1:
-                r = self._mul[r][b]
-            b = self._mul[b][b]
-            e >>= 1
-        return r
+        if x == 0:
+            return 0 if e else 1
+        return self._exp[self._log[x] * e % (self.q - 1)]
 
     def frobenius(self, x: int, e: int = 1) -> int:
         """x -> x^(p^e)."""
-        for _ in range(e % self.m):
-            x = self._frob[x]
-        return x
+        return self.pow(x, self.p ** (e % self.m))
 
     def mult_order(self, x: int) -> int:
         if x == 0:
             raise ValueError("0 has no multiplicative order")
-        o, y = 1, x
-        while y != 1:
-            y = self._mul[y][x]
-            o += 1
-        return o
+        return (self.q - 1) // math.gcd(self._log[x], self.q - 1)
 
     def primitive_element(self) -> int:
-        if self.q == 2:
-            return 1
-        for g in range(2, self.q):
-            if self.mult_order(g) == self.q - 1:
-                return g
-        raise AssertionError("no multiplicative generator found")
+        return self._exp[1]
 
     def elements(self) -> range:
         return range(self.q)
@@ -247,15 +242,10 @@ def field(p: int, m: int, modulus: tuple | None = None) -> Field:
 
 
 def field_of_order(q: int) -> Field:
-    p, m = _factor_prime_power(q)
-    return field(p, m)
-
-
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    factors = factorize(q) if q >= 2 else []
-    if len(factors) != 1:
+    pm = is_prime_power(q)
+    if pm is None:
         raise ValueError(f"{q} is not a prime power")
-    return factors[0]
+    return field(*pm)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +311,6 @@ class SemilinearMap:
     def to_images(self) -> tuple[int, ...]:
         """The induced permutation of the projective line in one-line notation:
         point i (1-based in the proj_line order) maps to image i."""
-        f = self.field
-        q = f.q
-        img = [0] * (q + 1)
-        for x in range(q):
-            p = self.apply(ProjPoint.finite(x))
-            img[x] = q + 1 if p.at_infinity else p.x + 1
-        p = self.apply(ProjPoint.infinity())
-        img[q] = q + 1 if p.at_infinity else p.x + 1
-        return tuple(img)
+        q = self.field.q
+        images = (self.apply(point) for point in proj_line(self.field))
+        return tuple(q + 1 if p.at_infinity else p.x + 1 for p in images)

@@ -27,12 +27,9 @@ def _perm_of(field: Field, a, b, c, d, frob_exp=0) -> Perm:
 
 
 def _affine_perm(field: Field, a: int, b: int, frob_exp: int = 0) -> Perm:
-    """x -> a x^s + b on the q finite points only."""
-    img = []
-    for x in field.elements():
-        xs = field.frobenius(x, frob_exp)
-        img.append(field.add(field.mul(a, xs), b) + 1)
-    return Perm(img)
+    """x -> a x^s + b on the q finite points only: the semilinear map with
+    c = 0, d = 1, which fixes infinity."""
+    return Perm(SemilinearMap(field, a, b, 0, 1, frob_exp).to_images()[:field.q])
 
 
 def _verified(group: PermGroup, order: int) -> PermGroup:

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from starcayley import cayley
 from starcayley.cayley import (Certificate, build_certificate, certify_via_lambda,
                                certify_via_sharp_k, classify, is_prime_power,
-                               sabidussi_direct, search_regular_subgroup,
-                               table_certificate, verify_certificate)
+                               is_truncated_search, sabidussi_direct,
+                               search_regular_subgroup, table_certificate,
+                               verify_certificate)
 from starcayley.pairs import (AutPair, PairGroup, aut_product, project_and_kernel,
                               symmetric_nu_group)
 from starcayley.perm import (Perm, PermGroup, StabChain, closure, cycle_type,
@@ -169,6 +170,23 @@ def test_build_certificate_strategies():
     assert build_certificate(7, 1).verdict == "Cayley"
     cert = build_certificate(6, 4)  # n=k+2 with no wired witness
     assert cert.verdict == "Cayley" and cert.method == "ClassificationTable"
+
+
+def test_k2_and_k3_witnesses_are_gated_by_the_element_cap():
+    # the witness has order P(n,k): 9 * 8 = 72 for (9,2), 9 * 8 * 7 = 504 for (9,3)
+    assert build_certificate(9, 2, element_cap=72).method == "DirectRegularAction"
+    assert build_certificate(9, 2, element_cap=71).method == "ClassificationTable"
+    assert build_certificate(9, 3, element_cap=504).method == "DirectRegularAction"
+    assert build_certificate(9, 3, element_cap=503).method == "ClassificationTable"
+
+
+def test_truncated_search_predicate():
+    truncated = search_regular_subgroup(6, 2, time_limit=0.0)
+    assert is_truncated_search(truncated)
+    assert not is_truncated_search(build_certificate(6, 2))
+    assert not is_truncated_search(search_regular_subgroup(4, 2, max_gens=0))
+    forged = Certificate(6, 2, "NotCayley", truncated.method, None, truncated.checks)
+    assert not is_truncated_search(forged)
 
 
 def test_constructive_verdicts_match_classification():

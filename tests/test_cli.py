@@ -279,3 +279,39 @@ def test_check_replays_a_refutation_written_before_the_conjugacy_reduction(capsy
     code, out, _ = run_cli(capsys, "check", str(path))
     assert code == 0
     assert out == "certificate reproduced: (6,2) NotCayley via ExhaustiveSearchRefutation\n"
+
+
+def test_certify_k2_above_the_old_field_cap_and_check(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run_cli(capsys, "certify", "1031", "2", "--out", str(cert_path))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] == "Cayley"
+    assert payload["method"] == "DirectRegularAction"
+    code, out, _ = run_cli(capsys, "check", str(cert_path))
+    assert code == 0
+    assert out == "certificate reproduced: (1031,2) Cayley via DirectRegularAction\n"
+
+
+def test_check_on_a_truncated_search_exits_3_without_searching(tmp_path, capsys, monkeypatch):
+    cert_path = tmp_path / "t.json"
+    code, out, _ = run_cli(capsys, "certify", "6", "2", "--time-limit", "0",
+                           "--out", str(cert_path))
+    assert code == 3
+    assert json.loads(out)["verdict"] == "Unknown"
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("check re-ran the search")
+
+    monkeypatch.setattr(cli, "verify_certificate", no_search)
+    code, out, err = run_cli(capsys, "check", str(cert_path))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("budget exhausted")
+
+
+def test_certify_has_no_vertex_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "5", "2", "--budget-vertices", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget-vertices" in capsys.readouterr().err

@@ -141,3 +141,51 @@ def test_field_serialization():
     data = f.to_dict()
     assert data == {"p": 2, "m": 5, "modulus": [1, 0, 1, 0, 0, 1]}
     assert Field.from_dict(data) == f
+
+
+ORACLE_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (31, 1), (2, 5)]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS, ids=lambda v: str(v))
+def test_log_table_products_match_polynomial_products(p, m):
+    f = field(p, m)
+    for x in f.elements():
+        for y in f.elements():
+            assert f.mul(x, y) == f._mul_slow(x, y), (x, y)
+
+
+def _brute_order(f: Field, x: int) -> int:
+    o, y = 1, x
+    while y != 1:
+        y = f._mul_slow(y, x)
+        o += 1
+    return o
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS, ids=lambda v: str(v))
+def test_primitive_element_is_the_smallest_of_full_order(p, m):
+    f = field(p, m)
+    g = next(x for x in range(1, f.q) if _brute_order(f, x) == f.q - 1)
+    assert f.primitive_element() == g
+    assert all(f.mult_order(x) == _brute_order(f, x) for x in range(1, f.q))
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS, ids=lambda v: str(v))
+def test_inverse_power_and_frobenius_match_repeated_products(p, m):
+    f = field(p, m)
+    for x in range(1, f.q):
+        assert f._mul_slow(x, f.inv(x)) == 1
+        y = 1
+        for e in range(2 * f.q):
+            assert f.pow(x, e) == y
+            y = f._mul_slow(y, x)
+        assert f.frobenius(x) == f.pow(x, p)
+    assert f.pow(0, 0) == 1 and f.pow(0, 3) == 0 and f.frobenius(0) == 0
+
+
+def test_field_above_the_old_table_cap():
+    f = Field(1031, 1)
+    assert f.q == 1031
+    for x in range(1, f.q):
+        assert f.mul(x, f.inv(x)) == 1
+    assert f.add(1030, 2) == 1 and f.sub(0, 1) == 1030 and f.neg(5) == 1026
