@@ -24,13 +24,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from itertools import permutations
-from typing import Sequence
 
 from .gf import factorize, is_prime_power
 from .pairs import AutPair, PairGroup, aut_order, nu_tail, symmetric_nu_group
 from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
-                   canonical_flag, closure, cycle_type, flag_count,
-                   flag_stabilizer, is_k_transitive, orbit)
+                   canonical_flag, cycle_type, flag_count, flag_stabilizer,
+                   is_k_transitive, orbit)
 
 VERDICT_CAYLEY = "Cayley"
 VERDICT_NOT_CAYLEY = "NotCayley"
@@ -331,25 +330,23 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
         allowed = set(candidates)
         allowed.add(identity)
 
-        def grow(gens):
+        def grow(gens) -> bool:
             seen = orbit([identity], gens, limit=target, allowed=allowed)
-            return seen if seen is not None and len(seen) == target else None
+            return seen is not None and len(seen) == target
 
         for i, g in enumerate(firsts if max_gens >= 1 else ()):
             if i % DEADLINE_STRIDE == 0:
                 check_clock("one-generator growth", f"candidate {i}/{total}")
-            elements = grow((g,))
-            if elements:
-                return _search_hit(n, k, elements, (g,), len(candidates))
+            if grow((g,)):
+                return _search_hit(n, k, (g,), len(candidates))
         steps = 0
         for i, a in enumerate(firsts if max_gens >= 2 else ()):
             for b in candidates if up_to_conjugacy else candidates[i + 1:]:
                 if steps % DEADLINE_STRIDE == 0:
                     check_clock("two-generator growth", f"pair {i}/{total}")
                 steps += 1
-                elements = grow((a, b))
-                if elements:
-                    return _search_hit(n, k, elements, (a, b), len(candidates))
+                if grow((a, b)):
+                    return _search_hit(n, k, (a, b), len(candidates))
     except TimeoutError as stop:
         return Certificate(
             n, k, VERDICT_UNKNOWN, METHOD_REFUTATION, None,
@@ -385,10 +382,9 @@ def is_truncated_search(cert: Certificate) -> bool:
             and cert.checks == (("search_space_exhausted", False),))
 
 
-def _search_hit(n, k, elements, gens, candidate_count) -> Certificate:
-    group = PairGroup.from_flats(n, k, elements,
-                                 [AutPair.from_flat(g, n) for g in gens],
-                                 name=f"search-regular({n},{k})")
+def _search_hit(n, k, gens, candidate_count) -> Certificate:
+    group = PairGroup.generate(n, k, [AutPair.from_flat(g, n) for g in gens],
+                               name=f"search-regular({n},{k})")
     cert = sabidussi_direct(group, n, k)
     notes = (f"found among {candidate_count} fixed-point-free candidates",)
     return Certificate(cert.n, cert.k, cert.verdict, cert.method,
@@ -461,7 +457,7 @@ def verify_certificate(cert: Certificate,
     n, k = cert.n, cert.k
     if cert.method == METHOD_DIRECT:
         gens = [AutPair.from_dict(g) for g in cert.witness["generators"]]
-        group = _generated_pair_group(n, k, gens, cap, cert.witness.get("name"))
+        group = PairGroup.generate(n, k, gens, cap=cap, name=cert.witness.get("name"))
         fresh = sabidussi_direct(group, n, k)
     elif cert.method == METHOD_SHARP_K:
         h = PermGroup.from_dict(cert.witness, cap=cap)
@@ -478,19 +474,3 @@ def verify_certificate(cert: Certificate,
         raise ValueError(f"unknown certificate method {cert.method!r}")
     reproduced = (fresh.verdict == cert.verdict and fresh.checks == cert.checks)
     return reproduced, fresh
-
-
-def _generated_pair_group(n: int, k: int, gens: Sequence[AutPair], cap: int,
-                          name: str | None) -> PairGroup:
-    """The group the recorded pairs generate.  When every generator has mu = 1
-    or nu = 1 it is <mus> x <nus>, built from its factors as certify builds
-    it; any other generating set is closed as a whole."""
-    if not all(g.mu.is_identity() or g.nu.is_identity() for g in gens):
-        return PairGroup.generate(n, k, gens, cap=cap, name=name)
-    mus = [g.mu for g in gens if g.nu.is_identity()]
-    nus = [g.nu for g in gens if not g.nu.is_identity()]
-    h = closure(mus, cap=cap) if mus else PermGroup.trivial(n)
-    t = closure(nus, cap=cap) if nus else None
-    if h.order * (t.order if t else 1) > cap:
-        raise CapExceeded(f"pair closure exceeded cap={cap}")
-    return PairGroup.direct_product(h, k, t, name=name)

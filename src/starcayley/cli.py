@@ -3,8 +3,10 @@
 Subcommands: graph, classify, certify, check, zsigmondy, verify-lemmas.
 Exit codes: 0 all checks pass / verdict delivered; 2 a recorded claim failed
 to reproduce, or a certificate or checkpoint is malformed or cannot be read
-or written (one line on stderr); 3 a budget was exhausted.  Output is
-deterministic: fixed point orders, fixed field moduli, no randomness anywhere.
+or written (one line on stderr), or the arguments are malformed, such as an
+(n,k) without 1 <= k < n (argparse's usage line); 3 a budget was exhausted.
+Output is deterministic: fixed point orders, fixed field moduli, no
+randomness anywhere.
 """
 
 from __future__ import annotations
@@ -291,7 +293,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if "k" in vars(args) and not 1 <= args.k < args.n:
+        parser.error(f"{args.command}: need 1 <= k < n, got n={args.n}, k={args.k}")
     return args.func(args)
 
 

@@ -13,19 +13,24 @@ Closures and the search treat a pair as a *flat* tuple, a permutation of
 n+k-1 points: mu on 1..n, and point n+i-1 -> n+nu(i)-1 for 2 <= i <= k.
 S_n x S_{k-1} is then a subgroup of S_{n+k-1} whose product is the
 permutation product, and sorting flat tuples orders pairs by (mu, nu).  Only
-this module knows that layout.  A :class:`PairGroup` holds its pairs as
-image tuples bucketed by nu; :class:`AutPair` is the public, serialised
-view, built only at the boundary.
+this module knows that layout.  A :class:`PairGroup` is a direct product
+kept as its two factors, or one stabiliser chain on the flat points, and
+neither lists a pair.  A pair fixes the base vertex [1..k] iff mu(j) = nu(j)
+for j <= k.  The elements of a chain that map its first base points to given
+images are none or one coset of the pointwise stabiliser of those points, so
+the pairs fixing [1..k] are counted as that stabiliser's order times the
+number of wanted images some element has.  :class:`AutPair` is the public,
+serialised view, built only at the boundary.
 """
 
 from __future__ import annotations
 
 import math
 from math import lcm
-from operator import countOf, itemgetter
 from typing import Iterator, Sequence
 
-from .perm import DEFAULT_ELEMENT_CAP, CapExceeded, Perm, PermGroup, orbit
+from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, Perm, PermGroup, StabChain,
+                   closure, orbit)
 
 
 def nu_is_admissible(nu: Perm, k: int) -> bool:
@@ -44,11 +49,6 @@ class AutPair:
         self.mu = mu
         self.nu = nu
         self._hash = hash((mu.images, nu.images))
-
-    @classmethod
-    def identity(cls, n: int) -> "AutPair":
-        e = Perm.identity(n)
-        return cls(e, e)
 
     @property
     def degree(self) -> int:
@@ -105,28 +105,28 @@ class AutPair:
 class PairGroup:
     """A subgroup of S_n x S_{k-1}, the automorphism group of the star graph.
 
-    A direct product H x T keeps its two factors and lists no pair: its
-    order is |H| |T|, and :meth:`base_stabilizer_order` reads H's chain.
-    Any other group is a tuple of (nu, mus) buckets, one per nu component:
-    nu is a degree-n image tuple and mus the sorted image tuples of the mu
-    components paired with it.  A product builds its buckets, all sharing
-    H's element tuple, only when :meth:`grouped_by_nu` or :meth:`iter_pairs`
-    asks for them.  :class:`AutPair` objects are built only by
-    :meth:`iter_pairs` and for the generators.
+    A direct product H x T keeps its two factors: its order is |H| |T|, and
+    :meth:`base_stabilizer_order` reads H's chain.  Any other group is one
+    :class:`StabChain` on the n+k-1 flat points, on the base 1..k,
+    n+1..n+k-1, then the rest, which gives the order and membership.
+    Neither shape lists a pair; :meth:`iter_pairs` builds them on demand.
+    :class:`AutPair` objects are built only by :meth:`iter_pairs` and for the
+    generators.
     """
 
-    __slots__ = ("n", "k", "name", "generators", "_buckets", "_factors", "order")
+    __slots__ = ("n", "k", "name", "generators", "_factors", "_chain", "order")
 
-    def __init__(self, n: int, k: int, buckets, generators: Sequence[AutPair],
-                 name: str | None = None, factors: tuple | None = None):
+    def __init__(self, n: int, k: int, generators: Sequence[AutPair],
+                 name: str | None = None, factors: tuple | None = None,
+                 chain: StabChain | None = None):
         self.n = n
         self.k = k
         self.name = name
         self.generators = tuple(generators)
         self._factors = factors
-        self._buckets = None if factors else tuple(buckets)
+        self._chain = chain
         self.order = (math.prod(f.order for f in factors) if factors
-                      else sum(len(mus) for _, mus in self._buckets))
+                      else chain.order())
 
     # -- constructors -------------------------------------------------------
 
@@ -150,68 +150,60 @@ class PairGroup:
         gens = tuple(AutPair(g, e) for g in mu_group.generators)
         gens += tuple(AutPair(e, s) for s in nu_group.generators
                       if not s.is_identity())
-        if not gens:
-            gens = (AutPair.identity(n),)
         if name is None:
             name = mu_group.name or "H"
             if nu_group.order > 1:
                 name = f"{name} x S_{k - 1}"
-        return cls(n, k, None, gens, name, factors=(mu_group, nu_group))
-
-    @classmethod
-    def from_flats(cls, n: int, k: int, flats, generators: Sequence[AutPair],
-                   name: str | None = None) -> "PairGroup":
-        """The group whose elements are the given flat pairs, bucketed by nu."""
-        buckets: dict[tuple, list[tuple]] = {}
-        for f in flats:
-            buckets.setdefault(f[n:], []).append(f[:n])
-        return cls(n, k, ((_nu_of_tail(tail, n), tuple(sorted(mus)))
-                          for tail, mus in sorted(buckets.items())),
-                   generators, name)
+        return cls(n, k, gens, name, factors=(mu_group, nu_group))
 
     @classmethod
     def generate(cls, n: int, k: int, generators: Sequence[AutPair],
                  cap: int = DEFAULT_ELEMENT_CAP, name=None) -> "PairGroup":
-        """Breadth-first closure of generating pairs, as flat tuples."""
+        """The group the pairs generate, closed as one :class:`StabChain` on
+        the flat points, on the base 1..k, n+1..n+k-1, then the rest."""
         for g in generators:
             if g.degree != n or not nu_is_admissible(g.nu, k):
                 raise ValueError(f"{g!r} is not a pair for the ({n},{k})-star graph")
-        flats = orbit([tuple(range(1, n + k))], [g.flat(k) for g in generators],
-                      limit=cap)
-        if flats is None:
-            raise CapExceeded(f"pair closure exceeded cap={cap}")
-        return cls.from_flats(n, k, flats, generators, name)
+        chain = StabChain(n + k - 1, [g.flat(k) for g in generators],
+                          tuple(range(1, k + 1)) + tuple(range(n + 1, n + k)))
+        if chain.order() > cap:
+            raise CapExceeded(f"pair closure of order {chain.order()} exceeds cap={cap}")
+        return cls(n, k, generators, name, chain=chain)
 
     # -- queries -------------------------------------------------------------
 
-    def grouped_by_nu(self) -> tuple[tuple[tuple, tuple], ...]:
-        """The (nu, mus) buckets of image tuples, in increasing nu order."""
-        if self._buckets is None:
-            h, t = self._factors
-            self._buckets = tuple((nu, h.elements) for nu in t.elements)
-        return self._buckets
+    def _tails(self) -> set[tuple]:
+        """The flat images of n+1..n+k-1 under the pairs: the orbit of that
+        tuple under the flat generators, at most (k-1)! tuples."""
+        n, k = self.n, self.k
+        if k == 1:
+            return {()}
+        return orbit([tuple(range(n + 1, n + k))], [g.flat(k) for g in self.generators])
 
     def base_stabilizer_order(self) -> int:
-        """How many pairs fix the base vertex [1..k], i.e. have mu(j) = nu(j)
-        for j <= k.  In a product H x T the mus agreeing with one nu on 1..k
-        are none or a coset of H_(1..k), so the count is |H_(1..k)| times the
-        number of nu in T whose images of 1..k some element of H has.  Those
-        images are T's orbit of (1..k), which holds |T| tuples."""
+        """How many pairs fix the base vertex [1..k], counted by cosets (see
+        the module notes).  In a product H x T the wanted images of 1..k are
+        T's orbit of (1..k), read against H's chain.  On the flat chain they
+        are pi(tau) + tau, the images of the first 2k-1 base points, for each
+        tail tau, where pi(tau) is the nu that tau encodes, read on 1..k."""
         k = self.k
-        prefix = itemgetter(slice(k))
         if self._factors is None:
-            return sum(countOf(map(prefix, mus), nu[:k]) for nu, mus in self._buckets)
+            n, chain = self.n, self._chain
+            wanted = (_nu_of_tail(tail, n)[:k] + tail for tail in self._tails())
+            return chain.order(2 * k - 1) * sum(map(chain.has_base_image, wanted))
         h, t = self._factors
         chain = h.chain_from(range(1, k + 1))
-        nus = orbit([tuple(range(1, k + 1))], [prefix(g.images) for g in t.generators])
+        nus = orbit([tuple(range(1, k + 1))], [g.images[:k] for g in t.generators])
         return chain.order(k) * sum(map(chain.has_base_image, nus))
 
     def iter_pairs(self) -> Iterator[AutPair]:
-        """Every pair as an :class:`AutPair`, bucket by bucket."""
-        for nu_images, mus in self.grouped_by_nu():
-            nu = Perm._raw(nu_images)
-            for mu in mus:
-                yield AutPair(Perm._raw(mu), nu)
+        """Every pair as an :class:`AutPair`: a product's with nu outer and mu
+        inner, both in increasing order; a chain's in the order of
+        :meth:`StabChain.elements`."""
+        if self._factors is None:
+            return (AutPair.from_flat(f, self.n) for f in self._chain.elements())
+        h, t = self._factors
+        return (AutPair(Perm._raw(mu), nu) for nu in t for mu in h.elements)
 
     def __iter__(self) -> Iterator[AutPair]:
         return self.iter_pairs()
@@ -266,23 +258,21 @@ def aut_product(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP) -> PairGroup:
 def project_and_kernel(group: PairGroup) -> tuple[PermGroup, PermGroup]:
     """Split a pair group into its first-component image H and kernel part T.
 
-    H collects the distinct mu components; T collects the nu components of
-    pairs whose mu is the identity.  |H| * |T| = |G| is asserted, which is
-    the first-isomorphism-theorem bookkeeping for the projection onto S_n.
-    A direct product returns its own factors.
+    H is generated by the generators' mu components; T collects the nu
+    components of pairs whose mu is the identity, the tails tau whose flat
+    pair (1..n) + tau lies in the chain.  |H| * |T| = |G| is asserted, which
+    is the first-isomorphism-theorem bookkeeping for the projection onto
+    S_n.  A direct product returns its own factors.
     """
     if group._factors is not None:
         return group._factors
-    n = group.n
+    n, label = group.n, group.name or "G"
     identity = tuple(range(1, n + 1))
-    mus: set[tuple] = set()
-    kernel_nus = []
-    for nu, bucket in group.grouped_by_nu():
-        mus.update(bucket)
-        if identity in bucket:
-            kernel_nus.append(nu)
-    h = PermGroup.from_elements(mus, n, name=f"pi1({group.name or 'G'})")
-    t = PermGroup.from_elements(kernel_nus, n, name=f"ker({group.name or 'G'})")
+    h = closure([g.mu for g in group.generators] or [Perm._raw(identity)],
+                name=f"pi1({label})")
+    kernel_nus = [_nu_of_tail(tail, n) for tail in group._tails()
+                  if identity + tail in group._chain]
+    t = PermGroup.from_elements(kernel_nus, n, name=f"ker({label})")
     if h.order * t.order != group.order:
         raise AssertionError(
             f"|H| * |T| = {h.order} * {t.order} != |G| = {group.order}")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starcayley import cayley
+from starcayley import pairs as pairs_mod
 from starcayley.cayley import (Certificate, build_certificate, certify_via_lambda,
                                certify_via_sharp_k, classify, is_prime_power,
                                is_truncated_search, sabidussi_direct,
@@ -134,8 +135,7 @@ def test_search_finds_regular_subgroup_52():
     # is 2-homogeneous
     gens = cert.witness["generators"]
     assert len(gens) >= 1
-    import starcayley.pairs as pairs_mod
-    pair_gens = [pairs_mod.AutPair.from_dict(g) for g in gens]
+    pair_gens = [AutPair.from_dict(g) for g in gens]
     group = PairGroup.generate(5, 2, pair_gens)
     assert group.order == 20
     h, _ = project_and_kernel(group)
@@ -199,7 +199,7 @@ def test_constructive_verdicts_match_classification():
 
 
 # ---------------------------------------------------------------------------
-# the flat-pair search and the product-shape rebuild in verify_certificate
+# the flat-pair search, and verify_certificate's closure of the witness pairs
 
 
 def _fixes_a_vertex_by_scan(pair, n, k):
@@ -256,7 +256,7 @@ def test_build_then_verify_round_trip(n, k, force_search):
     assert reproduced, fresh
 
 
-def _generic_closures(monkeypatch):
+def _generate_calls(monkeypatch):
     calls = []
     generate = PairGroup.generate.__func__
 
@@ -274,7 +274,7 @@ def _with_generators(cert, generators):
 
 
 def test_tampered_product_witness_fails_to_reproduce(monkeypatch):
-    calls = _generic_closures(monkeypatch)
+    calls = _generate_calls(monkeypatch)
     cert = build_certificate(9, 4)
     gens = cert.witness["generators"]
     assert verify_certificate(cert)[0]
@@ -283,19 +283,64 @@ def test_tampered_product_witness_fails_to_reproduce(monkeypatch):
     # swap the first mu for a copy of the second: H shrinks
     wrong = [dict(gens[0], mu=gens[1]["mu"])] + gens[1:]
     assert not verify_certificate(_with_generators(cert, wrong))[0]
-    # every one of these witnesses is product-shaped
-    assert calls == []
+    # every witness, product-shaped or not, is closed as one flat chain
+    assert calls == [(9, 4)] * 3
+
+
+def _with_a_mixed_pair(cert):
+    """cert with one more generator that pairs its first mu with its last nu."""
+    gens = cert.witness["generators"]
+    mixed = {"mu": gens[0]["mu"], "nu": gens[-1]["nu"]}
+    identity = list(range(1, cert.n + 1))
+    assert mixed["nu"] != identity and mixed["mu"] != identity
+    return _with_generators(cert, gens + [mixed])
 
 
 def test_mixed_generator_witness_takes_generic_path(monkeypatch):
-    calls = _generic_closures(monkeypatch)
-    cert = build_certificate(9, 4)
-    gens = cert.witness["generators"]
-    mixed = {"mu": gens[0]["mu"], "nu": gens[-1]["nu"]}
-    assert mixed["nu"] != list(range(1, 10)) and mixed["mu"] != list(range(1, 10))
-    reproduced, fresh = verify_certificate(_with_generators(cert, gens + [mixed]))
+    calls = _generate_calls(monkeypatch)
+    reproduced, fresh = verify_certificate(_with_a_mixed_pair(build_certificate(9, 4)))
     assert reproduced, fresh
     assert calls == [(9, 4)]
+
+
+def test_mixed_generator_witness_lists_no_pair(monkeypatch):
+    # a (6,4) search hit and the (9,4) witness with a mixed pair added: each
+    # is closed as one chain, and only the tails, at most (k-1)! of them,
+    # are listed
+    mixed = _with_a_mixed_pair(build_certificate(9, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group's elements were listed")
+
+    monkeypatch.setattr(StabChain, "elements", refuse)
+    monkeypatch.setattr(PermGroup, "elements", property(refuse))
+    orbit = pairs_mod.orbit
+    largest = []
+
+    def counting(starts, generators, **kwargs):
+        seen = orbit(starts, generators, **kwargs)
+        largest.append(len(seen))
+        return seen
+
+    monkeypatch.setattr(pairs_mod, "orbit", counting)
+    hit = search_regular_subgroup(6, 4)
+    assert hit.verdict == "Cayley" and max(largest, default=0) <= math.factorial(3)
+    for witness in (hit, mixed):
+        largest.clear()
+        reproduced, fresh = verify_certificate(Certificate.from_json(witness.to_json()))
+        assert reproduced, fresh
+        assert largest and max(largest) <= math.factorial(witness.k - 1)
+
+
+def test_every_certificate_for_n_up_to_34_passes_check():
+    # all 558 pairs 4 <= n <= 34, 1 <= k < n, through the JSON text
+    failed = []
+    for n in range(4, 35):
+        for k in range(1, n):
+            text = build_certificate(n, k).to_json()
+            if not verify_certificate(Certificate.from_json(text))[0]:
+                failed.append((n, k))
+    assert failed == []
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +354,21 @@ def _sabidussi_by_ranks(group, n, k):
     pairs that fix [1..k]."""
     target = math.perm(n, k)
     base = tuple(range(1, k + 1))
-    identity = tuple(range(1, n + 1))
     hits = bytearray(target)
     collision = False
     base_fixers = 0
     identity_fixes_base = False
-    for nu, mus in group.grouped_by_nu():
+    for pair in group.iter_pairs():
+        mu, nu = pair.mu.images, pair.nu.images
         # vertex position i holds mu(a_{nu^-1(i)}); index() gives nu^-1(i) - 1
-        prefix = [nu.index(i) for i in range(1, k + 1)]
-        for mu in mus:
-            v = tuple(mu[j] for j in prefix)
-            r = rank(v, n)
-            if hits[r]:
-                collision = True
-            hits[r] = 1
-            if v == base:
-                base_fixers += 1
-                identity_fixes_base |= nu == identity and mu == identity
+        v = tuple(mu[nu.index(i)] for i in range(1, k + 1))
+        r = rank(v, n)
+        if hits[r]:
+            collision = True
+        hits[r] = 1
+        if v == base:
+            base_fixers += 1
+            identity_fixes_base |= pair.is_identity()
     order_ok = group.order == target
     bijective = not collision and sum(hits) == target and order_ok
     return (order_ok, base_fixers == 1 and identity_fixes_base, bijective), base_fixers
@@ -374,12 +417,12 @@ def test_counted_sabidussi_matches_the_rank_pass(h, n, k, t):
     expected, fixers = _sabidussi_by_ranks(product, n, k)
     assert product.base_stabilizer_order() == fixers
     assert _booleans(sabidussi_direct(product, n, k)) == expected
-    # the same group, closed from the same generators and held in buckets
-    bucketed = PairGroup.generate(n, k, product.generators)
-    assert bucketed.order == product.order
-    assert _sabidussi_by_ranks(bucketed, n, k) == (expected, fixers)
-    assert bucketed.base_stabilizer_order() == fixers
-    assert _booleans(sabidussi_direct(bucketed, n, k)) == expected
+    # the same group, closed from the same generators as one flat chain
+    flat = PairGroup.generate(n, k, product.generators)
+    assert flat.order == product.order
+    assert _sabidussi_by_ranks(flat, n, k) == (expected, fixers)
+    assert flat.base_stabilizer_order() == fixers
+    assert _booleans(sabidussi_direct(flat, n, k)) == expected
 
 
 def test_rank_oracle_sees_regular_and_non_regular_groups():
@@ -417,7 +460,11 @@ def test_counted_sabidussi_matches_the_rank_pass_on_random_pairs(case):
     assert group.base_stabilizer_order() == fixers
     assert _booleans(sabidussi_direct(group, n, k)) == expected
     if all(g.mu.is_identity() or g.nu.is_identity() for g in gens):
-        product = cayley._generated_pair_group(n, k, gens, 10**6, None)
+        mus = [g.mu for g in gens if g.nu.is_identity()]
+        nus = [g.nu for g in gens if not g.nu.is_identity()]
+        product = PairGroup.direct_product(
+            closure(mus) if mus else PermGroup.trivial(n), k,
+            closure(nus) if nus else None)
         assert product.order == group.order
         assert product.base_stabilizer_order() == fixers
         assert _booleans(sabidussi_direct(product, n, k)) == expected
@@ -523,7 +570,8 @@ def test_refutation_without_the_reduction_replays_the_full_search(monkeypatch):
 
 def test_trivial_nu_factor_costs_one_base_image_sift(monkeypatch):
     # A_20 is sharply 18-transitive, and (1 2 3), (2 3 ... 20) generate it;
-    # with nu = 1 the stabiliser count must not walk the 17! permutations of 2..18
+    # with nu = 1 the stabiliser count must not walk the 17! permutations of
+    # 2..18: the one tail 21..37 is sifted with the prefix 1..18 it encodes
     n, k = 20, 18
     e = list(range(1, n + 1))
     three_cycle = [2, 3, 1] + e[3:]
@@ -547,4 +595,4 @@ def test_trivial_nu_factor_costs_one_base_image_sift(monkeypatch):
     reproduced, fresh = verify_certificate(cert, cap=10**19)
     assert reproduced, fresh
     assert time.perf_counter() - start < 1.0
-    assert sifts == [tuple(range(1, k + 1))]
+    assert sifts == [tuple(range(1, k + 1)) + tuple(range(n + 1, n + k))]

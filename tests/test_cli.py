@@ -315,3 +315,15 @@ def test_certify_has_no_vertex_budget(capsys):
         main(["certify", "5", "2", "--budget-vertices", "100"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --budget-vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["certify", "3", "5"], ["graph", "3", "5"],
+                                  ["certify", "5", "0"]])
+def test_n_k_outside_1_le_k_lt_n_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: starcayley")
+    assert f"{argv[0]}: need 1 <= k < n, got n={argv[1]}, k={argv[2]}" in captured.err

@@ -65,11 +65,48 @@ def test_pair_closure():
     assert g.order == 4
 
 
+def test_generated_group_is_one_flat_chain():
+    n, k = 5, 3
+    e, swap = Perm.identity(n), Perm.from_cycles(n, (2, 3))
+    # (1 2) paired with nu = (2 3), and nu = (2 3) alone: order 4
+    g = PairGroup.generate(n, k, [AutPair(Perm.from_cycles(n, (1, 2)), swap),
+                                  AutPair(e, swap)])
+    assert g.order == 4
+    assert g._chain.base[:2 * k - 1] == (1, 2, 3, 6, 7)
+    pairs = set(g.iter_pairs())
+    assert len(pairs) == 4 and AutPair(Perm.from_cycles(n, (1, 2)), e) in pairs
+    # only the identity has mu(j) = nu(j) for j <= 3
+    assert g.base_stabilizer_order() == 1
+    h, t = project_and_kernel(g)
+    assert h.order == 2 and set(t.elements) == {e.images, swap.images}
+    with pytest.raises(CapExceeded):
+        PairGroup.generate(n, k, g.generators, cap=3)
+
+
+def test_generated_group_edge_cases():
+    # no generator: the trivial group
+    trivial = PairGroup.generate(5, 3, [])
+    assert trivial.order == 1 == trivial.base_stabilizer_order()
+    assert list(trivial.iter_pairs()) == [AutPair(Perm.identity(5), Perm.identity(5))]
+    # k = 1: the tail is empty, and the fixers of [1] are the stabiliser of 1
+    e = Perm.identity(5)
+    s5 = PairGroup.generate(5, 1, [AutPair(Perm.from_cycles(5, (1, 2)), e),
+                                   AutPair(Perm.from_cycles(5, (1, 2, 3, 4, 5)), e)])
+    assert s5.order == 120 and s5.base_stabilizer_order() == 24
+    h, t = project_and_kernel(s5)
+    assert h.order == 120 and t.order == 1
+
+
 def test_grouped_by_nu_generic():
     g = PairGroup.direct_product(psl2(8), 4, symmetric_nu_group(9, 4))
-    buckets = g.grouped_by_nu()
-    assert len(buckets) == 6
-    assert all(len(mus) == 504 for _, mus in buckets)
+    mus_by_nu = {}
+    for pair in g.iter_pairs():
+        mus_by_nu.setdefault(pair.nu.images, []).append(pair.mu.images)
+    assert len(mus_by_nu) == 6
+    assert all(len(set(mus)) == 504 for mus in mus_by_nu.values())
+    # nu outer, mu inner, both in increasing order
+    order = [(pair.nu.images, pair.mu.images) for pair in g.iter_pairs()]
+    assert order == sorted(order)
 
 
 def test_flat_encoding_is_a_faithful_permutation_of_n_plus_k_minus_1_points():
