@@ -1,30 +1,35 @@
 """starcayley: (n,k)-star graphs, Cayley certification, and the supporting
 group-theoretic and number-theoretic verification battery."""
 
-from .perm import (CapExceeded, Flag, Lambda, Perm, PermGroup, canonical_flag,
-                   closure, compose, flag_count, flag_stabilizer,
-                   is_k_homogeneous, is_k_transitive,
-                   is_sharply_k_transitive, is_sharply_lambda_transitive,
-                   orbit_of_set, orbit_of_tuple)
-from .pairs import (AutPair, PairGroup, aut_product, project_and_kernel,
-                    symmetric_nu_group)
-from .stargraph import (EdgeKind, StarGraph, apply_automorphism,
-                        brute_force_automorphism_count, build, edge_kind,
-                        is_edge_in_triangle, rank, residual_neighbors,
-                        six_cycles_through, star_neighbors,
-                        transposition_identity_check, unrank)
-from .gf import Field, ProjPoint, SemilinearMap, field, field_of_order, proj_line
-from .cayley import (Certificate, ClassificationResult, build_certificate,
-                     certify_via_lambda, certify_via_sharp_k, classify,
-                     is_prime_power, sabidussi_direct, search_regular_subgroup,
-                     table_certificate, verify_certificate)
-from . import numbers
-
 __version__ = "0.1.0"
 
-# Imported on first use: no command needs them at start-up, and every
-# process pays for each module it imports.
+# The default budgets live here, so that the CLI can set its argparse
+# defaults without importing the modules that enforce them.
+DEFAULT_ELEMENT_CAP = 2_000_000
+DEFAULT_VERTEX_CAP = 2_000_000
+
+# Every re-export is imported on first use: each process pays for each module
+# it imports, and no command needs all of them.
 _LAZY = {name: module for module, names in [
+    ("perm", ("CapExceeded", "Flag", "Lambda", "Perm", "PermGroup",
+              "canonical_flag", "closure", "compose", "flag_count",
+              "flag_stabilizer", "is_k_homogeneous", "is_k_transitive",
+              "is_sharply_k_transitive", "is_sharply_lambda_transitive",
+              "orbit_of_set", "orbit_of_tuple")),
+    ("pairs", ("AutPair", "PairGroup", "aut_product", "project_and_kernel",
+               "symmetric_nu_group")),
+    ("stargraph", ("EdgeKind", "StarGraph", "apply_automorphism",
+                   "brute_force_automorphism_count", "build", "edge_kind",
+                   "is_edge_in_triangle", "rank", "residual_neighbors",
+                   "six_cycles_through", "star_neighbors",
+                   "transposition_identity_check", "unrank")),
+    ("gf", ("Field", "ProjPoint", "SemilinearMap", "field", "field_of_order",
+            "proj_line")),
+    ("cayley", ("Certificate", "ClassificationResult", "build_certificate",
+                "certify_via_lambda", "certify_via_sharp_k", "classify",
+                "is_prime_power", "sabidussi_direct", "search_regular_subgroup",
+                "table_certificate", "verify_certificate")),
+    ("numbers", ("numbers",)),
     ("witness_groups", ("agammal1", "agl", "agl1", "mathieu11", "mathieu12",
                         "pgammal2", "pgl2", "psl2")),
     ("case_elim", ("CaseFamily", "CaseRecord", "eliminate_case",
@@ -37,7 +42,8 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    loaded = import_module(f"{__name__}.{module}")
+    return loaded if name == module else getattr(loaded, name)
 
 __all__ = [
     "AutPair", "CapExceeded", "CaseFamily", "CaseRecord", "Certificate",

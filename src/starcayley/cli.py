@@ -4,7 +4,8 @@ Subcommands: graph, classify, certify, check, zsigmondy, verify-lemmas.
 Exit codes: 0 all checks pass / verdict delivered; 2 a recorded claim failed
 to reproduce, or a certificate or checkpoint is malformed or cannot be read
 or written (one line on stderr), or the arguments are malformed, such as an
-(n,k) without 1 <= k < n (argparse's usage line); 3 a budget was exhausted.
+(n,k) without 1 <= k < n, a budget below 1 or an empty --d range (argparse's
+usage line); 3 a budget was exhausted.
 Output is deterministic: fixed point orders, fixed field moduli, no
 randomness anywhere.
 """
@@ -18,12 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import numbers
-from .cayley import (Certificate, build_certificate, classify,
-                     is_truncated_search, verify_certificate)
-from .perm import DEFAULT_ELEMENT_CAP, CapExceeded
-from .stargraph import (DEFAULT_VERTEX_CAP, GraphSizeExceeded, build,
-                        edge_list_lines, to_dot)
+from . import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -33,7 +29,10 @@ EXIT_BUDGET = 3
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty range {text}: need LO <= HI")
+        return lo, hi
     v = int(text)
     return v, v
 
@@ -45,7 +44,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Each command imports only the modules it needs: every process pays for
+# the modules it imports, and bytecode caching may be off.  Where bytecode is
+# not cached, compiling perm, the largest module, before the modules that
+# import it keeps a process's peak memory lower, so perm comes first.
+
+
 def cmd_graph(args) -> int:
+    from .stargraph import GraphSizeExceeded, build, edge_list_lines, to_dot
     try:
         graph = build(args.n, args.k, vertex_cap=args.budget_vertices)
     except GraphSizeExceeded as exc:
@@ -79,6 +85,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .cayley import classify
     if args.n_max < 4:
         print("need --n-max >= 4", file=sys.stderr)
         return EXIT_MISMATCH
@@ -100,6 +107,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .perm import CapExceeded
+    from .cayley import build_certificate, classify, is_truncated_search
     try:
         cert = build_certificate(args.n, args.k,
                                  force_search=args.force_search,
@@ -137,6 +146,8 @@ def _check_entry(checks: tuple, i: int) -> str:
 
 
 def cmd_check(args) -> int:
+    from .perm import CapExceeded
+    from .cayley import Certificate, is_truncated_search, verify_certificate
     try:
         cert = Certificate.from_json(Path(args.certificate).read_text())
         if is_truncated_search(cert):
@@ -182,6 +193,7 @@ def _write_checkpoint(path: Path, d: int) -> None:
 
 
 def cmd_zsigmondy(args) -> int:
+    from . import numbers
     start = 3
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
     try:
@@ -220,6 +232,7 @@ def cmd_zsigmondy(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    from . import numbers
     lo, hi = args.d
     ok = True
     for d in range(lo, hi + 1):
@@ -254,7 +267,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="dot", choices=["dot", "edges", "json"])
     p.add_argument("--stats", action="store_true",
                    help="print vertex count, degree split and triangle census")
-    p.add_argument("--budget-vertices", type=int, default=DEFAULT_VERTEX_CAP)
+    p.add_argument("--budget-vertices", type=_positive_int,
+                   default=DEFAULT_VERTEX_CAP)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("classify", help="print the Cayley classification table")
@@ -266,7 +280,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--force-search", action="store_true")
-    p.add_argument("--budget-elements", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--budget-elements", type=_positive_int,
+                   default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--time-limit", type=float, default=None,
                    help="seconds before a search truncates to Unknown")
     p.add_argument("--out", help="also write the certificate JSON to this path")
@@ -274,7 +289,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="re-run every check a certificate records")
     p.add_argument("certificate")
-    p.add_argument("--budget-elements", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--budget-elements", type=_positive_int,
+                   default=DEFAULT_ELEMENT_CAP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("zsigmondy",

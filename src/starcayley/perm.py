@@ -16,7 +16,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-DEFAULT_ELEMENT_CAP = 2_000_000
+from . import DEFAULT_ELEMENT_CAP
 
 
 class CapExceeded(RuntimeError):

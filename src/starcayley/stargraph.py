@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import deque
 from enum import Enum
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .pairs import AutPair
-from .perm import Perm
+from . import DEFAULT_VERTEX_CAP
 
-DEFAULT_VERTEX_CAP = 2_000_000
+if TYPE_CHECKING:
+    from .pairs import AutPair
+    from .perm import Perm
 
 KPerm = tuple[int, ...]
 
@@ -123,6 +126,9 @@ class StarGraph:
     The backbone is one flat index row per vertex with the k-1 star
     neighbors first and the n-k residual neighbors after them, so the edge
     kind is positional and the million-vertex graphs stay materializable.
+    :func:`build` makes each row from the row of the vertex's first k-1
+    labels in S(n,k-1), by one C-level pick, without looking up any
+    neighbour's label tuple.
     The kind-tagged ``adjacency`` view is built on first use and cached;
     every other query reads the rows.
 
@@ -194,20 +200,67 @@ class StarGraph:
         return self.k - 1, self.n - self.k
 
 
+def _extend_rows(parent_rows: Iterator[tuple[int, ...]], n: int, j: int,
+                 ranks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The rows of S(n,j) in rank order, from the rows of S(n,j-1).
+
+    A vertex v = P + (b,) has rank rank(P)*c + t, where c = n-j+1 and b is
+    the t-th smallest label missing from P; call ranks[g*c:(g+1)*c] the
+    group of prefix rank g.  Let s count the labels missing from P below
+    P[0].  Every neighbour of v lies in the group of an entry of P's row:
+    * the star neighbour that swaps v[0] and v[i], 1 <= i < j-1, at offset
+      t in the group of P's star neighbour that swaps P[0] and P[i];
+    * the star neighbour that swaps v[0] and b, (b,) + P[1:] + (P[0],), in
+      the group of P's t-th residual neighbour (b,) + P[1:], at offset
+      s - [t < s];
+    * the residual neighbour (y,) + P[1:] + (b,), y the u-th label missing
+      from P (u != t), in the group of P's u-th residual neighbour, at
+      offset t - [u < t] + [s <= t].
+    So v's row is one fixed itemgetter, picked by (s, t), applied to the
+    groups of P's row laid end to end.
+    """
+    c = n - j + 1
+    stars = j - 2
+    pickers = [[itemgetter(*(i * c + t for i in range(stars)),
+                           (stars + t) * c + s - (t < s),
+                           *((stars + u) * c + t - (u < t) + (s <= t)
+                             for u in range(c) if u != t))
+                for t in range(c)] for s in range(c + 1)]
+    for p, row in enumerate(parent_rows):
+        groups = tuple(itertools.chain.from_iterable(
+            [ranks[g * c:g * c + c] for g in row]))
+        for pick in pickers[bisect_left(row, p, stars) - stars]:
+            yield pick(groups)
+
+
 def build(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> StarGraph:
-    """Materialize the (n,k)-star graph, vertices indexed by lexicographic rank."""
+    """Materialize the (n,k)-star graph, vertices indexed by lexicographic rank.
+
+    No neighbour is looked up by its label tuple.  The rows grow one
+    position at a time from those of S(n,1) = K_n, each row of S(n,j) one
+    C-level pick from the row of its prefix in S(n,j-1) (see
+    :func:`_extend_rows`).  Rows of the levels below k hold fresh ints and
+    live only while their extensions are made; the rows of S(n,k) take
+    their ints from ``index``, so each rank is one object however many rows
+    hold it.
+    """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got ({n},{k})")
     count = math.perm(n, k)
     if count > vertex_cap:
         raise GraphSizeExceeded(
             f"P({n},{k}) = {count} exceeds vertex cap {vertex_cap}")
-    vertices = tuple(itertools.permutations(range(1, n + 1), k))
-    index = {v: i for i, v in enumerate(vertices)}
-    rows = [tuple(index[u] for u in star_neighbors(v))
-            + tuple(index[u] for u in residual_neighbors(v, n))
-            for v in vertices]
-    return StarGraph(n, k, vertices, index, rows)
+    index = {v: i for i, v in enumerate(itertools.permutations(range(1, n + 1), k))}
+    ranks = tuple(index.values())
+    first = ranks if k == 1 else range(n)
+    rows = ((*first[:a], *first[a + 1:]) for a in range(n))
+    for j in range(2, k + 1):
+        rows = _extend_rows(rows, n, j, ranks if j == k else range(math.perm(n, j)))
+    rows = list(rows)
+    # ranks is freed before the vertex tuple, which is as long, is made, so
+    # the tuple can reuse its memory and the build peaks at its output's size
+    del ranks
+    return StarGraph(n, k, tuple(index), index, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +269,7 @@ def build(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> StarGraph:
 
 def apply_automorphism(f: AutPair | tuple[Perm, Perm], v: Sequence[int]) -> KPerm:
     """Apply the pair action [a1..ak] -> [mu(a_{nu^-1(1)}), ..., mu(a_{nu^-1(k)})]."""
+    from .pairs import AutPair
     if not isinstance(f, AutPair):
         f = AutPair(*f)
     return f.apply(tuple(v))

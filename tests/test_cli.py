@@ -1,11 +1,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from starcayley import cli
+from starcayley import cayley, cli
 from starcayley.cli import main
 
 
@@ -151,6 +153,54 @@ def test_verify_lemmas_expected_failures(capsys):
     code, out, _ = run_cli(capsys, "verify-lemmas", "--d", "3..7")
     assert code == 0
     assert out.count("EXPECTED-FAIL ok") == 5
+
+
+def test_verify_lemmas_empty_range_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemmas", "--d", "9..3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: starcayley verify-lemmas")
+    assert "argument --d: empty range 9..3: need LO <= HI" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "5", "3", "--stats", "--budget-vertices"],
+    ["certify", "5", "2", "--budget-elements"],
+    ["check", "cert.json", "--budget-elements"],
+], ids=["graph-vertices", "certify-elements", "check-elements"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_budget_below_1_is_a_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: starcayley {argv[0]}")
+    assert f"argument {argv[-1]}: need an integer >= 1, got {value}" in captured.err
+
+
+_LOADED_MODULES = """
+import json, sys
+from starcayley.cli import main
+codes = [main(["zsigmondy", "--d-max", "10"]), main(["verify-lemmas", "--d", "8..9"])]
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+
+
+def test_arithmetic_commands_load_no_group_or_graph_module():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", _LOADED_MODULES],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert "starcayley.numbers" in loaded
+    for name in ("perm", "pairs", "cayley", "gf", "stargraph"):
+        assert f"starcayley.{name}" not in loaded
 
 
 @pytest.mark.parametrize("text", [
@@ -303,7 +353,7 @@ def test_check_on_a_truncated_search_exits_3_without_searching(tmp_path, capsys,
     def no_search(*args, **kwargs):
         raise AssertionError("check re-ran the search")
 
-    monkeypatch.setattr(cli, "verify_certificate", no_search)
+    monkeypatch.setattr(cayley, "verify_certificate", no_search)
     code, out, err = run_cli(capsys, "check", str(cert_path))
     assert code == 3
     assert out == ""

@@ -101,6 +101,25 @@ def test_neighbor_generators_match_graph():
         assert set(g.neighbors(v)) == expected
 
 
+def _rows_from_the_definition(graph):
+    index, n = graph.index, graph.n
+    return [tuple(index[u] for u in star_neighbors(v))
+            + tuple(index[u] for u in residual_neighbors(v, n))
+            for v in graph.vertices]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 9) for k in range(1, n)]
+                         + [(9, 5), (10, 3)])
+def test_build_matches_the_definition_row_for_row(n, k):
+    # k = 1 has no star part, k = n-1 a single residual neighbour, and k = 2
+    # a single star neighbour; the order inside each row is checked too
+    g = build(n, k)
+    vertices = tuple(permutations(range(1, n + 1), k))
+    assert g.vertices == vertices
+    assert g.index == {v: i for i, v in enumerate(vertices)}
+    assert g._rows == _rows_from_the_definition(g)
+
+
 def test_apply_automorphism_identity():
     f = AutPair(Perm.identity(6), Perm.identity(6))
     assert apply_automorphism(f, (3, 1, 4)) == (3, 1, 4)
