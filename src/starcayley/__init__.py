@@ -3,15 +3,25 @@ group-theoretic and number-theoretic verification battery."""
 
 __version__ = "0.1.0"
 
-# The default budgets live here, so that the CLI can set its argparse
-# defaults without importing the modules that enforce them.
+# The default budgets and the error an exhausted element budget raises live
+# here, so that the CLI can set its argparse defaults and report the error
+# without importing the modules that enforce them.
 DEFAULT_ELEMENT_CAP = 2_000_000
 DEFAULT_VERTEX_CAP = 2_000_000
+
+
+class CapExceeded(RuntimeError):
+    """An enumeration grew past its element cap.
+
+    Raised instead of silently truncating; callers that hit this should switch
+    to a certificate-based argument rather than full enumeration.
+    """
+
 
 # Every re-export is imported on first use: each process pays for each module
 # it imports, and no command needs all of them.
 _LAZY = {name: module for module, names in [
-    ("perm", ("CapExceeded", "Flag", "Lambda", "Perm", "PermGroup",
+    ("perm", ("Flag", "Lambda", "Perm", "PermGroup",
               "canonical_flag", "closure", "compose", "flag_count",
               "flag_stabilizer", "is_k_homogeneous", "is_k_transitive",
               "is_sharply_k_transitive", "is_sharply_lambda_transitive",
@@ -25,10 +35,11 @@ _LAZY = {name: module for module, names in [
                    "transposition_identity_check", "unrank")),
     ("gf", ("Field", "ProjPoint", "SemilinearMap", "field", "field_of_order",
             "proj_line")),
-    ("cayley", ("Certificate", "ClassificationResult", "build_certificate",
-                "certify_via_lambda", "certify_via_sharp_k", "classify",
-                "is_prime_power", "sabidussi_direct", "search_regular_subgroup",
-                "table_certificate", "verify_certificate")),
+    ("verdicts", ("Certificate", "ClassificationResult", "build_certificate",
+                  "classify", "is_prime_power", "table_certificate",
+                  "verify_certificate")),
+    ("cayley", ("certify_via_lambda", "certify_via_sharp_k", "sabidussi_direct",
+                "search_regular_subgroup")),
     ("numbers", ("numbers",)),
     ("witness_groups", ("agammal1", "agl", "agl1", "mathieu11", "mathieu12",
                         "pgammal2", "pgl2", "psl2")),

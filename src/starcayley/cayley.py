@@ -1,131 +1,34 @@
-"""Cayley-graph certification for (n,k)-star graphs.
+"""Machine checks behind Cayley certificates for (n,k)-star graphs.
 
-Three layers are kept deliberately separate:
-
-* :func:`classify` answers from the closed-form classification rule alone
-  (pure arithmetic plus a six-pair exceptional table) and never touches a
-  constructed object;
-* the ``certify_*`` / ``sabidussi_direct`` functions run machine checks on
-  explicit witness groups and report exactly what was verified;
-* :func:`search_regular_subgroup` searches the full automorphism group for a
-  regular subgroup, and may deliver a machine refutation when the search
-  space is provably exhausted.
-
-A verdict of ``"NotCayley"`` is only ever produced by the classification
-table (labeled as such) or by an exhausted search; a failed witness check
-yields ``"Unknown"``, because the absence of one witness proves nothing.
+The rule, the certificate record and the choice of route live in
+:mod:`starcayley.verdicts`.  Here the ``certify_*`` / ``sabidussi_direct``
+functions run machine checks on explicit witness groups and report exactly
+what was verified, and :func:`search_regular_subgroup` searches the full
+automorphism group for a regular subgroup; only an exhausted search may
+refute.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
 from itertools import permutations
 
-from .gf import factorize, is_prime_power
 from .pairs import AutPair, PairGroup, aut_order, nu_tail, symmetric_nu_group
 from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
                    canonical_flag, cycle_type, flag_count, flag_stabilizer,
                    is_k_transitive, orbit)
-
-VERDICT_CAYLEY = "Cayley"
-VERDICT_NOT_CAYLEY = "NotCayley"
-VERDICT_UNKNOWN = "Unknown"
-
-METHOD_DIRECT = "DirectRegularAction"
-METHOD_SHARP_K = "SharpKTransitiveWitness"
-METHOD_LAMBDA = "LambdaTransitiveWitness"
-METHOD_TABLE = "ClassificationTable"
-METHOD_REFUTATION = "ExhaustiveSearchRefutation"
-
-SPORADIC_CAYLEY_PAIRS = frozenset({(9, 4), (9, 6), (11, 4), (12, 5), (33, 4), (33, 30)})
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    n: int
-    k: int
-    is_cayley: bool
-    clause: str
-
-
-def classify(n: int, k: int) -> ClassificationResult:
-    """Decide Cayleyness of the (n,k)-star graph from the classification rule.
-
-    Clauses, first match wins: the degenerate graphs k=1 (complete graph) and
-    k=n-1 (star graph) are always Cayley; so is every n=k+2; for k=2 the
-    answer is "n is a prime power", for k=3 it is "n-1 is a prime power";
-    six exceptional pairs remain; everything else is not Cayley.
-    """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got ({n},{k})")
-    if k == 1:
-        return ClassificationResult(n, k, True, "k=1")
-    if k == n - 1:
-        return ClassificationResult(n, k, True, "k=n-1")
-    if n == k + 2:
-        return ClassificationResult(n, k, True, "n=k+2")
-    if k == 2:
-        if is_prime_power(n):
-            return ClassificationResult(n, k, True, "k=2-prime-power")
-        return ClassificationResult(n, k, False, "none")
-    if k == 3:
-        if is_prime_power(n - 1):
-            return ClassificationResult(n, k, True, "k=3-prime-power-successor")
-        return ClassificationResult(n, k, False, "none")
-    if (n, k) in SPORADIC_CAYLEY_PAIRS:
-        return ClassificationResult(n, k, True, "sporadic")
-    return ClassificationResult(n, k, False, "none")
+from .verdicts import (METHOD_DIRECT, METHOD_LAMBDA, METHOD_REFUTATION,
+                       METHOD_SHARP_K, VERDICT_CAYLEY, VERDICT_NOT_CAYLEY,
+                       VERDICT_UNKNOWN, _FULL_SEARCH_CHECK, Certificate, factorize)
+# re-exported for callers that read the rule and the dispatch from here
+from .verdicts import (build_certificate, classify, is_prime_power,
+                       is_truncated_search, table_certificate, verify_certificate)
 
 
 # ---------------------------------------------------------------------------
-# certificates
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A machine-checkable record of why the (n,k)-star graph is or is not Cayley."""
-
-    n: int
-    k: int
-    verdict: str
-    method: str
-    witness: dict | None
-    checks: tuple[tuple[str, bool], ...]
-    notes: tuple[str, ...] = dataclass_field(default=())
-
-    def all_passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "verdict": self.verdict,
-            "method": self.method,
-            "witness": self.witness,
-            "checks": [{"name": name, "pass": ok} for name, ok in self.checks],
-            "notes": list(self.notes),
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Certificate":
-        return cls(
-            n=data["n"], k=data["k"], verdict=data["verdict"],
-            method=data["method"], witness=data.get("witness"),
-            checks=tuple((c["name"], bool(c["pass"])) for c in data["checks"]),
-            notes=tuple(data.get("notes", ())),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        return cls.from_dict(json.loads(text))
+# witness checks
 
 
 def _pair_witness(group: PairGroup) -> dict:
@@ -213,30 +116,12 @@ def certify_via_lambda(h: PermGroup, n: int, k: int) -> Certificate:
     return Certificate(n, k, verdict, METHOD_LAMBDA, witness, checks)
 
 
-def table_certificate(n: int, k: int) -> Certificate:
-    """A certificate that only records the classification-rule verdict.
-
-    Labeled method=ClassificationTable so that "the rule says" stays clearly
-    separate from "a machine check verified".
-    """
-    result = classify(n, k)
-    verdict = VERDICT_CAYLEY if result.is_cayley else VERDICT_NOT_CAYLEY
-    checks = ((f"classification_clause_{result.clause}", True),)
-    return Certificate(n, k, verdict, METHOD_TABLE, None, checks)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive search
 
 
 # the search looks at the clock once per this many pairs or closures
 DEADLINE_STRIDE = 256
-
-# build_certificate searches a no-case when |S_n x S_{k-1}| is at most 7! 2!
-SEARCH_AUT_LIMIT = 10_080
-
-# the check a search without the conjugacy reduction records, before max_gens
-_FULL_SEARCH_CHECK = "all_generating_sets_up_to_"
 
 
 def _fixes_some_vertex(mu_type: tuple[int, ...], nu_type: tuple[int, ...]) -> bool:
@@ -374,14 +259,6 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
                         f"that order-{target} subgroups are {max_gens}-generated",))
 
 
-def is_truncated_search(cert: Certificate) -> bool:
-    """Whether cert records a search that a budget cut short: an Unknown
-    refutation whose one check is search_space_exhausted=fail.  Nothing in
-    it can be reproduced, since the truncation point depends on the clock."""
-    return (cert.method == METHOD_REFUTATION and cert.verdict == VERDICT_UNKNOWN
-            and cert.checks == (("search_space_exhausted", False),))
-
-
 def _search_hit(n, k, gens, candidate_count) -> Certificate:
     group = PairGroup.generate(n, k, [AutPair.from_flat(g, n) for g in gens],
                                name=f"search-regular({n},{k})")
@@ -392,35 +269,14 @@ def _search_hit(n, k, gens, candidate_count) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# strategy dispatch and re-verification
+# witness groups
 
 
-def build_certificate(n: int, k: int, force_search: bool = False,
-                      element_cap: int = DEFAULT_ELEMENT_CAP,
-                      time_limit: float | None = None) -> Certificate:
-    """Produce the strongest certificate available for (n,k) under the budgets.
-
-    Preference order: a known witness group checked directly (or via the
-    flag route for (33,30)); a search for a no-case whose automorphism group
-    is small enough; the labeled classification table otherwise.  The k = 2
-    and k = 3 witnesses have order P(n,k), so they are built when that fits
-    element_cap.
-    """
+def witness_certificate(n: int, k: int) -> Certificate:
+    """Check the known witness group of the yes-case (n,k): a sporadic pair,
+    or k = 2 or k = 3 with 2 <= k <= n-2.  :func:`verdicts.build_certificate`
+    calls this only when the group's order fits its element cap."""
     from .witness_groups import agl1, mathieu11, mathieu12, pgammal2, pgl2, psl2
-
-    result = classify(n, k)
-    if force_search:
-        return search_regular_subgroup(n, k, cap=element_cap,
-                                       time_limit=time_limit)
-    if not result.is_cayley:
-        aut_size = math.factorial(n) * math.factorial(k - 1)
-        if aut_size <= SEARCH_AUT_LIMIT:
-            return search_regular_subgroup(n, k, cap=element_cap,
-                                           time_limit=time_limit)
-        return table_certificate(n, k)
-
-    if result.clause in ("k=1", "k=n-1"):
-        return table_certificate(n, k)
 
     special = {
         (11, 4): lambda: _direct_product_cert(mathieu11(), n, k),
@@ -432,11 +288,11 @@ def build_certificate(n: int, k: int, force_search: bool = False,
     }
     if (n, k) in special:
         return special[(n, k)]()
-    if k == 2 and math.perm(n, k) <= element_cap:
+    if k == 2:
         return _direct_product_cert(agl1(n), n, k)
-    if k == 3 and math.perm(n, k) <= element_cap:
+    if k == 3:
         return _direct_product_cert(pgl2(n - 1), n, k)
-    return table_certificate(n, k)
+    raise ValueError(f"no witness group is known for ({n},{k})")
 
 
 def _direct_product_cert(h: PermGroup, n: int, k: int,
@@ -444,33 +300,3 @@ def _direct_product_cert(h: PermGroup, n: int, k: int,
     nu_side = symmetric_nu_group(n, k) if with_nu else None
     group = PairGroup.direct_product(h, k, nu_side)
     return sabidussi_direct(group, n, k)
-
-
-def verify_certificate(cert: Certificate,
-                       cap: int = DEFAULT_ELEMENT_CAP) -> tuple[bool, Certificate]:
-    """Re-run every check a certificate records, from its witness data alone.
-
-    Returns (reproduced, fresh_certificate): reproduced is True when the
-    fresh run agrees bit-for-bit on the verdict and on every recorded check.
-    A refutation is replayed as the search variant its checks name.
-    """
-    n, k = cert.n, cert.k
-    if cert.method == METHOD_DIRECT:
-        gens = [AutPair.from_dict(g) for g in cert.witness["generators"]]
-        group = PairGroup.generate(n, k, gens, cap=cap, name=cert.witness.get("name"))
-        fresh = sabidussi_direct(group, n, k)
-    elif cert.method == METHOD_SHARP_K:
-        h = PermGroup.from_dict(cert.witness, cap=cap)
-        fresh = certify_via_sharp_k(h, n, k)
-    elif cert.method == METHOD_LAMBDA:
-        h = PermGroup.from_dict(cert.witness, cap=cap)
-        fresh = certify_via_lambda(h, n, k)
-    elif cert.method == METHOD_TABLE:
-        fresh = table_certificate(n, k)
-    elif cert.method == METHOD_REFUTATION:
-        full = any(name.startswith(_FULL_SEARCH_CHECK) for name, _ in cert.checks)
-        fresh = search_regular_subgroup(n, k, cap=cap, up_to_conjugacy=not full)
-    else:
-        raise ValueError(f"unknown certificate method {cert.method!r}")
-    reproduced = (fresh.verdict == cert.verdict and fresh.checks == cert.checks)
-    return reproduced, fresh

@@ -14,37 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """The prime factorization of n >= 1 as (p, e) pairs, by trial division."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == [(n, 1)]
-
-
-def is_prime_power(n: int) -> tuple[int, int] | None:
-    """(p, m) with n = p^m when n is a prime power, else None.
-
-    By convention 1 is not a prime power here.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    factors = factorize(n)
-    return factors[0] if len(factors) == 1 else None
+from .verdicts import is_prime, is_prime_power
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:

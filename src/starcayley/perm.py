@@ -16,15 +16,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from . import DEFAULT_ELEMENT_CAP
-
-
-class CapExceeded(RuntimeError):
-    """An enumeration grew past its element cap.
-
-    Raised instead of silently truncating; callers that hit this should switch
-    to a certificate-based argument rather than full enumeration.
-    """
+from . import DEFAULT_ELEMENT_CAP, CapExceeded
 
 
 class Perm:

@@ -1,0 +1,246 @@
+"""The classification rule and the certificate record, free of group code.
+
+:func:`classify` answers from the closed-form rule alone (pure arithmetic
+plus a six-pair exceptional table).  :func:`build_certificate` and
+:func:`verify_certificate` pick a route from arithmetic alone, and only a
+route that closes a group or searches imports :mod:`starcayley.cayley`,
+which holds the machine checks; so ``classify`` and every table certificate
+load no group module.
+
+A verdict of ``"NotCayley"`` is only ever produced by the classification
+table (labeled as such) or by an exhausted search; a failed witness check
+yields ``"Unknown"``, because the absence of one witness proves nothing.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from collections import namedtuple
+
+from . import DEFAULT_ELEMENT_CAP
+
+VERDICT_CAYLEY = "Cayley"
+VERDICT_NOT_CAYLEY = "NotCayley"
+VERDICT_UNKNOWN = "Unknown"
+
+METHOD_DIRECT = "DirectRegularAction"
+METHOD_SHARP_K = "SharpKTransitiveWitness"
+METHOD_LAMBDA = "LambdaTransitiveWitness"
+METHOD_TABLE = "ClassificationTable"
+METHOD_REFUTATION = "ExhaustiveSearchRefutation"
+
+SPORADIC_CAYLEY_PAIRS = frozenset({(9, 4), (9, 6), (11, 4), (12, 5), (33, 4), (33, 30)})
+
+# build_certificate searches a no-case when |S_n x S_{k-1}| is at most 7! 2!
+SEARCH_AUT_LIMIT = 10_080
+
+# the check a search without the conjugacy reduction records, before max_gens
+_FULL_SEARCH_CHECK = "all_generating_sets_up_to_"
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n >= 1 as (p, e) pairs, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == [(n, 1)]
+
+
+def is_prime_power(n: int) -> tuple[int, int] | None:
+    """(p, m) with n = p^m when n is a prime power, else None.
+
+    By convention 1 is not a prime power here.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    factors = factorize(n)
+    return factors[0] if len(factors) == 1 else None
+
+
+# The records are named tuples rather than dataclasses: importing dataclasses
+# loads inspect, about a tenth of a table command's start-up.
+class ClassificationResult(namedtuple("ClassificationResult", "n k is_cayley clause")):
+    __slots__ = ()
+
+
+def classify(n: int, k: int) -> ClassificationResult:
+    """Decide Cayleyness of the (n,k)-star graph from the classification rule.
+
+    Clauses, first match wins: the degenerate graphs k=1 (complete graph) and
+    k=n-1 (star graph) are always Cayley; so is every n=k+2; for k=2 the
+    answer is "n is a prime power", for k=3 it is "n-1 is a prime power";
+    six exceptional pairs remain; everything else is not Cayley.
+    """
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got ({n},{k})")
+    if k == 1:
+        return ClassificationResult(n, k, True, "k=1")
+    if k == n - 1:
+        return ClassificationResult(n, k, True, "k=n-1")
+    if n == k + 2:
+        return ClassificationResult(n, k, True, "n=k+2")
+    if k == 2:
+        if is_prime_power(n):
+            return ClassificationResult(n, k, True, "k=2-prime-power")
+        return ClassificationResult(n, k, False, "none")
+    if k == 3:
+        if is_prime_power(n - 1):
+            return ClassificationResult(n, k, True, "k=3-prime-power-successor")
+        return ClassificationResult(n, k, False, "none")
+    if (n, k) in SPORADIC_CAYLEY_PAIRS:
+        return ClassificationResult(n, k, True, "sporadic")
+    return ClassificationResult(n, k, False, "none")
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+
+class Certificate(namedtuple("Certificate", "n k verdict method witness checks notes",
+                             defaults=((),))):
+    """A machine-checkable record of why the (n,k)-star graph is or is not Cayley.
+
+    witness is a JSON-ready dict or None, checks a tuple of (name, passed)
+    pairs, notes a tuple of strings.
+    """
+
+    __slots__ = ()
+
+    def all_passed(self) -> bool:
+        return all(ok for _, ok in self.checks)
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "k": self.k,
+            "verdict": self.verdict,
+            "method": self.method,
+            "witness": self.witness,
+            "checks": [{"name": name, "pass": ok} for name, ok in self.checks],
+            "notes": list(self.notes),
+        }
+
+    def to_json(self, indent: int | None = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Certificate":
+        return cls(
+            n=data["n"], k=data["k"], verdict=data["verdict"],
+            method=data["method"], witness=data.get("witness"),
+            checks=tuple((c["name"], bool(c["pass"])) for c in data["checks"]),
+            notes=tuple(data.get("notes", ())),
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "Certificate":
+        return cls.from_dict(json.loads(text))
+
+
+def table_certificate(n: int, k: int) -> Certificate:
+    """A certificate that only records the classification-rule verdict.
+
+    Labeled method=ClassificationTable so that "the rule says" stays clearly
+    separate from "a machine check verified".
+    """
+    result = classify(n, k)
+    verdict = VERDICT_CAYLEY if result.is_cayley else VERDICT_NOT_CAYLEY
+    checks = ((f"classification_clause_{result.clause}", True),)
+    return Certificate(n, k, verdict, METHOD_TABLE, None, checks)
+
+
+def is_truncated_search(cert: Certificate) -> bool:
+    """Whether cert records a search that a budget cut short: an Unknown
+    refutation whose one check is search_space_exhausted=fail.  Nothing in
+    it can be reproduced, since the truncation point depends on the clock."""
+    return (cert.method == METHOD_REFUTATION and cert.verdict == VERDICT_UNKNOWN
+            and cert.checks == (("search_space_exhausted", False),))
+
+
+# ---------------------------------------------------------------------------
+# strategy dispatch and re-verification
+
+
+def _witness_order(n: int, k: int) -> int | None:
+    """The order of the group that cayley.witness_certificate closes for the
+    yes-case (n,k), or None where the table is the only certificate: a
+    regular group has order P(n,k), and the (33,30) witness is PGammaL(2,32)."""
+    if k == 1 or k == n - 1:
+        return None
+    if (n, k) == (33, 30):
+        return 33 * 32 * 31 * 5
+    if k in (2, 3) or (n, k) in SPORADIC_CAYLEY_PAIRS:
+        return math.perm(n, k)
+    return None
+
+
+def build_certificate(n: int, k: int, force_search: bool = False,
+                      element_cap: int = DEFAULT_ELEMENT_CAP,
+                      time_limit: float | None = None) -> Certificate:
+    """Produce the strongest certificate available for (n,k) under the budgets.
+
+    Preference order: a known witness group checked directly (or via the
+    flag route for (33,30)), built only when its order fits element_cap,
+    the cap ``check`` closes it under; a search for a no-case whose
+    automorphism group is small enough; the labeled classification table
+    otherwise.
+    """
+    result = classify(n, k)
+    if force_search or (not result.is_cayley and
+                        math.factorial(n) * math.factorial(k - 1) <= SEARCH_AUT_LIMIT):
+        # perm first: see the note on import order in cli.py
+        from . import perm, cayley
+        return cayley.search_regular_subgroup(n, k, cap=element_cap,
+                                              time_limit=time_limit)
+    order = _witness_order(n, k) if result.is_cayley else None
+    if order is None or order > element_cap:
+        return table_certificate(n, k)
+    from . import perm, cayley
+    return cayley.witness_certificate(n, k)
+
+
+def verify_certificate(cert: Certificate,
+                       cap: int = DEFAULT_ELEMENT_CAP) -> tuple[bool, Certificate]:
+    """Re-run every check a certificate records, from its witness data alone.
+
+    Returns (reproduced, fresh_certificate): reproduced is True when the
+    fresh run agrees bit-for-bit on the verdict and on every recorded check.
+    A refutation is replayed as the search variant its checks name.
+    """
+    n, k = cert.n, cert.k
+    if cert.method == METHOD_TABLE:
+        fresh = table_certificate(n, k)
+    elif cert.method in (METHOD_DIRECT, METHOD_SHARP_K, METHOD_LAMBDA, METHOD_REFUTATION):
+        from . import perm, pairs, cayley
+        if cert.method == METHOD_DIRECT:
+            gens = [pairs.AutPair.from_dict(g) for g in cert.witness["generators"]]
+            group = pairs.PairGroup.generate(n, k, gens, cap=cap,
+                                             name=cert.witness.get("name"))
+            fresh = cayley.sabidussi_direct(group, n, k)
+        elif cert.method == METHOD_SHARP_K:
+            h = perm.PermGroup.from_dict(cert.witness, cap=cap)
+            fresh = cayley.certify_via_sharp_k(h, n, k)
+        elif cert.method == METHOD_LAMBDA:
+            h = perm.PermGroup.from_dict(cert.witness, cap=cap)
+            fresh = cayley.certify_via_lambda(h, n, k)
+        else:
+            full = any(name.startswith(_FULL_SEARCH_CHECK) for name, _ in cert.checks)
+            fresh = cayley.search_regular_subgroup(n, k, cap=cap, up_to_conjugacy=not full)
+    else:
+        raise ValueError(f"unknown certificate method {cert.method!r}")
+    reproduced = (fresh.verdict == cert.verdict and fresh.checks == cert.checks)
+    return reproduced, fresh

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from starcayley import cayley, cli
+from starcayley import cli, verdicts
 from starcayley.cli import main
 
 
@@ -183,24 +184,65 @@ def test_budget_below_1_is_a_usage_error(capsys, argv, value):
 
 _LOADED_MODULES = """
 import json, sys
+
+class Started:
+    # a finder that finds nothing: it sees each import start, before the
+    # module is compiled
+    names = []
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        cls.names.append(name)
+
+sys.meta_path.insert(0, Started)
 from starcayley.cli import main
-codes = [main(["zsigmondy", "--d-max", "10"]), main(["verify-lemmas", "--d", "8..9"])]
-print(json.dumps([codes, sorted(sys.modules)]))
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, Started.names]))
 """
 
 
-def test_arithmetic_commands_load_no_group_or_graph_module():
+def _loaded_modules(cwd, *commands) -> tuple[list[int], list[str]]:
+    """Run the CLI commands in one fresh interpreter; return their exit codes
+    and the modules the package and the commands imported, in the order their
+    imports started.  (sys.modules is no record of that order: a module moves
+    to its end once it has run.)"""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    result = subprocess.run([sys.executable, "-c", _LOADED_MODULES],
-                            capture_output=True, text=True, env=env, timeout=120)
+    result = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(commands)],
+                            capture_output=True, text=True, env=env, cwd=cwd,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
     codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    return codes, loaded
+
+
+def test_arithmetic_commands_load_no_group_or_graph_module(tmp_path):
+    codes, loaded = _loaded_modules(tmp_path, ["zsigmondy", "--d-max", "10"],
+                                    ["verify-lemmas", "--d", "8..9"])
     assert codes == [0, 0]
     assert "starcayley.numbers" in loaded
     for name in ("perm", "pairs", "cayley", "gf", "stargraph"):
         assert f"starcayley.{name}" not in loaded
+
+
+def test_classify_and_table_certificates_load_no_group_module(tmp_path):
+    codes, loaded = _loaded_modules(tmp_path, ["classify", "--n-max", "34"],
+                                    ["certify", "34", "5", "--out", "cert.json"],
+                                    ["check", "cert.json"])
+    assert codes == [0, 0, 0]
+    assert json.loads((tmp_path / "cert.json").read_text())["method"] == "ClassificationTable"
+    assert "starcayley.verdicts" in loaded
+    for name in ("perm", "pairs", "cayley", "witness_groups", "stargraph", "gf"):
+        assert f"starcayley.{name}" not in loaded
+
+
+def test_group_routes_load_perm_before_cayley(tmp_path):
+    # compiling perm before the modules that import it keeps peak memory lower
+    # where bytecode is not cached
+    codes, loaded = _loaded_modules(tmp_path, ["certify", "9", "4"])
+    assert codes == [0]
+    assert loaded.index("starcayley.perm") < loaded.index("starcayley.cayley")
 
 
 @pytest.mark.parametrize("text", [
@@ -353,7 +395,7 @@ def test_check_on_a_truncated_search_exits_3_without_searching(tmp_path, capsys,
     def no_search(*args, **kwargs):
         raise AssertionError("check re-ran the search")
 
-    monkeypatch.setattr(cayley, "verify_certificate", no_search)
+    monkeypatch.setattr(verdicts, "verify_certificate", no_search)
     code, out, err = run_cli(capsys, "check", str(cert_path))
     assert code == 3
     assert out == ""
@@ -377,3 +419,40 @@ def test_n_k_outside_1_le_k_lt_n_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("usage: starcayley")
     assert f"{argv[0]}: need 1 <= k < n, got n={argv[1]}, k={argv[2]}" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-0.5"])
+def test_time_limit_not_finite_or_negative_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "6", "2", f"--time-limit={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: starcayley certify")
+    assert f"argument --time-limit: need a finite number >= 0, got {value}" in captured.err
+
+
+def test_time_limit_0_truncates_the_search_and_exits_3(capsys):
+    code, out, _ = run_cli(capsys, "certify", "6", "2", "--time-limit", "0")
+    assert code == 3
+    assert json.loads(out)["checks"] == [{"name": "search_space_exhausted", "pass": False}]
+
+
+@pytest.mark.parametrize("n,k", [(9, 4), (9, 6), (11, 4), (12, 5), (33, 4), (33, 30)])
+def test_certify_builds_a_sporadic_witness_only_when_it_fits_the_budget(tmp_path, capsys, n, k):
+    # the order of the group the witness closes: P(n,k) for a regular group,
+    # |PGammaL(2,32)| for the (33,30) flag witness
+    gate = 33 * 32 * 31 * 5 if (n, k) == (33, 30) else math.perm(n, k)
+    for budget, method in ((gate - 1, "ClassificationTable"),
+                           (gate, "LambdaTransitiveWitness" if (n, k) == (33, 30)
+                            else "DirectRegularAction")):
+        cert_path = tmp_path / f"cert-{budget}.json"
+        code, out, _ = run_cli(capsys, "certify", str(n), str(k), "--budget-elements",
+                               str(budget), "--out", str(cert_path))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["verdict"], payload["method"]) == ("Cayley", method)
+        code, out, _ = run_cli(capsys, "check", str(cert_path),
+                               "--budget-elements", str(budget))
+        assert code == 0
+        assert out == f"certificate reproduced: ({n},{k}) Cayley via {method}\n"
