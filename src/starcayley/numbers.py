@@ -62,10 +62,16 @@ def required_kernel_order(d: int) -> int:
     """
     if d < 3:
         raise ValueError("need d >= 3")
+    return _kernel_order(d, factorial((1 << d) - 4))
+
+
+def _kernel_order(d: int, k_minus_1_factorial: int) -> int:
+    # t from (2^d - 4)!, which a caller that needs that factorial too passes
+    # in, so each d forms only one factorial of its scale:
+    # P(n, n-3) = n!/3! = (n-4)! (n-3)(n-2)(n-1)n / 6 with n = 2^d
     n = 1 << d
-    kperms = factorial(n) // 6  # P(n, n-3)
-    order = agl_d2_order(d)
-    q, r = divmod(kperms, order)
+    kperms = k_minus_1_factorial * (n - 3) * (n - 2) * (n - 1) * n // 6
+    q, r = divmod(kperms, agl_d2_order(d))
     if r:
         raise AssertionError(f"P(2^{d}, 2^{d}-3) not divisible by |AGL({d},2)|")
     return q
@@ -103,8 +109,10 @@ def kernel_order_divides_factorial(d: int) -> bool:
     A Cayley witness needs this to hold; it fails for every 3 <= d <= 7,
     which settles those cases outright.
     """
-    t = required_kernel_order(d)
-    return factorial((1 << d) - 4) % t == 0
+    if d < 3:
+        raise ValueError("need d >= 3")
+    ambient = factorial((1 << d) - 4)
+    return ambient % _kernel_order(d, ambient) == 0
 
 
 def _mersenne_residue(d: int, lo: int) -> int:
@@ -193,7 +201,8 @@ def index_binomial_bound(d: int, cross_check: bool | None = None) -> bool:
     if cross_check is None:
         cross_check = d <= IDENTITY_CROSS_CHECK_MAX_D
     if cross_check:
-        direct = Fraction(factorial(case.k - 1), case.t())
+        ambient = factorial(case.k - 1)
+        direct = Fraction(ambient, _kernel_order(d, ambient))
         if direct != lhs:
             raise AssertionError(f"index identity failed at d={d}")
     return lhs < comb(case.k - 1, case.r)

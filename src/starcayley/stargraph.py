@@ -121,44 +121,48 @@ def edge_kind(u: Sequence[int], v: Sequence[int]) -> EdgeKind | None:
 
 
 class StarGraph:
-    """A fully materialized (n,k)-star graph with kind-tagged adjacency.
+    """A fully materialized (n,k)-star graph: one flat index row per vertex.
 
-    The backbone is one flat index row per vertex with the k-1 star
-    neighbors first and the n-k residual neighbors after them, so the edge
-    kind is positional and the million-vertex graphs stay materializable.
-    :func:`build` makes each row from the row of the vertex's first k-1
-    labels in S(n,k-1), by one C-level pick, without looking up any
-    neighbour's label tuple.
-    The kind-tagged ``adjacency`` view is built on first use and cached;
-    every other query reads the rows.
+    Each row lists the k-1 star neighbors first and the n-k residual
+    neighbors after them, so the edge kind is positional and the
+    million-vertex graphs stay materializable.  :func:`build` makes each row
+    from the row of the vertex's first k-1 labels in S(n,k-1), by one
+    C-level pick, without looking up any neighbour's label tuple.
 
-    Immutable after construction; every query is a pure read.
+    The rows are all a graph holds.  The label tables ``vertices`` (rank
+    order, which is the lexicographic order of
+    :func:`itertools.permutations`) and ``index`` (its inverse) are built
+    on first use and cached, so the counting queries never pay for them.
+    Immutable after construction: the rows never change, and the cached
+    tables are functions of (n, k).
     """
 
-    __slots__ = ("n", "k", "vertices", "index", "_rows", "_adjacency")
+    __slots__ = ("n", "k", "_rows", "_vertices", "_index")
 
-    def __init__(self, n, k, vertices, index, rows):
+    def __init__(self, n, k, rows):
         self.n = n
         self.k = k
-        self.vertices = vertices
-        self.index = index
         self._rows = rows
-        self._adjacency = None
+        self._vertices = None
+        self._index = None
+
+    @property
+    def vertices(self) -> tuple[KPerm, ...]:
+        """Every vertex label, in rank order."""
+        if self._vertices is None:
+            self._vertices = tuple(itertools.permutations(range(1, self.n + 1), self.k))
+        return self._vertices
+
+    @property
+    def index(self) -> dict[KPerm, int]:
+        """Label -> rank, the inverse of :attr:`vertices`."""
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.vertices)}
+        return self._index
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def adjacency(self) -> list[list[tuple[int, EdgeKind]]]:
-        """Per vertex, the list of (neighbor rank, kind) entries."""
-        if self._adjacency is None:
-            split = self.k - 1
-            self._adjacency = [
-                [(j, EdgeKind.STAR if pos < split else EdgeKind.RESIDUAL)
-                 for pos, j in enumerate(row)]
-                for row in self._rows]
-        return self._adjacency
+        return len(self._rows)
 
     def rank_of(self, v: Sequence[int]) -> int:
         return self.index[tuple(v)]
@@ -241,8 +245,9 @@ def build(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> StarGraph:
     C-level pick from the row of its prefix in S(n,j-1) (see
     :func:`_extend_rows`).  Rows of the levels below k hold fresh ints and
     live only while their extensions are made; the rows of S(n,k) take
-    their ints from ``index``, so each rank is one object however many rows
-    hold it.
+    their ints from one shared tuple of ranks, so each rank is one object
+    however many rows hold it (slices of a bare range would give every row
+    its own ints).  No label table is made here; see :class:`StarGraph`.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got ({n},{k})")
@@ -250,17 +255,12 @@ def build(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> StarGraph:
     if count > vertex_cap:
         raise GraphSizeExceeded(
             f"P({n},{k}) = {count} exceeds vertex cap {vertex_cap}")
-    index = {v: i for i, v in enumerate(itertools.permutations(range(1, n + 1), k))}
-    ranks = tuple(index.values())
+    ranks = tuple(range(count))
     first = ranks if k == 1 else range(n)
     rows = ((*first[:a], *first[a + 1:]) for a in range(n))
     for j in range(2, k + 1):
         rows = _extend_rows(rows, n, j, ranks if j == k else range(math.perm(n, j)))
-    rows = list(rows)
-    # ranks is freed before the vertex tuple, which is as long, is made, so
-    # the tuple can reuse its memory and the build peaks at its output's size
-    del ranks
-    return StarGraph(n, k, tuple(index), index, rows)
+    return StarGraph(n, k, list(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -56,19 +56,61 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly below
+# this bound (Sorenson and Webster, 2015); at or above it trial division does
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == [(n, 1)]
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MILLER_RABIN_BOUND:
+        return factorize(n) == [(n, 1)]
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n: int, m: int) -> int:
+    """floor(n^(1/m)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
     """(p, m) with n = p^m when n is a prime power, else None.
 
-    By convention 1 is not a prime power here.
+    m is the largest exponent with an exact integer m-th root of n; that
+    root is a prime power only if it is prime, since a root that were itself
+    a power would give a larger m.  By convention 1 is not a prime power.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    factors = factorize(n)
-    return factors[0] if len(factors) == 1 else None
+    for m in range(n.bit_length() - 1, 0, -1):
+        root = _integer_root(n, m)
+        if root ** m == n:
+            return (root, m) if is_prime(root) else None
+    return None
 
 
 # The records are named tuples rather than dataclasses: importing dataclasses
@@ -200,7 +242,8 @@ def build_certificate(n: int, k: int, force_search: bool = False,
     otherwise.
     """
     result = classify(n, k)
-    if force_search or (not result.is_cayley and
+    # n <= 7 first: 8! alone exceeds the limit, and n! is out of reach for large n
+    if force_search or (not result.is_cayley and n <= 7 and
                         math.factorial(n) * math.factorial(k - 1) <= SEARCH_AUT_LIMIT):
         # perm first: see the note on import order in cli.py
         from . import perm, cayley

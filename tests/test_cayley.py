@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starcayley import cayley
+from starcayley import cayley, verdicts
 from starcayley import pairs as pairs_mod
 from starcayley.cayley import (Certificate, build_certificate, certify_via_lambda,
                                certify_via_sharp_k, classify, is_prime_power,
@@ -33,6 +33,25 @@ def test_is_prime_power():
     assert is_prime_power(1) is None  # by convention
     with pytest.raises(ValueError):
         is_prime_power(0)
+
+
+def test_is_prime_power_agrees_with_factorize():
+    for n in range(1, 20_001):
+        factors = verdicts.factorize(n)
+        assert is_prime_power(n) == (factors[0] if len(factors) == 1 else None), n
+
+
+@pytest.mark.parametrize("n,expected", [
+    (2**61 - 1, (2**61 - 1, 1)),
+    ((2**31 - 1) ** 2, (2**31 - 1, 2)),
+    (3**40, (3, 40)),
+    ((10**9 + 7) * (10**9 + 9), None),
+    (2**64, (2, 64)),
+    (6**20, None),
+])
+def test_is_prime_power_large_cases_below_the_miller_rabin_bound(n, expected):
+    assert n < verdicts._MILLER_RABIN_BOUND
+    assert is_prime_power(n) == expected
 
 
 def test_classify_examples():

@@ -201,14 +201,18 @@ print(json.dumps([codes, Started.names]))
 """
 
 
+def _env_with_this_package() -> dict:
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def _loaded_modules(cwd, *commands) -> tuple[list[int], list[str]]:
     """Run the CLI commands in one fresh interpreter; return their exit codes
     and the modules the package and the commands imported, in the order their
     imports started.  (sys.modules is no record of that order: a module moves
     to its end once it has run.)"""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = _env_with_this_package()
     result = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(commands)],
                             capture_output=True, text=True, env=env, cwd=cwd,
                             timeout=120)
@@ -383,6 +387,23 @@ def test_certify_k2_above_the_old_field_cap_and_check(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", str(cert_path))
     assert code == 0
     assert out == "certificate reproduced: (1031,2) Cayley via DirectRegularAction\n"
+
+
+@pytest.mark.parametrize("n,verdict", [(2**61 - 1, "Cayley"), (2**61 - 2, "NotCayley")])
+def test_certify_and_check_k2_near_2_to_the_61_answer_at_once(tmp_path, n, verdict):
+    # 2^61 - 1 is prime, so trial division up to its square root would run
+    # for hours; 2^61 - 2 is no prime power, and (2^61 - 2)! is out of reach
+    env = _env_with_this_package()
+    cert_path = tmp_path / "cert.json"
+    for argv in (["certify", str(n), "2", "--out", str(cert_path)],
+                 ["check", str(cert_path)]):
+        result = subprocess.run([sys.executable, "-m", "starcayley.cli", *argv],
+                                capture_output=True, text=True, env=env,
+                                timeout=10)
+        assert result.returncode == 0, result.stderr
+    assert json.loads(cert_path.read_text())["verdict"] == verdict
+    assert result.stdout == (f"certificate reproduced: ({n},2) {verdict} "
+                             "via ClassificationTable\n")
 
 
 def test_check_on_a_truncated_search_exits_3_without_searching(tmp_path, capsys, monkeypatch):

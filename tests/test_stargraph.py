@@ -53,10 +53,10 @@ def test_build_validation_and_cap():
 
 def test_adjacency_symmetric_with_matching_kinds():
     g = build(5, 3)
-    for i, row in enumerate(g.adjacency):
-        for j, kind in row:
-            back = dict(g.adjacency[j])
-            assert back[i] is kind
+    for v in g.vertices:
+        for u, kind in g.neighbors(v):
+            back = dict(g.neighbors(u))
+            assert back[v] is kind
 
 
 def test_rank_unrank_extremes():
@@ -118,6 +118,17 @@ def test_build_matches_the_definition_row_for_row(n, k):
     assert g.vertices == vertices
     assert g.index == {v: i for i, v in enumerate(vertices)}
     assert g._rows == _rows_from_the_definition(g)
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 3), (7, 6), (8, 4)])
+def test_label_tables_are_built_only_when_asked_for(n, k):
+    g = build(n, k)
+    g.vertex_count, g.edge_count(), g.degree_split(), g.triangle_count()
+    assert g._vertices is None and g._index is None
+    assert g.vertices == tuple(permutations(range(1, n + 1), k))
+    assert g._index is None
+    assert g.index == {v: i for i, v in enumerate(g.vertices)}
+    assert g.vertices is g.vertices and g.index is g.index
 
 
 def test_apply_automorphism_identity():
