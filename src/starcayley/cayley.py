@@ -120,7 +120,7 @@ def certify_via_lambda(h: PermGroup, n: int, k: int) -> Certificate:
 # exhaustive search
 
 
-# the search looks at the clock once per this many pairs or closures
+# the search looks at the clock once per this many steps of every phase
 DEADLINE_STRIDE = 256
 
 
@@ -135,33 +135,83 @@ def _fixes_some_vertex(mu_type: tuple[int, ...], nu_type: tuple[int, ...]) -> bo
     return all(have[length] >= count for length, count in Counter(nu_type).items())
 
 
-def _candidates(n: int, k: int, target: int, check_clock,
-                representatives: list | None = None) -> list[tuple[int, ...]]:
-    """Flat pairs that fix no vertex and whose order divides target, in the
-    order of ``aut_product(n, k).iter_pairs()``: nu outer, mu inner, both
-    lexicographic.  Both tests are decided once per pair of cycle types, and
-    the first candidate of each such class is appended to representatives."""
-    verdicts: dict[tuple, bool] = {}
-    candidates = []
+def _class_plan(n: int, k: int, target: int, check_clock):
+    """Decide both candidate filters (no fixed vertex, order dividing target)
+    once per class of S_n x S_{k-1}, a pair of cycle types, listing no pair.
+
+    Returns (candidates, representatives, count): the candidates as a
+    :class:`_ByClass`, the first candidate of each kept class in candidate
+    order (nu outer, mu inner, both lexicographic), and their number.  The
+    representatives need only the lex-first mu of each type: one lex scan of
+    S_n finds them, and stops once the classes seen, of sizes
+    n! / prod l^m_l m_l!, cover S_n.  count is a sum of those sizes.
+    """
+    first: dict[tuple, tuple] = {}  # mu's cycle type -> (lex-first mu, class size)
+    order, covered = math.factorial(n), 0
+    for i, mu in enumerate(permutations(range(1, n + 1))):
+        if i % DEADLINE_STRIDE == 0:
+            check_clock("planning classes", f"permutation {i}/{order}")
+        mu_type = cycle_type(mu)
+        if mu_type not in first:
+            size = order // math.prod(length ** m * math.factorial(m)
+                                      for length, m in Counter(mu_type).items())
+            first[mu_type] = mu, size
+            covered += size
+            if covered == order:
+                break
+    keep: dict[tuple, bool] = {}
+    nu_types: dict[tuple, tuple] = {}
+    representatives, count = [], 0
+    for nu in permutations(range(2, k + 1)):
+        tail = nu_tail(nu, n)
+        nu_type = nu_types[tail] = cycle_type((1,) + nu)
+        for mu_type, (mu, size) in first.items():
+            kept = keep.get((mu_type, nu_type))
+            if kept is None:
+                kept = keep[mu_type, nu_type] = (not _fixes_some_vertex(mu_type, nu_type) and
+                                                 target % math.lcm(*mu_type, *nu_type) == 0)
+                if kept:
+                    representatives.append(mu + tail)
+            if kept:
+                count += size
+    return _ByClass(n, keep, nu_types), representatives, count
+
+
+class _ByClass(dict):
+    """The candidates, as a container that tests a flat pair by its class,
+    keep[mu's type, nu_types[nu's tail]]: each pair is typed once, and the
+    dict keeps the answer."""
+
+    __slots__ = ("n", "keep", "nu_types")
+
+    def __init__(self, n: int, keep: dict, nu_types: dict):
+        super().__init__()
+        self.n, self.keep, self.nu_types = n, keep, nu_types
+
+    def __contains__(self, pair) -> bool:
+        kept = self.get(pair)
+        if kept is None:
+            n = self.n
+            kept = self[pair] = self.keep[cycle_type(pair[:n]), self.nu_types[pair[n:]]]
+        return kept
+
+
+def _stream(n: int, k: int, candidates: _ByClass, cache: list, check_clock):
+    """The candidates as flat pairs, in the order of
+    ``aut_product(n, k).iter_pairs()``: nu outer, mu inner, both
+    lexicographic; each is appended to cache as it is yielded."""
     total = aut_order(n, k)
     done = 0
     for nu in permutations(range(2, k + 1)):
-        nu_type = cycle_type((1,) + nu)
         tail = nu_tail(nu, n)
         for mu in permutations(range(1, n + 1)):
             if done % DEADLINE_STRIDE == 0:
                 check_clock("filtering candidates", f"pair {done}/{total}")
             done += 1
-            types = (cycle_type(mu), nu_type)
-            keep = verdicts.get(types)
-            if keep is None:
-                keep = verdicts[types] = (not _fixes_some_vertex(*types) and
-                                          target % math.lcm(*types[0], *nu_type) == 0)
-                if keep and representatives is not None:
-                    representatives.append(mu + tail)
-            if keep:
-                candidates.append(mu + tail)
-    return candidates
+            pair = mu + tail
+            if pair in candidates:
+                cache.append(pair)
+                yield pair
 
 
 def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
@@ -176,15 +226,21 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
     they admit an element violating either condition or outgrow P(n,k).
     Pairs are flat tuples throughout (see :mod:`starcayley.pairs`).
 
+    Both filters depend on the conjugacy class alone, a pair of cycle types,
+    mu's on 1..n and nu's on 1..k, so each class is decided once, up front
+    (:func:`_class_plan`); the candidates are then streamed in order as the
+    growth asks for them, and cached for the next pass.  Closure pruning
+    types an element (:class:`_ByClass`) until one pass has exhausted the
+    stream, and looks it up in a set of the cached candidates from then on.
+
     With up_to_conjugacy the first generator is only the representative of
-    its conjugacy class in S_n x S_{k-1}: a pair of cycle types, mu's on
-    1..n and nu's on 1..k, whose first candidate represents it.  Both
-    filters depend on the class alone.  If G = <a, b> is regular and sigma
-    conjugates a to rep(a), then sigma G sigma^-1 = <rep(a), sigma b
-    sigma^-1> is regular too, since sigma is a graph automorphism, and
-    sigma b sigma^-1 is again a candidate; so the second generator ranges
-    over every candidate.  Without it, as in certificates written before
-    the reduction, every candidate a is paired with every later candidate b.
+    its class in S_n x S_{k-1}, the class's first candidate.  If G = <a, b>
+    is regular and sigma conjugates a to rep(a), then sigma G sigma^-1 =
+    <rep(a), sigma b sigma^-1> is regular too, since sigma is a graph
+    automorphism, and sigma b sigma^-1 is again a candidate; so the second
+    generator ranges over every candidate.  Without it, as in certificates
+    written before the reduction, every candidate a is paired with every
+    later candidate b.
 
     The refutation verdict is only issued when exhausting all generating
     sets of size <= max_gens provably covers every subgroup of order P(n,k):
@@ -207,31 +263,41 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
             raise TimeoutError(f"{phase}, {progress}")
 
     try:
-        representatives = []
-        candidates = _candidates(n, k, target, check_clock, representatives)
-        firsts = representatives if up_to_conjugacy else candidates
-        total = len(firsts)
+        # orbit() never tests its start, the identity, against allowed
+        allowed, representatives, count = _class_plan(n, k, target, check_clock)
+        # A pass over the stream ends early only by leaving the search, so the
+        # first pass (the full variant's one-generator phase, or the partners
+        # of the first representative) fills the cache, and later ones read it.
+        cache: list[tuple[int, ...]] = []
+        stream = _stream(n, k, allowed, cache, check_clock)
         identity = tuple(range(1, n + k))
-        allowed = set(candidates)
-        allowed.add(identity)
 
         def grow(gens) -> bool:
             seen = orbit([identity], gens, limit=target, allowed=allowed)
             return seen is not None and len(seen) == target
 
+        total = len(representatives) if up_to_conjugacy else count
+        firsts = representatives if up_to_conjugacy else stream
         for i, g in enumerate(firsts if max_gens >= 1 else ()):
             if i % DEADLINE_STRIDE == 0:
                 check_clock("one-generator growth", f"candidate {i}/{total}")
             if grow((g,)):
-                return _search_hit(n, k, (g,), len(candidates))
+                return _search_hit(n, k, (g,), count)
         steps = 0
+        firsts = representatives if up_to_conjugacy else cache
         for i, a in enumerate(firsts if max_gens >= 2 else ()):
-            for b in candidates if up_to_conjugacy else candidates[i + 1:]:
+            if len(cache) < count:
+                seconds = stream
+            else:
+                if isinstance(allowed, _ByClass):
+                    allowed = set(cache)
+                seconds = cache if up_to_conjugacy else cache[i + 1:]
+            for b in seconds:
                 if steps % DEADLINE_STRIDE == 0:
                     check_clock("two-generator growth", f"pair {i}/{total}")
                 steps += 1
                 if grow((a, b)):
-                    return _search_hit(n, k, (a, b), len(candidates))
+                    return _search_hit(n, k, (a, b), count)
     except TimeoutError as stop:
         return Certificate(
             n, k, VERDICT_UNKNOWN, METHOD_REFUTATION, None,

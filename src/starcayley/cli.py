@@ -6,7 +6,8 @@ to reproduce, or a certificate or checkpoint is malformed or cannot be read
 or written (one line on stderr), or the arguments are malformed, such as an
 (n,k) without 1 <= k < n, a budget below 1, a --time-limit that is not a
 finite number >= 0 or an empty --d range (argparse's usage line); 3 a budget
-was exhausted.
+was exhausted: an element cap, a --time-limit (for check, the replay of a
+search) or a primality that Miller-Rabin cannot prove (one line on stderr).
 Output is deterministic: fixed point orders, fixed field moduli, no
 randomness anywhere.
 """
@@ -161,7 +162,8 @@ def cmd_check(args) -> int:
             print(f"budget exhausted: {args.certificate} records a truncated "
                   "search, which cannot be reproduced", file=sys.stderr)
             return EXIT_BUDGET
-        reproduced, fresh = verify_certificate(cert, cap=args.budget_elements)
+        reproduced, fresh = verify_certificate(cert, cap=args.budget_elements,
+                                               time_limit=args.time_limit)
     except CapExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -173,6 +175,10 @@ def cmd_check(args) -> int:
         print(f"cannot read certificate {args.certificate}: {_one_line(exc)}",
               file=sys.stderr)
         return EXIT_MISMATCH
+    if is_truncated_search(fresh):
+        print(f"budget exhausted: the search replay of {args.certificate} ran "
+              f"past --time-limit {args.time_limit}", file=sys.stderr)
+        return EXIT_BUDGET
     if reproduced:
         print(f"certificate reproduced: ({cert.n},{cert.k}) {cert.verdict} "
               f"via {cert.method}")
@@ -298,6 +304,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate")
     p.add_argument("--budget-elements", type=_positive_int,
                    default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--time-limit", type=_time_limit, default=None,
+                   help="seconds before the replay of a search stops (exit 3)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("zsigmondy",

@@ -18,7 +18,7 @@ import json
 import math
 from collections import namedtuple
 
-from . import DEFAULT_ELEMENT_CAP
+from . import DEFAULT_ELEMENT_CAP, CapExceeded
 
 VERDICT_CAYLEY = "Cayley"
 VERDICT_NOT_CAYLEY = "NotCayley"
@@ -57,19 +57,23 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 # Miller-Rabin with the prime bases 2..41 decides primality exactly below
-# this bound (Sorenson and Webster, 2015); at or above it trial division does
+# this bound (Sorenson and Webster, 2015)
 _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin with the bases 2..41.
+
+    A witness proves n composite at any size.  Below _MILLER_RABIN_BOUND no
+    composite passes every base; at or above it a probable prime is not
+    proven prime, and CapExceeded is raised instead of an answer.
+    """
     if n < 2:
         return False
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MILLER_RABIN_BOUND:
-        return factorize(n) == [(n, 1)]
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
@@ -84,6 +88,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MILLER_RABIN_BOUND:
+        raise CapExceeded(f"{n} is a probable prime, but the Miller-Rabin bases 2..41 "
+                          f"prove primality only below {_MILLER_RABIN_BOUND}")
     return True
 
 
@@ -256,13 +263,15 @@ def build_certificate(n: int, k: int, force_search: bool = False,
     return cayley.witness_certificate(n, k)
 
 
-def verify_certificate(cert: Certificate,
-                       cap: int = DEFAULT_ELEMENT_CAP) -> tuple[bool, Certificate]:
+def verify_certificate(cert: Certificate, cap: int = DEFAULT_ELEMENT_CAP,
+                       time_limit: float | None = None) -> tuple[bool, Certificate]:
     """Re-run every check a certificate records, from its witness data alone.
 
     Returns (reproduced, fresh_certificate): reproduced is True when the
     fresh run agrees bit-for-bit on the verdict and on every recorded check.
-    A refutation is replayed as the search variant its checks name.
+    A refutation is replayed as the search variant its checks name, under
+    time_limit; a replay the clock cuts short is a truncated search
+    (:func:`is_truncated_search`), which reproduces nothing.
     """
     n, k = cert.n, cert.k
     if cert.method == METHOD_TABLE:
@@ -282,7 +291,8 @@ def verify_certificate(cert: Certificate,
             fresh = cayley.certify_via_lambda(h, n, k)
         else:
             full = any(name.startswith(_FULL_SEARCH_CHECK) for name, _ in cert.checks)
-            fresh = cayley.search_regular_subgroup(n, k, cap=cap, up_to_conjugacy=not full)
+            fresh = cayley.search_regular_subgroup(n, k, cap=cap, time_limit=time_limit,
+                                                   up_to_conjugacy=not full)
     else:
         raise ValueError(f"unknown certificate method {cert.method!r}")
     reproduced = (fresh.verdict == cert.verdict and fresh.checks == cert.checks)

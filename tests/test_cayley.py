@@ -9,15 +9,15 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starcayley import cayley, verdicts
+from starcayley import CapExceeded, cayley, verdicts
 from starcayley import pairs as pairs_mod
 from starcayley.cayley import (Certificate, build_certificate, certify_via_lambda,
                                certify_via_sharp_k, classify, is_prime_power,
                                is_truncated_search, sabidussi_direct,
                                search_regular_subgroup, table_certificate,
                                verify_certificate)
-from starcayley.pairs import (AutPair, PairGroup, aut_product, project_and_kernel,
-                              symmetric_nu_group)
+from starcayley.pairs import (AutPair, PairGroup, aut_order, aut_product, nu_tail,
+                              project_and_kernel, symmetric_nu_group)
 from starcayley.perm import (Perm, PermGroup, StabChain, closure, cycle_type,
                              is_k_homogeneous)
 from starcayley.stargraph import rank
@@ -52,6 +52,16 @@ def test_is_prime_power_agrees_with_factorize():
 def test_is_prime_power_large_cases_below_the_miller_rabin_bound(n, expected):
     assert n < verdicts._MILLER_RABIN_BOUND
     assert is_prime_power(n) == expected
+
+
+def test_is_prime_above_the_miller_rabin_bound():
+    # a base witnesses a composite at any size; a probable prime there is no proof
+    assert is_prime_power((2**61 - 1) * (2**89 - 1)) is None
+    assert not verdicts.is_prime(2**89 + 1)
+    with pytest.raises(CapExceeded):
+        is_prime_power(2**89 - 1)
+    with pytest.raises(CapExceeded):
+        is_prime_power((2**89 - 1) ** 2)
 
 
 def test_classify_examples():
@@ -229,6 +239,42 @@ def _fixes_a_vertex_by_scan(pair, n, k):
                for v in itertools.permutations(range(1, n + 1), k))
 
 
+def _candidates(n, k, representatives=None):
+    """Oracle: every flat pair that fixes no vertex and whose order divides
+    P(n,k), in the order of aut_product(n, k).iter_pairs(), each typed; the
+    first candidate of each class is appended to representatives."""
+    target = math.perm(n, k)
+    verdicts = {}
+    candidates = []
+    for nu in itertools.permutations(range(2, k + 1)):
+        nu_type = cycle_type((1,) + nu)
+        tail = nu_tail(nu, n)
+        for mu in itertools.permutations(range(1, n + 1)):
+            types = (cycle_type(mu), nu_type)
+            keep = verdicts.get(types)
+            if keep is None:
+                keep = verdicts[types] = (not cayley._fixes_some_vertex(*types) and
+                                          target % math.lcm(*types[0], *nu_type) == 0)
+                if keep and representatives is not None:
+                    representatives.append(mu + tail)
+            if keep:
+                candidates.append(mu + tail)
+    return candidates
+
+
+def _no_clock(phase, progress):
+    pass
+
+
+def _streamed(n, k):
+    """The search's class plan and its whole candidate stream."""
+    candidates, representatives, count = cayley._class_plan(n, k, math.perm(n, k), _no_clock)
+    cache = []
+    streamed = list(cayley._stream(n, k, candidates, cache, _no_clock))
+    assert cache == streamed
+    return streamed, representatives, count
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 3), (6, 4), (7, 3)])
 def test_cycle_type_fixed_point_test_matches_vertex_scan(n, k):
     target = math.perm(n, k)
@@ -241,10 +287,19 @@ def test_cycle_type_fixed_point_test_matches_vertex_scan(n, k):
         if not by_scan and target % pair.order() == 0:
             expected.append(pair.flat(k))
     # the search sees the surviving pairs as flat tuples, in iter_pairs order
-    assert cayley._candidates(n, k, target, lambda phase, progress: None) == expected
+    assert _candidates(n, k) == expected
+    assert _streamed(n, k)[0] == expected
 
 
-def test_search_deadline_checked_while_filtering(monkeypatch):
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 9) for k in range(2, n - 1)
+                                 if aut_order(n, k) <= 80_640])
+def test_streamed_candidates_match_the_enumeration(n, k):
+    representatives = []
+    candidates = _candidates(n, k, representatives)
+    assert _streamed(n, k) == (candidates, representatives, len(candidates))
+
+
+def test_search_deadline_checked_while_planning(monkeypatch):
     reads = []
 
     def fake_monotonic():
@@ -257,9 +312,34 @@ def test_search_deadline_checked_while_filtering(monkeypatch):
     assert cert.checks == (("search_space_exhausted", False),)
     (note,) = cert.notes
     assert "budget" in note
-    assert "filtering candidates" in note
-    assert re.search(r"\d+/5040", note)
+    # the class plan's lex scan of S_7 reads the clock at permutation 0 and 256
+    assert "planning classes, permutation 256/5040" in note
     assert len(reads) == 3
+
+
+def test_search_deadline_checked_in_every_phase(monkeypatch):
+    def run(cut):
+        reads = []
+
+        def fake_monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) < cut else 100.0
+
+        monkeypatch.setattr(cayley, "time", SimpleNamespace(monotonic=fake_monotonic))
+        return search_regular_subgroup(6, 2, time_limit=10.0), len(reads)
+
+    cert, reads = run(math.inf)
+    assert cert.verdict == "NotCayley"
+    phases = []
+    for cut in range(2, reads + 1):
+        cert, _ = run(cut)
+        assert is_truncated_search(cert), cut
+        (note,) = cert.notes
+        phases.append(re.search(r"\((.*), ", note).group(1))
+    assert set(phases) == {"planning classes", "filtering candidates",
+                           "one-generator growth", "two-generator growth"}
+    # the stream is read as the second generators ask for it
+    assert phases.index("filtering candidates") > phases.index("one-generator growth")
 
 
 @pytest.mark.parametrize("n,k,force_search", [
@@ -522,8 +602,8 @@ def test_search_up_to_conjugacy_matches_the_full_search(n, k):
 @pytest.mark.parametrize("n,k,classes", [(6, 2, 5), (7, 3, 16), (6, 4, 27)])
 def test_representatives_are_the_first_candidate_of_each_class(n, k, classes):
     representatives = []
-    candidates = cayley._candidates(n, k, math.perm(n, k),
-                                    lambda phase, progress: None, representatives)
+    candidates = _candidates(n, k, representatives)
+    assert _streamed(n, k)[1] == representatives
     first = {}
     for flat in candidates:
         pair = AutPair.from_flat(flat, n)
@@ -536,8 +616,7 @@ def test_representatives_are_the_first_candidate_of_each_class(n, k, classes):
 def test_refutation_closes_each_representative_with_every_candidate(monkeypatch):
     n, k = 6, 2
     representatives = []
-    candidates = cayley._candidates(n, k, math.perm(n, k),
-                                    lambda phase, progress: None, representatives)
+    candidates = _candidates(n, k, representatives)
     closures = []
     orbit = cayley.orbit
 
@@ -554,6 +633,22 @@ def test_refutation_closes_each_representative_with_every_candidate(monkeypatch)
     assert search_regular_subgroup(n, k, up_to_conjugacy=False).verdict == "NotCayley"
     c = len(candidates)
     assert len(closures) == c + c * (c - 1) // 2
+
+
+def test_8_3_hit_is_unchanged_and_types_few_pairs(monkeypatch):
+    # tests/data/hit-8-3.json is `certify 8 3 --force-search` as written when
+    # the search still typed all 80,640 pairs of S_8 x S_2 before its first closure
+    text = (Path(__file__).parent / "data" / "hit-8-3.json").read_text()
+    typed = []
+
+    def spy(images):
+        typed.append(images)
+        return cycle_type(images)
+
+    monkeypatch.setattr(cayley, "cycle_type", spy)
+    cert = search_regular_subgroup(8, 3)
+    assert cert.to_json() + "\n" == text
+    assert len(typed) < 15_000
 
 
 def test_build_certificate_refutes_7_3_by_search():

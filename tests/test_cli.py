@@ -406,6 +406,52 @@ def test_certify_and_check_k2_near_2_to_the_61_answer_at_once(tmp_path, n, verdi
                              "via ClassificationTable\n")
 
 
+@pytest.mark.parametrize("n,k", [(2**89 - 1, 2), (2**89, 3)])
+def test_probable_prime_above_the_miller_rabin_bound_exits_3(tmp_path, n, k):
+    # 2^89 - 1 is prime, but the bases 2..41 prove primality only below
+    # 3,317,044,064,679,887,385,961,981; trial division would run for hours
+    env = _env_with_this_package()
+    cert_path = tmp_path / "cert.json"
+    clause = "k=2-prime-power" if k == 2 else "k=3-prime-power-successor"
+    cert_path.write_text(verdicts.Certificate(
+        n, k, "Cayley", "ClassificationTable", None,
+        ((f"classification_clause_{clause}", True),)).to_json())
+    for argv in (["certify", str(n), str(k)], ["check", str(cert_path)]):
+        result = subprocess.run([sys.executable, "-m", "starcayley.cli", *argv],
+                                capture_output=True, text=True, env=env, timeout=10)
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("budget exhausted: 618970019642690137449562111 ")
+
+
+def test_composite_above_the_miller_rabin_bound_answers_at_once(tmp_path):
+    n = (2**61 - 1) * (2**89 - 1)
+    env = _env_with_this_package()
+    cert_path = tmp_path / "cert.json"
+    for argv in (["certify", str(n), "2", "--out", str(cert_path)],
+                 ["check", str(cert_path)]):
+        result = subprocess.run([sys.executable, "-m", "starcayley.cli", *argv],
+                                capture_output=True, text=True, env=env, timeout=10)
+        assert result.returncode == 0, result.stderr
+    assert json.loads(cert_path.read_text())["verdict"] == "NotCayley"
+    assert result.stdout == (f"certificate reproduced: ({n},2) NotCayley "
+                             "via ClassificationTable\n")
+
+
+def test_check_time_limit_bounds_the_search_replay(tmp_path, capsys):
+    cert_path = tmp_path / "cert-7-3.json"
+    code, _, _ = run_cli(capsys, "certify", "7", "3", "--out", str(cert_path))
+    assert code == 0
+    code, out, err = run_cli(capsys, "check", str(cert_path), "--time-limit", "0")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("budget exhausted")
+    code, out, _ = run_cli(capsys, "check", str(cert_path))
+    assert code == 0
+    assert out == "certificate reproduced: (7,3) NotCayley via ExhaustiveSearchRefutation\n"
+
+
 def test_check_on_a_truncated_search_exits_3_without_searching(tmp_path, capsys, monkeypatch):
     cert_path = tmp_path / "t.json"
     code, out, _ = run_cli(capsys, "certify", "6", "2", "--time-limit", "0",
@@ -444,13 +490,14 @@ def test_n_k_outside_1_le_k_lt_n_is_a_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-0.5"])
 def test_time_limit_not_finite_or_negative_is_a_usage_error(capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["certify", "6", "2", f"--time-limit={value}"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: starcayley certify")
-    assert f"argument --time-limit: need a finite number >= 0, got {value}" in captured.err
+    for argv in (["certify", "6", "2"], ["check", "cert.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--time-limit={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: starcayley {argv[0]}")
+        assert f"argument --time-limit: need a finite number >= 0, got {value}" in captured.err
 
 
 def test_time_limit_0_truncates_the_search_and_exits_3(capsys):
