@@ -19,7 +19,10 @@ class CapExceeded(RuntimeError):
 
 
 # Every re-export is imported on first use: each process pays for each module
-# it imports, and no command needs all of them.
+# it imports, and no command needs all of them.  For the same reason every
+# record in the package is a named tuple rather than a dataclass: importing
+# dataclasses loads inspect, ast, dis and tokenize, about 10 ms of a process
+# whose group work takes 5-10 ms.
 _LAZY = {name: module for module, names in [
     ("perm", ("Flag", "Lambda", "Perm", "PermGroup",
               "canonical_flag", "closure", "compose", "flag_count",

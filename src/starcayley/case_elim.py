@@ -20,15 +20,15 @@ is ever constructed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 
-from .numbers import (agl_d2_order, divides_mersenne_product,
-                      index_binomial_bound, kernel_order_divides_factorial,
-                      required_kernel_order, two_adic_obstruction)
-from .verdicts import is_prime
+from .numbers import (divides_mersenne_product, index_binomial_bound,
+                      kernel_order_divides_factorial, required_kernel_order,
+                      two_adic_obstruction)
+from .verdicts import agl_d2_order, is_prime
 
 
 class CaseFamily(str, Enum):
@@ -68,18 +68,12 @@ EXCEPTIONAL_INDEX_TRIPLES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    family: CaseFamily
-    n: int
-    k: int
-    group_order: int
-    t: int | Fraction
-    refuted: bool
-    refuted_by: str
-    index: int | None = None
-    r: int | None = None
-    detail: str = ""
+class CaseRecord(namedtuple("CaseRecord", "family n k group_order t refuted refuted_by "
+                                        "index r detail", defaults=(None, None, ""))):
+    """One elimination: t is an int, or a Fraction where |H| does not divide
+    P(n,k); index and r are set by the reasons that use them."""
+
+    __slots__ = ()
 
 
 def family_order(family: CaseFamily, n: int) -> int:

@@ -136,6 +136,7 @@ def cmd_certify(args) -> int:
             return EXIT_MISMATCH
     print(text)
     if is_truncated_search(cert):
+        print(f"budget exhausted: {cert.notes[0]}", file=sys.stderr)
         return EXIT_BUDGET
     expected = classify(args.n, args.k)
     consistent = (cert.verdict == "Unknown"

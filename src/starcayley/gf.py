@@ -10,7 +10,7 @@ digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
@@ -222,12 +222,11 @@ def field_of_order(q: int) -> Field:
 # the projective line
 
 
-@dataclass(frozen=True, order=True)
-class ProjPoint:
-    """A point of P^1(F): [x : 1] in canonical affine form, or [1 : 0]."""
+class ProjPoint(namedtuple("ProjPoint", "at_infinity x", defaults=(0,))):
+    """A point of P^1(F): [x : 1] in canonical affine form, or [1 : 0].
+    Points order as (at_infinity, x): finite points by x, infinity last."""
 
-    at_infinity: bool
-    x: int = 0
+    __slots__ = ()
 
     @classmethod
     def finite(cls, x: int) -> "ProjPoint":
@@ -247,23 +246,15 @@ def proj_line(f: Field) -> list[ProjPoint]:
     return [ProjPoint.finite(x) for x in f.elements()] + [ProjPoint.infinity()]
 
 
-@dataclass(frozen=True)
-class SemilinearMap:
+class SemilinearMap(namedtuple("SemilinearMap", "field a b c d frob_exp")):
     """[x:y] -> [a x^s + b y^s : c x^s + d y^s] with s the frob_exp-th Frobenius power."""
 
-    field: Field
-    a: int
-    b: int
-    c: int
-    d: int
-    frob_exp: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = self.field
-        det = f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
-        if det == 0:
+    def __new__(cls, field: Field, a: int, b: int, c: int, d: int, frob_exp: int = 0):
+        if field.sub(field.mul(a, d), field.mul(b, c)) == 0:
             raise ValueError("singular matrix")
-        object.__setattr__(self, "frob_exp", self.frob_exp % f.m)
+        return super().__new__(cls, field, a, b, c, d, frob_exp % field.m)
 
     def apply(self, point: ProjPoint) -> ProjPoint:
         f = self.field

@@ -18,9 +18,11 @@ no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd
+
+from .verdicts import agl_d2_order
 
 # literal factorial cross-checks are only feasible while (2^d)! stays small
 IDENTITY_CROSS_CHECK_MAX_D = 16
@@ -42,15 +44,6 @@ def v2_factorial(m: int) -> int:
         m >>= 1
         total += m
     return total
-
-
-def agl_d2_order(d: int) -> int:
-    """|AGL(d,2)| = 2^d (2^d - 1)(2^d - 2) ... (2^d - 2^(d-1))."""
-    n = 1 << d
-    order = n
-    for i in range(d):
-        order *= n - (1 << i)
-    return order
 
 
 def required_kernel_order(d: int) -> int:
@@ -77,15 +70,15 @@ def _kernel_order(d: int, k_minus_1_factorial: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class AglCase:
+class AglCase(namedtuple("AglCase", "d")):
     """Derived parameters of the hypothetical AGL(d,2) case."""
 
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 3:
+    def __new__(cls, d: int):
+        if d < 3:
             raise ValueError("need d >= 3")
+        return super().__new__(cls, d)
 
     @property
     def n(self) -> int:

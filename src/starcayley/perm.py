@@ -11,7 +11,7 @@ Two conventions are fixed once, here, and used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -564,33 +564,32 @@ def _check_k(group: PermGroup, k: int) -> None:
 # composition-series style actions on ordered set tuples ("flags")
 
 
-@dataclass(frozen=True)
-class Lambda:
+class Lambda(namedtuple("Lambda", "parts")):
     """An ordered tuple of block sizes; points beyond the sum are ignored."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError(f"all parts must be >= 1: {self.parts!r}")
+    def __new__(cls, parts):
+        parts = tuple(int(p) for p in parts)
+        if not parts or any(p < 1 for p in parts):
+            raise ValueError(f"all parts must be >= 1: {parts!r}")
+        return super().__new__(cls, parts)
 
     @property
     def total(self) -> int:
         return sum(self.parts)
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(namedtuple("Flag", "blocks")):
     """An ordered tuple of pairwise disjoint point sets."""
 
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
-        total = sum(len(b) for b in self.blocks)
-        if len(frozenset().union(*self.blocks)) != total:
+    def __new__(cls, blocks):
+        blocks = tuple(frozenset(b) for b in blocks)
+        if len(frozenset().union(*blocks)) != sum(len(b) for b in blocks):
             raise ValueError("flag blocks must be pairwise disjoint")
+        return super().__new__(cls, blocks)
 
     @property
     def shape(self) -> Lambda:

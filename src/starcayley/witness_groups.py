@@ -18,8 +18,8 @@ import math
 from functools import lru_cache
 
 from .gf import Field, SemilinearMap, field_of_order
-from .numbers import agl_d2_order
 from .perm import Perm, PermGroup, closure, is_sharply_k_transitive
+from .verdicts import agl_d2_order
 
 
 def _perm_of(field: Field, a, b, c, d, frob_exp=0) -> Perm:

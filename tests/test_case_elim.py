@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
@@ -15,6 +16,19 @@ def test_family_orders():
     assert family_order(CaseFamily.AGL_D_2, 16) == 16 * 15 * 14 * 12 * 8
     with pytest.raises(ValueError):
         family_order(CaseFamily.M11, 12)
+
+
+def test_case_record_is_an_immutable_record():
+    # P(11,2) = 110 is not a multiple of |M11|, so t is a Fraction and the
+    # reasons that set index and r do not run
+    rec = eliminate_case(CaseFamily.M11, 11, 2)
+    assert (rec.t, rec.refuted_by, rec.index, rec.r) == (
+        Fraction(1, 72), "t_not_integral", None, None)
+    again = eliminate_case(CaseFamily.M11, 11, 2)
+    assert rec == again and hash(rec) == hash(again)
+    assert rec != eliminate_case(CaseFamily.M11, 11, 3)
+    with pytest.raises(AttributeError):
+        rec.refuted = False
 
 
 def test_m11_on_11_points():

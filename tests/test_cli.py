@@ -228,6 +228,7 @@ def test_arithmetic_commands_load_no_group_or_graph_module(tmp_path):
     assert "starcayley.numbers" in loaded
     for name in ("perm", "pairs", "cayley", "gf", "stargraph"):
         assert f"starcayley.{name}" not in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_classify_and_table_certificates_load_no_group_module(tmp_path):
@@ -239,6 +240,22 @@ def test_classify_and_table_certificates_load_no_group_module(tmp_path):
     assert "starcayley.verdicts" in loaded
     for name in ("perm", "pairs", "cayley", "witness_groups", "stargraph", "gf"):
         assert f"starcayley.{name}" not in loaded
+
+
+def test_group_routes_load_no_dataclasses_fractions_or_numbers(tmp_path):
+    sporadic, k2, flag = ["9", "4"], ["25", "2"], ["33", "30"]
+    codes, loaded = _loaded_modules(
+        tmp_path, *(["certify", *nk, "--out", f"cert-{nk[0]}.json"]
+                    for nk in (sporadic, k2, flag)),
+        *(["check", f"cert-{nk[0]}.json"] for nk in (sporadic, k2, flag)),
+        ["certify", "6", "2"])
+    assert codes == [0] * 7
+    assert [json.loads((tmp_path / f"cert-{n}.json").read_text())["method"]
+            for n in ("9", "25", "33")] == [
+        "DirectRegularAction", "DirectRegularAction", "LambdaTransitiveWitness"]
+    assert "starcayley.witness_groups" in loaded and "starcayley.cayley" in loaded
+    for name in ("dataclasses", "inspect", "fractions", "decimal", "starcayley.numbers"):
+        assert name not in loaded
 
 
 def test_group_routes_load_perm_before_cayley(tmp_path):
@@ -501,9 +518,10 @@ def test_time_limit_not_finite_or_negative_is_a_usage_error(capsys, value):
 
 
 def test_time_limit_0_truncates_the_search_and_exits_3(capsys):
-    code, out, _ = run_cli(capsys, "certify", "6", "2", "--time-limit", "0")
+    code, out, err = run_cli(capsys, "certify", "6", "2", "--time-limit", "0")
     assert code == 3
     assert json.loads(out)["checks"] == [{"name": "search_space_exhausted", "pass": False}]
+    assert err.count("\n") == 1 and err.startswith("budget exhausted")
 
 
 @pytest.mark.parametrize("n,k", [(9, 4), (9, 6), (11, 4), (12, 5), (33, 4), (33, 30)])

@@ -94,6 +94,33 @@ def test_semilinear_map_validation():
         SemilinearMap(f, 1, 1, 1, 1)  # determinant zero
 
 
+def test_semilinear_map_is_an_immutable_record():
+    f = field(2, 3)
+    m = SemilinearMap(f, 1, 1, 0, 1, f.m + 1)  # x -> x^2 + 1
+    assert m.frob_exp == 1 and SemilinearMap(f, 1, 1, 0, 1).frob_exp == 0
+    same = SemilinearMap(f, 1, 1, 0, 1, 1)
+    assert m == same and hash(m) == hash(same)
+    assert m != SemilinearMap(f, 1, 1, 0, 1) and len({m, same, SemilinearMap(f, 1, 1, 0, 1)}) == 2
+    assert SemilinearMap(field=f, a=1, b=1, c=0, d=1, frob_exp=4) == same
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        SemilinearMap(f, 2, 4, 1, 2)
+    with pytest.raises(AttributeError):
+        m.frob_exp = 0
+
+
+def test_proj_point_is_an_immutable_record():
+    f = field(3, 2)
+    line = proj_line(f)
+    assert sorted(reversed(line)) == line
+    assert line == [ProjPoint(False, x) for x in range(9)] + [ProjPoint(True)]
+    assert [repr(p) for p in line[:2]] + [repr(line[-1])] == ["[0:1]", "[1:1]", "inf"]
+    assert ProjPoint(True) == ProjPoint.infinity() and ProjPoint.infinity().x == 0
+    assert hash(ProjPoint.finite(3)) == hash(ProjPoint(False, 3))
+    assert ProjPoint.finite(3) != ProjPoint.finite(4) and len(set(line + line)) == 10
+    with pytest.raises(AttributeError):
+        line[0].x = 1
+
+
 def test_semilinear_action():
     f = field(2, 3)
     inv = SemilinearMap(f, 0, 1, 1, 0)  # x -> 1/x

@@ -49,6 +49,22 @@ def test_agl_case_parameters():
         AglCase(2)
 
 
+def test_agl_case_is_an_immutable_record():
+    case = AglCase(8)
+    assert case == AglCase(d=8) and hash(case) == hash(AglCase(8))
+    assert case != AglCase(9) and repr(case) == "AglCase(d=8)"
+    with pytest.raises(ValueError, match="^need d >= 3$"):
+        AglCase(2)
+    with pytest.raises(AttributeError):
+        case.d = 9
+
+
+def test_agl_d2_order_is_defined_once():
+    from starcayley import case_elim, numbers, verdicts, witness_groups
+    assert (numbers.agl_d2_order is witness_groups.agl_d2_order
+            is case_elim.agl_d2_order is verdicts.agl_d2_order)
+
+
 def test_required_kernel_order_d3():
     # P(8,5) = 6720, |AGL(3,2)| = 1344, quotient 5
     assert math.perm(8, 5) == 6720

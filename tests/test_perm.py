@@ -149,6 +149,31 @@ def test_lambda_validation():
     assert Lambda((5, 3, 1)).total == 9
 
 
+def test_lambda_is_an_immutable_record():
+    lam = Lambda([5, 3, 1])
+    assert lam.parts == (5, 3, 1) and repr(lam) == "Lambda(parts=(5, 3, 1))"
+    assert lam == Lambda((5, 3, 1)) and hash(lam) == hash(Lambda((5, 3, 1)))
+    assert lam != Lambda((5, 3)) and len({lam, Lambda((5, 3, 1)), Lambda((1,))}) == 2
+    for parts in ((), (0, 2), (2, -1)):
+        with pytest.raises(ValueError, match=r"all parts must be >= 1: \("):
+            Lambda(parts)
+    with pytest.raises(AttributeError):
+        lam.parts = (1,)
+
+
+def test_flag_is_an_immutable_record():
+    flag = Flag([{1, 2}, [3]])
+    assert flag.blocks == (frozenset({1, 2}), frozenset({3}))
+    assert flag.shape == Lambda((2, 1))
+    same = Flag((frozenset({2, 1}), frozenset({3})))
+    assert flag == same and hash(flag) == hash(same)
+    assert flag != Flag([{3}, {1, 2}]) and len({flag, same, Flag([{3}, {1, 2}])}) == 2
+    with pytest.raises(ValueError, match="^flag blocks must be pairwise disjoint$"):
+        Flag(({1, 2}, {2, 3}))
+    with pytest.raises(AttributeError):
+        flag.blocks = ()
+
+
 def test_flag_count():
     assert flag_count((5, 3, 1), 9) == math.factorial(9) // (
         math.factorial(5) * math.factorial(3))
