@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations
 
 from .pairs import AutPair, PairGroup, aut_order, nu_tail, symmetric_nu_group
 from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
                    canonical_flag, cycle_type, flag_count, flag_stabilizer,
-                   is_k_transitive, orbit)
+                   is_k_transitive, orbit, right_multiplication)
 from .verdicts import (METHOD_DIRECT, METHOD_LAMBDA, METHOD_REFUTATION,
                        METHOD_SHARP_K, VERDICT_CAYLEY, VERDICT_NOT_CAYLEY,
                        VERDICT_UNKNOWN, _FULL_SEARCH_CHECK, Certificate, factorize)
@@ -196,7 +196,21 @@ class _ByClass(dict):
         return kept
 
 
-def _stream(n: int, k: int, candidates: _ByClass, cache: list, check_clock):
+class _Cache(dict):
+    """The candidates streamed so far, in order, each mapped to its
+    :func:`right_multiplication` getter; a pair not streamed yet gets a
+    fresh getter, which is not kept."""
+
+    __slots__ = ()
+
+    def append(self, pair) -> None:
+        self[pair] = right_multiplication(pair)
+
+    def __missing__(self, pair):
+        return right_multiplication(pair)
+
+
+def _stream(n: int, k: int, candidates: _ByClass, cache, check_clock):
     """The candidates as flat pairs, in the order of
     ``aut_product(n, k).iter_pairs()``: nu outer, mu inner, both
     lexicographic; each is appended to cache as it is yielded."""
@@ -231,7 +245,7 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
     (:func:`_class_plan`); the candidates are then streamed in order as the
     growth asks for them, and cached for the next pass.  Closure pruning
     types an element (:class:`_ByClass`) until one pass has exhausted the
-    stream, and looks it up in a set of the cached candidates from then on.
+    stream, and looks it up in the cache from then on.
 
     With up_to_conjugacy the first generator is only the representative of
     its class in S_n x S_{k-1}, the class's first candidate.  If G = <a, b>
@@ -268,12 +282,15 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
         # A pass over the stream ends early only by leaving the search, so the
         # first pass (the full variant's one-generator phase, or the partners
         # of the first representative) fills the cache, and later ones read it.
-        cache: list[tuple[int, ...]] = []
+        cache = _Cache()
         stream = _stream(n, k, allowed, cache, check_clock)
         identity = tuple(range(1, n + k))
 
         def grow(gens) -> bool:
-            seen = orbit([identity], gens, limit=target, allowed=allowed)
+            # x -> x * g reaches the same group from the identity as g * x,
+            # with one getter per candidate, made once, not one per element
+            seen = orbit([identity], gens, limit=target, allowed=allowed,
+                         act=cache.__getitem__)
             return seen is not None and len(seen) == target
 
         total = len(representatives) if up_to_conjugacy else count
@@ -290,8 +307,8 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
                 seconds = stream
             else:
                 if isinstance(allowed, _ByClass):
-                    allowed = set(cache)
-                seconds = cache if up_to_conjugacy else cache[i + 1:]
+                    allowed = cache
+                seconds = cache if up_to_conjugacy else islice(cache, i + 1, None)
             for b in seconds:
                 if steps % DEADLINE_STRIDE == 0:
                     check_clock("two-generator growth", f"pair {i}/{total}")

@@ -19,7 +19,6 @@ no floating point anywhere.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .verdicts import agl_d2_order
@@ -170,6 +169,9 @@ def zsigmondy_scan(d_max: int, d_start: int = 3) -> list[int]:
 
 
 def _simplified_index(d: int) -> Fraction:
+    # imported here: the primitive-divisor scan needs no fractions or decimal
+    from fractions import Fraction
+
     # (k-1)!/t collapses by pure factorial cancellation to
     # 3! (2^d - 2^2)(2^d - 2^3) ... (2^d - 2^(d-1)) / (2^d - 3)
     n = 1 << d
@@ -194,6 +196,8 @@ def index_binomial_bound(d: int, cross_check: bool | None = None) -> bool:
     if cross_check is None:
         cross_check = d <= IDENTITY_CROSS_CHECK_MAX_D
     if cross_check:
+        from fractions import Fraction
+
         ambient = factorial(case.k - 1)
         direct = Fraction(ambient, _kernel_order(d, ambient))
         if direct != lhs:

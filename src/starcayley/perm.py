@@ -185,22 +185,18 @@ def orbit(starts: Iterable, generators: Iterable[tuple], limit: float = math.inf
 
     By default a generator acts on point tuples pointwise, t -> (g(t1), ...),
     which for the image tuple t of a permutation p is the product g * p.
-    ``act(*x)`` may instead map a generator g, padded so that g[i] is the
-    image of i, to the image of the orbit element x.  Returns None as soon
-    as the orbit outgrows ``limit`` or leaves ``allowed``.
+    ``act(g)`` may instead return the map that the generator g induces on
+    orbit elements, such as :func:`right_multiplication`.  Returns None as
+    soon as the orbit outgrows ``limit`` or leaves ``allowed``.
     """
     seen = set(starts)
-    if act is None:
-        # a one-index itemgetter returns the item, not a 1-tuple
-        act = itemgetter if len(next(iter(seen))) > 1 else (lambda p: lambda g: (g[p],))
-    padded = [(0,) + g for g in dict.fromkeys(generators)]
+    movers = [*map(act or _pointwise, generators)]
     boundary = list(seen)
     while boundary:
         fresh = []
         for x in boundary:
-            image_under = act(*x)
-            for g in padded:
-                u = image_under(g)
+            for move in movers:
+                u = move(x)
                 if u not in seen:
                     if allowed is not None and u not in allowed:
                         return None
@@ -210,6 +206,19 @@ def orbit(starts: Iterable, generators: Iterable[tuple], limit: float = math.inf
                     fresh.append(u)
         boundary = fresh
     return seen
+
+
+def _pointwise(g: tuple, into=tuple):
+    """t -> into(g(t1), g(t2), ...) on collections of points."""
+    padded = (0,) + g
+    return lambda t: into(map(padded.__getitem__, t))
+
+
+def right_multiplication(g: tuple):
+    """p -> p * g on image tuples of degree at least 2: one getter for every
+    p, where g * p would need one per p.  From the identity it reaches the
+    same group as the default action."""
+    return itemgetter(*[v - 1 for v in g])
 
 
 def _padded_inverse(u: tuple) -> tuple:
@@ -514,7 +523,7 @@ def orbit_of_tuple(generators: Sequence[Perm], start: Sequence[int]) -> set[tupl
 def orbit_of_set(generators: Sequence[Perm], start: Iterable[int]) -> set[frozenset]:
     """Orbit of a point set under the induced action on subsets."""
     return orbit([frozenset(start)], [g.images for g in generators],
-                 act=lambda *points: lambda g: frozenset(map(g.__getitem__, points)))
+                 act=lambda g: _pointwise(g, frozenset))
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,9 @@ class Certificate(namedtuple("Certificate", "n k verdict method witness checks n
             "notes": list(self.notes),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        """One line of JSON with no insignificant whitespace."""
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":

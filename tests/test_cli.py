@@ -231,6 +231,14 @@ def test_arithmetic_commands_load_no_group_or_graph_module(tmp_path):
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
+def test_zsigmondy_alone_loads_no_fractions(tmp_path):
+    # only the lemma battery builds a Fraction
+    codes, loaded = _loaded_modules(tmp_path, ["zsigmondy", "--d-max", "10"])
+    assert codes == [0]
+    assert "starcayley.numbers" in loaded
+    assert "fractions" not in loaded and "decimal" not in loaded
+
+
 def test_classify_and_table_certificates_load_no_group_module(tmp_path):
     codes, loaded = _loaded_modules(tmp_path, ["classify", "--n-max", "34"],
                                     ["certify", "34", "5", "--out", "cert.json"],
@@ -392,6 +400,27 @@ def test_check_replays_a_refutation_written_before_the_conjugacy_reduction(capsy
     code, out, _ = run_cli(capsys, "check", str(path))
     assert code == 0
     assert out == "certificate reproduced: (6,2) NotCayley via ExhaustiveSearchRefutation\n"
+
+
+def test_certify_writes_one_line_and_check_reads_pretty_printed_certificates(
+        tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "certify", "9", "4", "--out", str(cert_path))
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert cert_path.read_text() == out
+    # certify wrote json.dumps(cert.to_dict(), indent=2) before certificates were compact
+    for (n, k), method in {(9, 4): "DirectRegularAction",
+                           (33, 30): "LambdaTransitiveWitness",
+                           (34, 5): "ClassificationTable",
+                           (6, 2): "ExhaustiveSearchRefutation"}.items():
+        cert = verdicts.build_certificate(n, k)
+        assert cert.method == method
+        old = tmp_path / f"old-{n}-{k}.json"
+        old.write_text(json.dumps(cert.to_dict(), indent=2) + "\n")
+        code, out, _ = run_cli(capsys, "check", str(old))
+        assert code == 0
+        assert out == f"certificate reproduced: ({n},{k}) {cert.verdict} via {method}\n"
 
 
 def test_certify_k2_above_the_old_field_cap_and_check(tmp_path, capsys):

@@ -57,9 +57,11 @@ certificates = st.builds(
     notes=st.lists(st.text(), max_size=3).map(tuple))
 
 
-@given(certificates, st.sampled_from([None, 2]))
-def test_certificate_round_trips_through_json(cert, indent):
-    assert Certificate.from_json(cert.to_json(indent=indent)) == cert
+@given(certificates)
+def test_certificate_round_trips_through_json(cert):
+    assert Certificate.from_json(cert.to_json()) == cert
+    # certificates were pretty-printed before they became compact
+    assert Certificate.from_json(json.dumps(cert.to_dict(), indent=2)) == cert
 
 
 # dicts with the certificate's keys reach past the first lookup
