@@ -402,6 +402,18 @@ def test_check_replays_a_refutation_written_before_the_conjugacy_reduction(capsy
     assert out == "certificate reproduced: (6,2) NotCayley via ExhaustiveSearchRefutation\n"
 
 
+@pytest.mark.parametrize("n,k", [(6, 2), (7, 3)])
+def test_check_reproduces_a_two_generator_refutation(capsys, n, k):
+    # `certify n k` as written when the search closed two-generator sets up
+    # to conjugacy
+    path = Path(__file__).parent / "data" / f"refutation-{n}-{k}-conjugacy.json"
+    names = [c["name"] for c in json.loads(path.read_text())["checks"]]
+    assert "generator_sets_up_to_2_closed_up_to_conjugacy" in names
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 0
+    assert out == f"certificate reproduced: ({n},{k}) NotCayley via ExhaustiveSearchRefutation\n"
+
+
 def test_certify_writes_one_line_and_check_reads_pretty_printed_certificates(
         tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
