@@ -28,14 +28,15 @@ from starcayley.pairs import PairGroup
 bad = sc.sabidussi_direct(PairGroup.direct_product(sc.PermGroup.symmetric(4), 2), 4, 2)
 print("\nwrong-order witness for (4,2):", bad.verdict)
 
-# the two machine-refutable no-cases at desk scale: S_6,2 and S_7,3.  The
-# search takes its first generator up to conjugacy, and the search space is
-# provably exhausted because groups of square-free order 30 and 210 are
-# 2-generated.
-for n, k in [(6, 2), (7, 3)]:
+# the machine-refutable no-cases at desk scale.  The search grows a group
+# from the identity, each time by a candidate that maps the base vertex to
+# the first vertex the group misses; a regular subgroup would lie on one of
+# its branches, so an exhausted search refutes.
+for n, k in [(6, 2), (7, 3), (7, 4), (8, 4)]:
     cert = sc.search_regular_subgroup(n, k)
     print(f"\n({n},{k}):", cert.verdict, "via", cert.method)
-    print("  justification:", cert.notes[0])
+    for name, ok in cert.checks:
+        print(f"   {name}: {ok}")
 
 # certificates round-trip through JSON and re-verify bit for bit
 text = sc.build_certificate(5, 2).to_json()

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from itertools import islice, permutations
+from itertools import permutations
+from operator import itemgetter
 
 from .pairs import AutPair, PairGroup, aut_order, nu_tail, symmetric_nu_group
 from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
@@ -21,7 +22,7 @@ from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
                    is_k_transitive, orbit, right_multiplication)
 from .verdicts import (METHOD_DIRECT, METHOD_LAMBDA, METHOD_REFUTATION,
                        METHOD_SHARP_K, VERDICT_CAYLEY, VERDICT_NOT_CAYLEY,
-                       VERDICT_UNKNOWN, _FULL_SEARCH_CHECK, Certificate, factorize)
+                       VERDICT_UNKNOWN, Certificate, factorize)
 # re-exported for callers that read the rule and the dispatch from here
 from .verdicts import (build_certificate, classify, is_prime_power,
                        is_truncated_search, table_certificate, verify_certificate)
@@ -135,46 +136,41 @@ def _fixes_some_vertex(mu_type: tuple[int, ...], nu_type: tuple[int, ...]) -> bo
     return all(have[length] >= count for length, count in Counter(nu_type).items())
 
 
+def _partitions(n: int, least: int = 1):
+    """The partitions of n into parts of at least ``least``, as ascending tuples."""
+    if n == 0:
+        yield ()
+    for part in range(least, n + 1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
 def _class_plan(n: int, k: int, target: int, check_clock):
     """Decide both candidate filters (no fixed vertex, order dividing target)
     once per class of S_n x S_{k-1}, a pair of cycle types, listing no pair.
 
-    Returns (candidates, representatives, count): the candidates as a
-    :class:`_ByClass`, the first candidate of each kept class in candidate
-    order (nu outer, mu inner, both lexicographic), and their number.  The
-    representatives need only the lex-first mu of each type: one lex scan of
-    S_n finds them, and stops once the classes seen, of sizes
-    n! / prod l^m_l m_l!, cover S_n.  count is a sum of those sizes.
+    Returns (candidates, count): the candidates as a :class:`_ByClass`, and
+    their number.  mu's types are the partitions of n, each the type of
+    n! / prod l^m_l m_l! permutations; nu's are read off S_{k-1}.
     """
-    first: dict[tuple, tuple] = {}  # mu's cycle type -> (lex-first mu, class size)
-    order, covered = math.factorial(n), 0
-    for i, mu in enumerate(permutations(range(1, n + 1))):
-        if i % DEADLINE_STRIDE == 0:
-            check_clock("planning classes", f"permutation {i}/{order}")
-        mu_type = cycle_type(mu)
-        if mu_type not in first:
-            size = order // math.prod(length ** m * math.factorial(m)
-                                      for length, m in Counter(mu_type).items())
-            first[mu_type] = mu, size
-            covered += size
-            if covered == order:
-                break
+    sizes = {mu_type: math.factorial(n) // math.prod(
+                 length ** m * math.factorial(m) for length, m in Counter(mu_type).items())
+             for mu_type in _partitions(n)}
     keep: dict[tuple, bool] = {}
     nu_types: dict[tuple, tuple] = {}
-    representatives, count = [], 0
-    for nu in permutations(range(2, k + 1)):
-        tail = nu_tail(nu, n)
-        nu_type = nu_types[tail] = cycle_type((1,) + nu)
-        for mu_type, (mu, size) in first.items():
+    count = 0
+    for i, nu in enumerate(permutations(range(2, k + 1))):
+        if i % DEADLINE_STRIDE == 0:
+            check_clock("planning classes", f"nu {i}/{math.factorial(k - 1)}")
+        nu_type = nu_types[nu_tail(nu, n)] = cycle_type((1,) + nu)
+        for mu_type, size in sizes.items():
             kept = keep.get((mu_type, nu_type))
             if kept is None:
                 kept = keep[mu_type, nu_type] = (not _fixes_some_vertex(mu_type, nu_type) and
                                                  target % math.lcm(*mu_type, *nu_type) == 0)
-                if kept:
-                    representatives.append(mu + tail)
             if kept:
                 count += size
-    return _ByClass(n, keep, nu_types), representatives, count
+    return _ByClass(n, keep, nu_types), count
 
 
 class _ByClass(dict):
@@ -196,71 +192,38 @@ class _ByClass(dict):
         return kept
 
 
-class _Cache(dict):
-    """The candidates streamed so far, in order, each mapped to its
-    :func:`right_multiplication` getter; a pair not streamed yet gets a
-    fresh getter, which is not kept."""
-
-    __slots__ = ()
-
-    def append(self, pair) -> None:
-        self[pair] = right_multiplication(pair)
-
-    def __missing__(self, pair):
-        return right_multiplication(pair)
-
-
-def _stream(n: int, k: int, candidates: _ByClass, cache, check_clock):
-    """The candidates as flat pairs, in the order of
-    ``aut_product(n, k).iter_pairs()``: nu outer, mu inner, both
-    lexicographic; each is appended to cache as it is yielded."""
-    total = aut_order(n, k)
-    done = 0
+def _coset(n: int, k: int, v: tuple, candidates: _ByClass):
+    """The candidates that map the base vertex [1..k] to v, lazily, nu outer:
+    mu(j) = v[nu(j)] for j <= k, and mu maps k+1..n onto the other points
+    in any way."""
+    rest = [x for x in range(1, n + 1) if x not in v]
     for nu in permutations(range(2, k + 1)):
-        tail = nu_tail(nu, n)
-        for mu in permutations(range(1, n + 1)):
-            if done % DEADLINE_STRIDE == 0:
-                check_clock("filtering candidates", f"pair {done}/{total}")
-            done += 1
-            pair = mu + tail
+        head, tail = (v[0], *[v[j - 1] for j in nu]), nu_tail(nu, n)
+        for others in permutations(rest):
+            pair = head + others + tail
             if pair in candidates:
-                cache.append(pair)
                 yield pair
 
 
-def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
-                            cap: int = DEFAULT_ELEMENT_CAP,
-                            time_limit: float | None = None,
-                            up_to_conjugacy: bool = True) -> Certificate:
-    """Bounded exhaustive search for a regular subgroup of S_n x S_{k-1}.
+def search_regular_subgroup(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP,
+                            time_limit: float | None = None) -> Certificate:
+    """Exhaustive transversal search for a regular subgroup of S_n x S_{k-1}.
 
     Every non-identity element of a regular subgroup is fixed-point-free on
-    the vertices and has order dividing P(n,k), so candidates are filtered
-    accordingly before generating-set growth; closures are pruned the moment
-    they admit an element violating either condition or outgrow P(n,k).
-    Pairs are flat tuples throughout (see :mod:`starcayley.pairs`).
+    the vertices and has order dividing P(n,k).  Both depend on the
+    conjugacy class alone, a pair of cycle types, so each class is decided
+    once, up front (:func:`_class_plan`), and a closure is pruned the moment
+    it admits any other element or outgrows P(n,k).  Pairs are flat tuples
+    throughout (see :mod:`starcayley.pairs`).
 
-    Both filters depend on the conjugacy class alone, a pair of cycle types,
-    mu's on 1..n and nu's on 1..k, so each class is decided once, up front
-    (:func:`_class_plan`); the candidates are then streamed in order as the
-    growth asks for them, and cached for the next pass.  Closure pruning
-    types an element (:class:`_ByClass`) until one pass has exhausted the
-    stream, and looks it up in the cache from then on.
-
-    With up_to_conjugacy the first generator is only the representative of
-    its class in S_n x S_{k-1}, the class's first candidate.  If G = <a, b>
-    is regular and sigma conjugates a to rep(a), then sigma G sigma^-1 =
-    <rep(a), sigma b sigma^-1> is regular too, since sigma is a graph
-    automorphism, and sigma b sigma^-1 is again a candidate; so the second
-    generator ranges over every candidate.  Without it, as in certificates
-    written before the reduction, every candidate a is paired with every
-    later candidate b.
-
-    The refutation verdict is only issued when exhausting all generating
-    sets of size <= max_gens provably covers every subgroup of order P(n,k):
-    by default that is the case when P(n,k) is square-free (groups of
-    square-free order are metacyclic, hence 2-generated) and max_gens >= 2.
-    Otherwise an exhausted search returns Unknown, never NotCayley.
+    The search grows a semiregular group H from {1}: v is the first vertex,
+    in rank order, that H's orbit of the base vertex [1..k] misses; each
+    candidate c that maps [1..k] to v (:func:`_coset`) gives the closure
+    <H, c>, and each closure not explored before is grown in turn, until one
+    has order P(n,k).  A regular G that contains H holds exactly one such c,
+    and <H, c> is larger than H and lies in G, so every regular subgroup
+    lies on some branch, and an exhausted search refutes with no bound on
+    the number of generators.
 
     A time_limit (seconds) truncates the search; the clock is read every
     DEADLINE_STRIDE steps of every phase, and a truncated search always
@@ -277,72 +240,100 @@ def search_regular_subgroup(n: int, k: int, max_gens: int = 2,
             raise TimeoutError(f"{phase}, {progress}")
 
     try:
-        # orbit() never tests its start, the identity, against allowed
-        allowed, representatives, count = _class_plan(n, k, target, check_clock)
-        # A pass over the stream ends early only by leaving the search, so the
-        # first pass (the full variant's one-generator phase, or the partners
-        # of the first representative) fills the cache, and later ones read it.
-        cache = _Cache()
-        stream = _stream(n, k, allowed, cache, check_clock)
+        allowed, count = _class_plan(n, k, target, check_clock)
+        vertices = list(permutations(range(1, n + 1), k))
+        # a pair's image of [1..k] holds mu(nu^-1(i)) at i: one getter per tail
+        images = {nu_tail(nu, n): itemgetter(*sorted(range(k), key=((1,) + nu).__getitem__))
+                  for nu in permutations(range(2, k + 1))}
         identity = tuple(range(1, n + k))
+        explored = set()
+        tried = 0
 
-        def grow(gens) -> bool:
-            # x -> x * g reaches the same group from the identity as g * x,
-            # with one getter per candidate, made once, not one per element
-            seen = orbit([identity], gens, limit=target, allowed=allowed,
-                         act=cache.__getitem__)
-            return seen is not None and len(seen) == target
+        def grow(gens: tuple, group, start: int):
+            nonlocal tried
+            covered = {images[p[n:]](p) for p in group}
+            while vertices[start] in covered:
+                start += 1
+            for c in _coset(n, k, vertices[start], allowed):
+                if tried % DEADLINE_STRIDE == 0:
+                    check_clock("transversal search", f"candidate {tried}")
+                tried += 1
+                # x -> x * g from H reaches <H, c>, as g * x would; orbit() tests
+                # no start against allowed, so the identity passes
+                seen = orbit(group, gens + (c,), limit=target, allowed=allowed,
+                             act=right_multiplication)
+                if seen is None or frozenset(seen) in explored:
+                    continue
+                explored.add(frozenset(seen))
+                found = (gens + (c,) if len(seen) == target
+                         else grow(gens + (c,), seen, start + 1))
+                if found:
+                    return found
+            return None
 
-        total = len(representatives) if up_to_conjugacy else count
-        firsts = representatives if up_to_conjugacy else stream
-        for i, g in enumerate(firsts if max_gens >= 1 else ()):
-            if i % DEADLINE_STRIDE == 0:
-                check_clock("one-generator growth", f"candidate {i}/{total}")
-            if grow((g,)):
-                return _search_hit(n, k, (g,), count)
-        steps = 0
-        firsts = representatives if up_to_conjugacy else cache
-        for i, a in enumerate(firsts if max_gens >= 2 else ()):
-            if len(cache) < count:
-                seconds = stream
-            else:
-                if isinstance(allowed, _ByClass):
-                    allowed = cache
-                seconds = cache if up_to_conjugacy else islice(cache, i + 1, None)
-            for b in seconds:
-                if steps % DEADLINE_STRIDE == 0:
-                    check_clock("two-generator growth", f"pair {i}/{total}")
-                steps += 1
-                if grow((a, b)):
-                    return _search_hit(n, k, (a, b), count)
+        found = grow((), (identity,), 0)
     except TimeoutError as stop:
         return Certificate(
             n, k, VERDICT_UNKNOWN, METHOD_REFUTATION, None,
             (("search_space_exhausted", False),),
             (f"time budget of {time_limit}s exhausted before the search "
              f"space was covered ({stop})",))
-
-    square_free = all(e == 1 for _, e in factorize(target))
-    exhausted = square_free and max_gens >= 2
+    if found:
+        return _search_hit(n, k, found, count)
     checks = (
         ("full_automorphism_group_enumerated", True),
         ("candidates_restricted_to_fixed_point_free_elements", True),
-        (f"generator_sets_up_to_{max_gens}_closed_up_to_conjugacy" if up_to_conjugacy
-         else f"{_FULL_SEARCH_CHECK}{max_gens}_generators_closed", True),
+        ("transversal_search_exhausted", True),
         ("no_regular_subgroup_found", True),
-        (f"order_{target}_subgroups_need_at_most_{max_gens}_generators", exhausted),
     )
-    notes = ((f"groups of square-free order {target} are "
-              "metacyclic, hence 2-generated"),) if square_free else ()
-    if exhausted:
-        return Certificate(n, k, VERDICT_NOT_CAYLEY, METHOD_REFUTATION,
-                           None, checks, notes)
-    return Certificate(n, k, VERDICT_UNKNOWN, METHOD_REFUTATION, None, checks,
-                       ("search exhausted, but no generator bound certifies "
-                        f"that order-{target} subgroups are {max_gens}-generated",))
+    return Certificate(n, k, VERDICT_NOT_CAYLEY, METHOD_REFUTATION, None, checks)
+
+
+# the third check of a refutation by the two-generator search, in each of its
+# variants, as certificates written before the transversal search record it
+_TWO_GENERATOR_CHECKS = ("generator_sets_up_to_2_closed_up_to_conjugacy",
+                         "all_generating_sets_up_to_2_generators_closed")
+
+
+def derive_two_generator_search(cert: Certificate, fresh: Certificate) -> Certificate:
+    """fresh, the transversal search's certificate for cert's pair; or, when
+    cert is a refutation by the two-generator search, what that search
+    finds, derived from fresh.
+
+    That search closed every subgroup generated by two candidates, and
+    refuted only when P(n,k) is square-free, since such groups are
+    metacyclic, hence 2-generated.  So where the transversal search finds
+    no regular subgroup, it found none either, and its verdict follows from
+    the factorisation; where a square-free regular group exists, it found
+    one too.  A regular group of any other order may need more generators,
+    and then nothing can be derived: the result records no check, and a
+    note says why.
+    """
+    variant = next((name for name, _ in cert.checks if name in _TWO_GENERATOR_CHECKS), None)
+    n, k = fresh.n, fresh.k
+    target = math.perm(n, k)
+    square_free = all(e == 1 for _, e in factorize(target))
+    if variant is None or fresh.verdict == VERDICT_UNKNOWN or (
+            fresh.verdict == VERDICT_CAYLEY and square_free):
+        return fresh
+    if fresh.verdict == VERDICT_CAYLEY:
+        return Certificate(n, k, VERDICT_UNKNOWN, METHOD_REFUTATION, None, (), (
+            f"a regular subgroup exists, and its order {target} is not square-free, "
+            "so whether two candidates generate one cannot be derived",))
+    checks = fresh.checks[:2] + ((variant, True), fresh.checks[3],
+                                 (f"order_{target}_subgroups_need_at_most_2_generators",
+                                  square_free))
+    return Certificate(n, k, VERDICT_NOT_CAYLEY if square_free else VERDICT_UNKNOWN,
+                       METHOD_REFUTATION, None, checks)
 
 
 def _search_hit(n, k, gens, candidate_count) -> Certificate:
+    # drop each generator that the others generate, last first
+    identity = tuple(range(1, n + k))
+    gens = list(gens)
+    for g in gens[::-1]:
+        if g in orbit([identity], [h for h in gens if h != g], act=right_multiplication):
+            gens.remove(g)
     group = PairGroup.generate(n, k, [AutPair.from_flat(g, n) for g in gens],
                                name=f"search-regular({n},{k})")
     cert = sabidussi_direct(group, n, k)

@@ -185,6 +185,9 @@ def cmd_check(args) -> int:
               f"via {cert.method}")
         return EXIT_OK
     print("certificate MISMATCH")
+    if not fresh.checks:  # nothing could be re-run, and the note says why
+        print(fresh.notes[0])
+        return EXIT_MISMATCH
     if fresh.verdict != cert.verdict:
         print(f"verdict: recorded {cert.verdict}, fresh {fresh.verdict}")
     for i in range(max(len(cert.checks), len(fresh.checks))):

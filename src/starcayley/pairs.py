@@ -165,9 +165,7 @@ class PairGroup:
             if g.degree != n or not nu_is_admissible(g.nu, k):
                 raise ValueError(f"{g!r} is not a pair for the ({n},{k})-star graph")
         chain = StabChain(n + k - 1, [g.flat(k) for g in generators],
-                          tuple(range(1, k + 1)) + tuple(range(n + 1, n + k)))
-        if chain.order() > cap:
-            raise CapExceeded(f"pair closure of order {chain.order()} exceeds cap={cap}")
+                          tuple(range(1, k + 1)) + tuple(range(n + 1, n + k)), cap)
         return cls(n, k, generators, name, chain=chain)
 
     # -- queries -------------------------------------------------------------

@@ -172,10 +172,7 @@ def closure(generators: Sequence[Perm], cap: int = DEFAULT_ELEMENT_CAP,
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators must share a degree")
-    chain = StabChain(degree, [g.images for g in generators])
-    if chain.order() > cap:
-        raise CapExceeded(f"group order {chain.order()} exceeds cap={cap}; use a "
-                          "certificate-based path instead of enumeration")
+    chain = StabChain(degree, [g.images for g in generators], cap=cap)
     return PermGroup(degree, generators, name=name, chain=chain)
 
 
@@ -241,17 +238,22 @@ class StabChain:
     Schreier generator is sifted, none is sampled, so :meth:`order` is
     exact.  Since every point is a base point, a permutation that sifts
     through all levels is the identity.  Elements are image tuples.
+
+    Each basic orbit only grows, and lies inside the complete one, so the
+    product of their lengths bounds the order from below at every stage:
+    :class:`CapExceeded` is raised the moment it passes ``cap``.
     """
 
-    __slots__ = ("degree", "base", "_gens", "_tested", "_orbits", "_transversals")
+    __slots__ = ("degree", "base", "_cap", "_gens", "_tested", "_orbits", "_transversals")
 
     def __init__(self, degree: int, generators: Iterable[tuple] = (),
-                 base: Sequence[int] = ()):
+                 base: Sequence[int] = (), cap: float = math.inf):
         rest = set(base)
         if len(rest) != len(base) or not all(1 <= b <= degree for b in rest):
             raise ValueError(f"base {base!r} is not a list of distinct points of 1..{degree}")
         self.degree = degree
         self.base = tuple(base) + tuple(x for x in range(1, degree + 1) if x not in rest)
+        self._cap = cap
         identity = tuple(range(1, degree + 1))
         entry = (identity, (0,) + identity)
         self._gens: list[list[tuple]] = [[] for _ in self.base]
@@ -327,6 +329,9 @@ class StabChain:
                         transversal[gamma] = (v, _padded_inverse(v))
                         orbit.append(gamma)
                         todo.append((gamma, padded))
+        if self.order() > self._cap:
+            raise CapExceeded(f"group order exceeds cap={self._cap}: its chain "
+                              f"already holds {self.order()} elements")
 
     def _complete(self, level: int) -> None:
         """Sift the untested Schreier generators of levels ``level``..0, given

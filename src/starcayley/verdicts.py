@@ -32,11 +32,10 @@ METHOD_REFUTATION = "ExhaustiveSearchRefutation"
 
 SPORADIC_CAYLEY_PAIRS = frozenset({(9, 4), (9, 6), (11, 4), (12, 5), (33, 4), (33, 30)})
 
-# build_certificate searches a no-case when |S_n x S_{k-1}| is at most 7! 2!
-SEARCH_AUT_LIMIT = 10_080
-
-# the check a search without the conjugacy reduction records, before max_gens
-_FULL_SEARCH_CHECK = "all_generating_sets_up_to_"
+# build_certificate searches a no-case when the base vertex's stabiliser,
+# (n-k)!(k-1)! pairs, and the vertex count P(n,k) are at most these: that is
+# (6,2), (7,3), (7,4), (8,4) and (8,5)
+SEARCH_STABILIZER_LIMIT, SEARCH_VERTEX_LIMIT = 144, 6_720
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -257,9 +256,10 @@ def build_certificate(n: int, k: int, force_search: bool = False,
     otherwise.
     """
     result = classify(n, k)
-    # n <= 7 first: 8! alone exceeds the limit, and n! is out of reach for large n
-    if force_search or (not result.is_cayley and n <= 7 and
-                        math.factorial(n) * math.factorial(k - 1) <= SEARCH_AUT_LIMIT):
+    # n - k and k - 1 below 6 first: 6! alone exceeds the stabiliser limit
+    if force_search or (not result.is_cayley and max(n - k, k - 1) < 6 and
+                        math.factorial(n - k) * math.factorial(k - 1) <= SEARCH_STABILIZER_LIMIT
+                        and math.perm(n, k) <= SEARCH_VERTEX_LIMIT):
         # perm first: see the note on import order in cli.py
         from . import perm, cayley
         return cayley.search_regular_subgroup(n, k, cap=element_cap,
@@ -277,9 +277,11 @@ def verify_certificate(cert: Certificate, cap: int = DEFAULT_ELEMENT_CAP,
 
     Returns (reproduced, fresh_certificate): reproduced is True when the
     fresh run agrees bit-for-bit on the verdict and on every recorded check.
-    A refutation is replayed as the search variant its checks name, under
-    time_limit; a replay the clock cuts short is a truncated search
-    (:func:`is_truncated_search`), which reproduces nothing.
+    A refutation is replayed by the transversal search, under time_limit,
+    and one by the older two-generator search is derived from it
+    (:func:`cayley.derive_two_generator_search`); a replay the clock cuts
+    short is a truncated search (:func:`is_truncated_search`), which
+    reproduces nothing.
     """
     n, k = cert.n, cert.k
     if cert.method == METHOD_TABLE:
@@ -298,9 +300,8 @@ def verify_certificate(cert: Certificate, cap: int = DEFAULT_ELEMENT_CAP,
             h = perm.PermGroup.from_dict(cert.witness, cap=cap)
             fresh = cayley.certify_via_lambda(h, n, k)
         else:
-            full = any(name.startswith(_FULL_SEARCH_CHECK) for name, _ in cert.checks)
-            fresh = cayley.search_regular_subgroup(n, k, cap=cap, time_limit=time_limit,
-                                                   up_to_conjugacy=not full)
+            fresh = cayley.derive_two_generator_search(
+                cert, cayley.search_regular_subgroup(n, k, cap=cap, time_limit=time_limit))
     else:
         raise ValueError(f"unknown certificate method {cert.method!r}")
     reproduced = (fresh.verdict == cert.verdict and fresh.checks == cert.checks)

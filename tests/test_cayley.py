@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -176,11 +177,46 @@ def test_search_finds_regular_subgroup_42():
     assert cert.verdict == "Cayley"
 
 
+def _two_generator_refutation(n, k, variant="generator_sets_up_to_2_closed_up_to_conjugacy"):
+    """A refutation as the two-generator search wrote it when it found no
+    regular subgroup generated by two candidates: NotCayley when P(n,k) is
+    square-free, Unknown otherwise."""
+    target = math.perm(n, k)
+    square_free = all(e == 1 for _, e in verdicts.factorize(target))
+    checks = (("full_automorphism_group_enumerated", True),
+              ("candidates_restricted_to_fixed_point_free_elements", True),
+              (variant, True), ("no_regular_subgroup_found", True),
+              (f"order_{target}_subgroups_need_at_most_2_generators", square_free))
+    if square_free:
+        return Certificate(n, k, "NotCayley", "ExhaustiveSearchRefutation", None, checks,
+                           (f"groups of square-free order {target} are metacyclic, "
+                            "hence 2-generated",))
+    return Certificate(n, k, "Unknown", "ExhaustiveSearchRefutation", None, checks,
+                       ("search exhausted, but no generator bound certifies "
+                        f"that order-{target} subgroups are 2-generated",))
+
+
 def test_search_unknown_when_bound_not_justified():
-    # order 12 = 2^2 * 3 is not square-free, so an exhausted single-generator
-    # search cannot claim refutation
-    cert = search_regular_subgroup(4, 2, max_gens=0)
-    assert cert.verdict == "Unknown"
+    # order 840 = 2^3 * 3 * 5 * 7 is not square-free, so the two-generator
+    # search exhausted (7,4) with Unknown; its replay is derived from the
+    # transversal search, which finds no regular subgroup
+    old = _two_generator_refutation(7, 4)
+    reproduced, fresh = verify_certificate(Certificate.from_json(old.to_json()))
+    assert reproduced and fresh.verdict == "Unknown" and fresh.checks == old.checks
+    assert not verify_certificate(old._replace(verdict="NotCayley"))[0]
+    assert search_regular_subgroup(7, 4).verdict == "NotCayley"
+
+
+def test_two_generator_refutation_of_a_yes_case_fails_to_reproduce():
+    # (7,2): 42 is square-free, so the old search would have found the hit
+    reproduced, fresh = verify_certificate(_two_generator_refutation(7, 2))
+    assert not reproduced and fresh.verdict == "Cayley"
+    # (5,2): 20 is not, so whether two candidates generate a regular group
+    # is not derived, and the replay records nothing but the reason
+    reproduced, fresh = verify_certificate(_two_generator_refutation(5, 2))
+    assert not reproduced and fresh.checks == ()
+    (note,) = fresh.notes
+    assert "order 20 is not square-free" in note
 
 
 def test_search_truncated_by_time_budget():
@@ -213,7 +249,7 @@ def test_truncated_search_predicate():
     truncated = search_regular_subgroup(6, 2, time_limit=0.0)
     assert is_truncated_search(truncated)
     assert not is_truncated_search(build_certificate(6, 2))
-    assert not is_truncated_search(search_regular_subgroup(4, 2, max_gens=0))
+    assert not is_truncated_search(_two_generator_refutation(7, 4))
     forged = Certificate(6, 2, "NotCayley", truncated.method, None, truncated.checks)
     assert not is_truncated_search(forged)
 
@@ -267,12 +303,16 @@ def _no_clock(phase, progress):
 
 
 def _streamed(n, k):
-    """The search's class plan and its whole candidate stream."""
-    candidates, representatives, count = cayley._class_plan(n, k, math.perm(n, k), _no_clock)
-    cache = []
-    streamed = list(cayley._stream(n, k, candidates, cache, _no_clock))
-    assert cache == streamed
-    return streamed, representatives, count
+    """The search's class plan, and the candidates its cosets list lazily,
+    one coset for each vertex in rank order; each candidate maps [1..k] to
+    the vertex of its coset."""
+    candidates, count = cayley._class_plan(n, k, math.perm(n, k), _no_clock)
+    streamed = []
+    for v in itertools.permutations(range(1, n + 1), k):
+        coset = list(cayley._coset(n, k, v, candidates))
+        assert all(AutPair.from_flat(c, n).apply(range(1, k + 1)) == v for c in coset)
+        streamed += coset
+    return streamed, count
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 3), (6, 4), (7, 3)])
@@ -286,17 +326,47 @@ def test_cycle_type_fixed_point_test_matches_vertex_scan(n, k):
         assert by_type == by_scan, pair
         if not by_scan and target % pair.order() == 0:
             expected.append(pair.flat(k))
-    # the search sees the surviving pairs as flat tuples, in iter_pairs order
+    # the search sees the surviving pairs as flat tuples, coset by coset
     assert _candidates(n, k) == expected
-    assert _streamed(n, k)[0] == expected
+    assert sorted(_streamed(n, k)[0]) == sorted(expected)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 9) for k in range(2, n - 1)
                                  if aut_order(n, k) <= 80_640])
 def test_streamed_candidates_match_the_enumeration(n, k):
-    representatives = []
-    candidates = _candidates(n, k, representatives)
-    assert _streamed(n, k) == (candidates, representatives, len(candidates))
+    candidates = _candidates(n, k)
+    streamed, count = _streamed(n, k)
+    assert sorted(streamed) == sorted(candidates)
+    assert count == len(candidates)
+
+
+def _lex_scan_plan(n, k):
+    """Oracle: the class plan as a lex scan of S_n found it, up to the
+    classes seen covering S_n: each class's verdict, and the candidate count."""
+    target, order = math.perm(n, k), math.factorial(n)
+    sizes, covered = {}, 0
+    for mu in itertools.permutations(range(1, n + 1)):
+        mu_type = cycle_type(mu)
+        if mu_type not in sizes:
+            sizes[mu_type] = order // math.prod(l ** m * math.factorial(m) for l, m
+                                                in collections.Counter(mu_type).items())
+            covered += sizes[mu_type]
+            if covered == order:
+                break
+    keep, count = {}, 0
+    for nu in itertools.permutations(range(2, k + 1)):
+        nu_type = cycle_type((1,) + nu)
+        for mu_type, size in sizes.items():
+            kept = keep[mu_type, nu_type] = (not cayley._fixes_some_vertex(mu_type, nu_type)
+                                             and target % math.lcm(*mu_type, *nu_type) == 0)
+            count += size if kept else 0
+    return keep, count
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 9) for k in range(2, n)])
+def test_class_plan_matches_the_lex_scan(n, k):
+    candidates, count = cayley._class_plan(n, k, math.perm(n, k), _no_clock)
+    assert (candidates.keep, count) == _lex_scan_plan(n, k)
 
 
 def test_search_deadline_checked_while_planning(monkeypatch):
@@ -307,13 +377,13 @@ def test_search_deadline_checked_while_planning(monkeypatch):
         return 0.0 if len(reads) < 3 else 100.0
 
     monkeypatch.setattr(cayley, "time", SimpleNamespace(monotonic=fake_monotonic))
-    cert = search_regular_subgroup(7, 2, time_limit=10.0)
+    cert = search_regular_subgroup(9, 7, cap=10**9, time_limit=10.0)
     assert cert.verdict == "Unknown"
     assert cert.checks == (("search_space_exhausted", False),)
     (note,) = cert.notes
     assert "budget" in note
-    # the class plan's lex scan of S_7 reads the clock at permutation 0 and 256
-    assert "planning classes, permutation 256/5040" in note
+    # the class plan reads the clock at the 0th and the 256th nu of S_6
+    assert "planning classes, nu 256/720" in note
     assert len(reads) == 3
 
 
@@ -326,7 +396,7 @@ def test_search_deadline_checked_in_every_phase(monkeypatch):
             return 0.0 if len(reads) < cut else 100.0
 
         monkeypatch.setattr(cayley, "time", SimpleNamespace(monotonic=fake_monotonic))
-        return search_regular_subgroup(6, 2, time_limit=10.0), len(reads)
+        return search_regular_subgroup(7, 3, time_limit=10.0), len(reads)
 
     cert, reads = run(math.inf)
     assert cert.verdict == "NotCayley"
@@ -336,10 +406,8 @@ def test_search_deadline_checked_in_every_phase(monkeypatch):
         assert is_truncated_search(cert), cut
         (note,) = cert.notes
         phases.append(re.search(r"\((.*), ", note).group(1))
-    assert set(phases) == {"planning classes", "filtering candidates",
-                           "one-generator growth", "two-generator growth"}
-    # the stream is read as the second generators ask for it
-    assert phases.index("filtering candidates") > phases.index("one-generator growth")
+    # the search tries 510 candidates, and reads the clock at the 0th and the 256th
+    assert phases == ["planning classes", "transversal search", "transversal search"]
 
 
 @pytest.mark.parametrize("n,k,force_search", [
@@ -585,38 +653,62 @@ def test_yes_case_certify_and_check_list_no_elements(monkeypatch, n, k):
 
 
 # ---------------------------------------------------------------------------
-# the search up to conjugacy, against the full enumeration
+# the transversal search, against the classification
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 9) for k in range(2, n - 1)])
+def test_search_matches_the_classification(n, k):
+    # (8,6) alone has |S_8 x S_5| = 4,838,400 over the default cap; the
+    # search lists no pair of it
+    cert = search_regular_subgroup(n, k, cap=10**7)
+    expected = "Cayley" if classify(n, k).is_cayley else "NotCayley"
+    assert cert.verdict == expected and cert.all_passed()
+    reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()), cap=10**7)
+    assert reproduced, fresh
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4), (7, 2)])
 def test_search_up_to_conjugacy_matches_the_full_search(n, k):
-    reduced = search_regular_subgroup(n, k)
-    full = search_regular_subgroup(n, k, up_to_conjugacy=False)
-    expected = "Cayley" if classify(n, k).is_cayley else "NotCayley"
-    assert reduced.verdict == full.verdict == expected
-    for cert in (reduced, full):
-        reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()))
-        assert reproduced, fresh
+    # refutations by the two-generator search, with its first generator up
+    # to conjugacy or not, replay alike: reproduced where no regular subgroup
+    # exists; otherwise a hit when P(n,k) is square-free, as the older search
+    # found too, and no check at all when it is not
+    square_free = all(e == 1 for _, e in verdicts.factorize(math.perm(n, k)))
+    for variant in ("generator_sets_up_to_2_closed_up_to_conjugacy",
+                    "all_generating_sets_up_to_2_generators_closed"):
+        old = _two_generator_refutation(n, k, variant)
+        reproduced, fresh = verify_certificate(Certificate.from_json(old.to_json()))
+        assert reproduced == (not classify(n, k).is_cayley)
+        if reproduced:
+            assert fresh.checks == old.checks
+        elif square_free:
+            assert fresh.verdict == "Cayley" and fresh.method == "DirectRegularAction"
+        else:
+            assert fresh.checks == () and "not square-free" in fresh.notes[0]
 
 
 @pytest.mark.parametrize("n,k,classes", [(6, 2, 5), (7, 3, 16), (6, 4, 27)])
 def test_representatives_are_the_first_candidate_of_each_class(n, k, classes):
+    # the plan keeps exactly the classes whose first candidates the lex
+    # scan took as representatives
     representatives = []
-    candidates = _candidates(n, k, representatives)
-    assert _streamed(n, k)[1] == representatives
-    first = {}
-    for flat in candidates:
-        pair = AutPair.from_flat(flat, n)
-        types = (cycle_type(pair.mu.images), cycle_type(pair.nu.images[:k]))
-        first.setdefault(types, flat)
-    assert representatives == list(first.values())
+    _candidates(n, k, representatives)
+    kept, _ = cayley._class_plan(n, k, math.perm(n, k), _no_clock)
+    types = {(cycle_type(flat[:n]), cycle_type(AutPair.from_flat(flat, n).nu.images[:k]))
+             for flat in representatives}
+    assert {t for t, keep in kept.keep.items() if keep} == types
     assert len(representatives) == classes
 
 
-def test_refutation_closes_each_representative_with_every_candidate(monkeypatch):
+def _base_images(n, k, generators):
+    """Oracle: the vertices the group of the flat generators maps [1..k] to."""
+    identity = tuple(range(1, n + k))
+    group = pairs_mod.orbit([identity], generators) if generators else {identity}
+    return {AutPair.from_flat(g, n).apply(range(1, k + 1)) for g in group}
+
+
+def test_refutation_branches_over_the_coset_of_each_missed_vertex(monkeypatch):
     n, k = 6, 2
-    representatives = []
-    candidates = _candidates(n, k, representatives)
     closures = []
     orbit = cayley.orbit
 
@@ -626,19 +718,32 @@ def test_refutation_closes_each_representative_with_every_candidate(monkeypatch)
 
     monkeypatch.setattr(cayley, "orbit", counting)
     assert search_regular_subgroup(n, k).verdict == "NotCayley"
-    expected = [(a,) for a in representatives]
-    expected += [(a, b) for a in representatives for b in candidates]
-    assert closures == expected
-    closures.clear()
-    assert search_regular_subgroup(n, k, up_to_conjugacy=False).verdict == "NotCayley"
-    c = len(candidates)
-    assert len(closures) == c + c * (c - 1) // 2
+    vertices = list(itertools.permutations(range(1, n + 1), k))
+    candidates = set(_candidates(n, k))
+    for gens in closures:
+        # the last generator maps [1..k] to the first vertex, in rank order,
+        # that the group of the others misses
+        *others, c = gens
+        covered = _base_images(n, k, others)
+        missed = next(v for v in vertices if v not in covered)
+        assert c in candidates
+        assert AutPair.from_flat(c, n).apply(range(1, k + 1)) == missed
+    # from {1} the search branches over the whole coset of (1,3)
+    first = [gens for gens in closures if len(gens) == 1]
+    assert first == [(c,) for c in cayley._coset(n, k, (1, 3), candidates)]
+    # a group is grown once: the generators before the last, over all
+    # closures, generate distinct groups
+    identity = tuple(range(1, n + k))
+    grown = {gens[:-1] for gens in closures if len(gens) > 1}
+    assert len({frozenset(pairs_mod.orbit([identity], g)) for g in grown}) == len(grown)
+    assert len(closures) == 77
 
 
-def test_8_3_hit_is_unchanged_and_types_few_pairs(monkeypatch):
-    # tests/data/hit-8-3.json is `certify 8 3 --force-search` as written when
-    # the search still typed all 80,640 pairs of S_8 x S_2 before its first closure
+def test_8_3_hit_keeps_no_redundant_generator_and_types_few_pairs(monkeypatch):
+    # tests/data/hit-8-3.json is `certify 8 3 --force-search` as written by the
+    # two-generator search, which typed all 80,640 pairs of S_8 x S_2 at first
     text = (Path(__file__).parent / "data" / "hit-8-3.json").read_text()
+    assert verify_certificate(Certificate.from_json(text))[0]
     typed = []
 
     def spy(images):
@@ -647,9 +752,13 @@ def test_8_3_hit_is_unchanged_and_types_few_pairs(monkeypatch):
 
     monkeypatch.setattr(cayley, "cycle_type", spy)
     cert = search_regular_subgroup(8, 3)
-    # the file is pretty-printed, as certificates were before they became compact
-    assert json.loads(cert.to_json()) == json.loads(text)
+    assert cert.verdict == "Cayley" and cert.all_passed()
     assert cert.to_json() == json.dumps(cert.to_dict(), separators=(",", ":"))
+    gens = [AutPair.from_dict(g) for g in cert.witness["generators"]]
+    assert len(gens) == 3
+    # the others generate a smaller group than all of them
+    for i in range(len(gens)):
+        assert PairGroup.generate(8, 3, gens[:i] + gens[i + 1:]).order < math.perm(8, 3)
     assert len(typed) < 15_000
 
 
@@ -657,32 +766,43 @@ def test_build_certificate_refutes_7_3_by_search():
     cert = build_certificate(7, 3)
     assert cert.verdict == "NotCayley"
     assert cert.method == "ExhaustiveSearchRefutation"
-    assert cert.all_passed()
-    assert ("generator_sets_up_to_2_closed_up_to_conjugacy", True) in cert.checks
+    assert cert.all_passed() and cert.notes == ()
+    assert ("transversal_search_exhausted", True) in cert.checks
     reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()))
     assert reproduced, fresh
 
 
+def test_build_certificate_searches_exactly_the_gated_no_cases(monkeypatch):
+    searched = []
+    monkeypatch.setattr(cayley, "search_regular_subgroup",
+                        lambda n, k, **kwargs: searched.append((n, k)))
+    for n in range(4, 35):
+        for k in range(1, n):
+            build_certificate(n, k)
+    assert searched == [(6, 2), (7, 3), (7, 4), (8, 4), (8, 5)]
+
+
 def test_refutation_without_the_reduction_replays_the_full_search(monkeypatch):
     text = (Path(__file__).parent / "data" / "refutation-6-2-full.json").read_text()
-    variants = []
+    calls = []
     search = cayley.search_regular_subgroup
 
     def spy(*args, **kwargs):
-        variants.append(kwargs.get("up_to_conjugacy", True))
+        calls.append(set(kwargs))
         return search(*args, **kwargs)
 
     monkeypatch.setattr(cayley, "search_regular_subgroup", spy)
     old = Certificate.from_json(text)
-    assert verify_certificate(old)[0]
+    reproduced, fresh = verify_certificate(old)
+    assert reproduced and fresh.checks == old.checks
     new = search(6, 2)
     assert verify_certificate(new)[0]
-    assert variants == [False, True]
-    # the two certificates differ in the name of the third check alone
-    assert json.loads(new.to_json()) == json.loads(text.replace(
-        "all_generating_sets_up_to_2_generators_closed",
-        "generator_sets_up_to_2_closed_up_to_conjugacy"))
-    assert new.to_json() == json.dumps(new.to_dict(), separators=(",", ":"))
+    # both replays run the transversal search, and the full search's checks
+    # are derived from it
+    assert calls == [{"cap", "time_limit"}] * 2
+    assert old == _two_generator_refutation(6, 2, "all_generating_sets_up_to_2_generators_closed")
+    assert new.checks[:2] == old.checks[:2] and new.checks[3] == old.checks[3]
+    assert new.checks[2] == ("transversal_search_exhausted", True) and new.notes == ()
 
 
 def test_trivial_nu_factor_costs_one_base_image_sift(monkeypatch):

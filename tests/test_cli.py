@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -412,6 +413,73 @@ def test_check_reproduces_a_two_generator_refutation(capsys, n, k):
     code, out, _ = run_cli(capsys, "check", str(path))
     assert code == 0
     assert out == f"certificate reproduced: ({n},{k}) NotCayley via ExhaustiveSearchRefutation\n"
+
+
+def _old_refutation(n, k):
+    """The two-generator search's refutation of (n,k), as it wrote one
+    when P(n,k) is not square-free: Unknown."""
+    target = math.perm(n, k)
+    return {"n": n, "k": k, "verdict": "Unknown", "method": "ExhaustiveSearchRefutation",
+            "witness": None, "checks": [
+                {"name": "full_automorphism_group_enumerated", "pass": True},
+                {"name": "candidates_restricted_to_fixed_point_free_elements", "pass": True},
+                {"name": "generator_sets_up_to_2_closed_up_to_conjugacy", "pass": True},
+                {"name": "no_regular_subgroup_found", "pass": True},
+                {"name": f"order_{target}_subgroups_need_at_most_2_generators", "pass": False}],
+            "notes": ["search exhausted, but no generator bound certifies "
+                      f"that order-{target} subgroups are 2-generated"]}
+
+
+def test_check_derives_an_old_unknown_refutation_and_names_what_it_cannot(tmp_path, capsys):
+    # (7,4) has no regular subgroup, so the old Unknown follows
+    path = tmp_path / "old-7-4.json"
+    path.write_text(json.dumps(_old_refutation(7, 4)))
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 0
+    assert out == "certificate reproduced: (7,4) Unknown via ExhaustiveSearchRefutation\n"
+    # (5,2) has one, of order 20, which is not square-free: one line says why
+    # nothing follows
+    path = tmp_path / "old-5-2.json"
+    path.write_text(json.dumps(_old_refutation(5, 2)))
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 2
+    first, reason = out.splitlines()
+    assert first == "certificate MISMATCH"
+    assert reason == ("a regular subgroup exists, and its order 20 is not square-free, "
+                      "so whether two candidates generate one cannot be derived")
+
+
+@pytest.mark.parametrize("n,k", [(7, 4), (8, 4), (8, 5)])
+def test_certify_refutes_by_search_and_check_reproduces(tmp_path, capsys, n, k):
+    cert_path = tmp_path / f"cert-{n}-{k}.json"
+    code, out, _ = run_cli(capsys, "certify", str(n), str(k), "--out", str(cert_path))
+    assert code == 0
+    cert = json.loads(out)
+    assert (cert["verdict"], cert["method"]) == ("NotCayley", "ExhaustiveSearchRefutation")
+    assert [c["name"] for c in cert["checks"]][2] == "transversal_search_exhausted"
+    code, out, _ = run_cli(capsys, "check", str(cert_path))
+    assert code == 0
+    assert out == f"certificate reproduced: ({n},{k}) NotCayley via ExhaustiveSearchRefutation\n"
+
+
+def test_check_of_a_witness_generating_s_200_stops_at_the_cap(tmp_path, capsys):
+    # a 200-cycle and a transposition generate S_200; the chain is cut as
+    # soon as its orbits pass the element cap
+    m = 200
+    e = list(range(1, m + 1))
+    cert = {"n": m, "k": 2, "verdict": "Cayley", "method": "DirectRegularAction",
+            "witness": {"name": "S_200", "degree": m, "k": 2, "generators": [
+                {"mu": e[1:] + [1], "nu": e}, {"mu": [2, 1] + e[2:], "nu": e}]},
+            "checks": [{"name": name, "pass": True} for name in (
+                "order_equals_vertex_count", "base_vertex_stabilizer_trivial",
+                "evaluation_map_bijective")]}
+    path = tmp_path / "s200.json"
+    path.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("budget exhausted: group order exceeds cap")
 
 
 def test_certify_writes_one_line_and_check_reads_pretty_printed_certificates(

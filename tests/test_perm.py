@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,6 +266,22 @@ def test_chain_base_prefix_and_stabilizer_orders():
         StabChain(4, base=(1, 1))
     with pytest.raises(ValueError):
         StabChain(4, base=(5,))
+
+
+def test_chain_stops_at_the_cap_before_it_is_complete():
+    # an m-cycle and a transposition generate S_m, of order m!; the first
+    # orbits alone pass the cap, long before the chain is complete
+    m = 200
+    cycle = tuple(range(2, m + 1)) + (1,)
+    swap = (2, 1) + tuple(range(3, m + 1))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        StabChain(m, [cycle, swap], cap=10**6)
+    with pytest.raises(CapExceeded):
+        closure([Perm(cycle), Perm(swap)], cap=10**6)
+    assert time.perf_counter() - start < 1.0
+    # a cap the order meets exactly is not passed
+    assert StabChain(5, [(2, 3, 4, 1, 5), (2, 1, 3, 4, 5)], cap=24).order() == 24
 
 
 @st.composite
