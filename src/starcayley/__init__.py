@@ -36,8 +36,7 @@ _LAZY = {name: module for module, names in [
                    "is_edge_in_triangle", "rank", "residual_neighbors",
                    "six_cycles_through", "star_neighbors",
                    "transposition_identity_check", "unrank")),
-    ("gf", ("Field", "ProjPoint", "SemilinearMap", "field", "field_of_order",
-            "proj_line")),
+    ("gf", ("Field", "SemilinearMap", "field", "field_of_order")),
     ("verdicts", ("Certificate", "ClassificationResult", "build_certificate",
                   "classify", "is_prime_power", "table_certificate",
                   "verify_certificate")),
@@ -50,6 +49,8 @@ _LAZY = {name: module for module, names in [
                    "pgammal_solution_scan")),
 ] for name in names}
 
+__all__ = sorted([*_LAZY, "CapExceeded"])
+
 
 def __getattr__(name: str):
     module = _LAZY.get(name)
@@ -58,22 +59,3 @@ def __getattr__(name: str):
     from importlib import import_module
     loaded = import_module(f"{__name__}.{module}")
     return loaded if name == module else getattr(loaded, name)
-
-__all__ = [
-    "AutPair", "CapExceeded", "CaseFamily", "CaseRecord", "Certificate",
-    "ClassificationResult", "EdgeKind", "Field", "Flag", "Lambda", "PairGroup",
-    "Perm", "PermGroup", "ProjPoint", "SemilinearMap", "StarGraph",
-    "agammal1", "agl", "agl1", "apply_automorphism", "aut_product",
-    "brute_force_automorphism_count", "build", "build_certificate",
-    "canonical_flag", "certify_via_lambda", "certify_via_sharp_k", "classify",
-    "closure", "compose", "edge_kind", "eliminate_case", "field",
-    "field_of_order", "flag_count", "flag_stabilizer", "is_edge_in_triangle",
-    "is_k_homogeneous", "is_k_transitive", "is_prime_power",
-    "is_sharply_k_transitive", "is_sharply_lambda_transitive", "mathieu11",
-    "mathieu12", "numbers", "orbit_of_set", "orbit_of_tuple", "pgammal2",
-    "pgammal_solution_scan", "pgl2", "proj_line", "project_and_kernel", "psl2",
-    "rank", "residual_neighbors", "sabidussi_direct", "search_regular_subgroup",
-    "six_cycles_through", "star_neighbors", "symmetric_nu_group",
-    "table_certificate", "transposition_identity_check", "unrank",
-    "verify_certificate",
-]

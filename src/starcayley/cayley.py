@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import permutations
 from operator import itemgetter
 
-from .pairs import AutPair, PairGroup, aut_order, nu_tail, symmetric_nu_group
+from .pairs import AutPair, PairGroup, nu_tail, symmetric_nu_group
 from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, PermGroup,
                    canonical_flag, cycle_type, flag_count, flag_stabilizer,
                    is_k_transitive, orbit, right_multiplication)
@@ -38,14 +38,6 @@ def _pair_witness(group: PairGroup) -> dict:
         "degree": group.n,
         "k": group.k,
         "generators": [g.to_dict() for g in group.generators],
-    }
-
-
-def _group_witness(group: PermGroup) -> dict:
-    return {
-        "name": group.name,
-        "degree": group.degree,
-        "generators": [g.to_list() for g in group.generators],
     }
 
 
@@ -88,7 +80,7 @@ def certify_via_sharp_k(h: PermGroup, n: int, k: int) -> Certificate:
     )
     ok = order_ok and transitive_ok
     verdict = VERDICT_CAYLEY if ok else VERDICT_UNKNOWN
-    return Certificate(n, k, verdict, METHOD_SHARP_K, _group_witness(h), checks)
+    return Certificate(n, k, verdict, METHOD_SHARP_K, h.to_dict(), checks)
 
 
 def certify_via_lambda(h: PermGroup, n: int, k: int) -> Certificate:
@@ -112,7 +104,7 @@ def certify_via_lambda(h: PermGroup, n: int, k: int) -> Certificate:
         ("witness_times_symmetric_factor_matches_vertex_count", product_order_ok),
     )
     ok = all(okc for _, okc in checks)
-    witness = dict(_group_witness(h), lam=list(lam))
+    witness = dict(h.to_dict(), lam=list(lam))
     verdict = VERDICT_CAYLEY if ok else VERDICT_UNKNOWN
     return Certificate(n, k, verdict, METHOD_LAMBDA, witness, checks)
 
@@ -225,15 +217,17 @@ def search_regular_subgroup(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP,
     lies on some branch, and an exhausted search refutes with no bound on
     the number of generators.
 
-    A time_limit (seconds) truncates the search; the clock is read every
-    DEADLINE_STRIDE steps of every phase, and a truncated search always
-    returns Unknown, with a note naming the phase and how far it got.
+    P(n,k) is the length of the search's vertex list and the most any
+    closure may hold, so the search raises :class:`CapExceeded` when it
+    exceeds cap; it never lists S_n x S_{k-1}.  A time_limit (seconds)
+    truncates the search; the clock is read every DEADLINE_STRIDE steps of
+    every phase, and a truncated search always returns Unknown, with a note
+    naming the phase and how far it got.
     """
     target = math.perm(n, k)
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    order = aut_order(n, k)
-    if order > cap:
-        raise CapExceeded(f"|Aut| = {order} exceeds cap {cap}")
+    if target > cap:
+        raise CapExceeded(f"P({n},{k}) = {target} exceeds cap {cap}")
 
     def check_clock(phase: str, progress: str) -> None:
         if deadline is not None and time.monotonic() > deadline:

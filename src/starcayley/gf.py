@@ -1,4 +1,4 @@
-"""Finite fields GF(p^m), their projective lines, and semilinear maps.
+"""Finite fields GF(p^m) and the semilinear maps of their projective lines.
 
 Field elements are encoded as integers 0 .. p^m - 1: the base-p digits of the
 code, least significant first, are the coefficients of the polynomial residue.
@@ -196,19 +196,9 @@ class Field:
         return f"GF({self.q})"
 
 
-# the two pinned binary fields come with fixed moduli so that every group
-# built on them is byte-reproducible: z^3+z+1 and z^5+z^2+1
-PINNED_MODULI = {
-    (2, 3): (1, 1, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-}
-
-
 @lru_cache(maxsize=None)
-def field(p: int, m: int, modulus: tuple | None = None) -> Field:
-    if modulus is None:
-        modulus = PINNED_MODULI.get((p, m))
-    return Field(p, m, modulus)
+def field(p: int, m: int) -> Field:
+    return Field(p, m)
 
 
 def field_of_order(q: int) -> Field:
@@ -222,30 +212,6 @@ def field_of_order(q: int) -> Field:
 # the projective line
 
 
-class ProjPoint(namedtuple("ProjPoint", "at_infinity x", defaults=(0,))):
-    """A point of P^1(F): [x : 1] in canonical affine form, or [1 : 0].
-    Points order as (at_infinity, x): finite points by x, infinity last."""
-
-    __slots__ = ()
-
-    @classmethod
-    def finite(cls, x: int) -> "ProjPoint":
-        return cls(False, x)
-
-    @classmethod
-    def infinity(cls) -> "ProjPoint":
-        return cls(True, 0)
-
-    def __repr__(self) -> str:
-        return "inf" if self.at_infinity else f"[{self.x}:1]"
-
-
-def proj_line(f: Field) -> list[ProjPoint]:
-    """The q+1 points of P^1(F) in their fixed order: finite points by
-    ascending element code, then the point at infinity last."""
-    return [ProjPoint.finite(x) for x in f.elements()] + [ProjPoint.infinity()]
-
-
 class SemilinearMap(namedtuple("SemilinearMap", "field a b c d frob_exp")):
     """[x:y] -> [a x^s + b y^s : c x^s + d y^s] with s the frob_exp-th Frobenius power."""
 
@@ -256,22 +222,19 @@ class SemilinearMap(namedtuple("SemilinearMap", "field a b c d frob_exp")):
             raise ValueError("singular matrix")
         return super().__new__(cls, field, a, b, c, d, frob_exp % field.m)
 
-    def apply(self, point: ProjPoint) -> ProjPoint:
-        f = self.field
-        if point.at_infinity:
-            if self.c == 0:
-                return ProjPoint.infinity()
-            return ProjPoint.finite(f.div(self.a, self.c))
-        xs = f.frobenius(point.x, self.frob_exp)
-        num = f.add(f.mul(self.a, xs), self.b)
-        den = f.add(f.mul(self.c, xs), self.d)
-        if den == 0:
-            return ProjPoint.infinity()
-        return ProjPoint.finite(f.div(num, den))
-
     def to_images(self) -> tuple[int, ...]:
-        """The induced permutation of the projective line in one-line notation:
-        point i (1-based in the proj_line order) maps to image i."""
-        q = self.field.q
-        images = (self.apply(point) for point in proj_line(self.field))
-        return tuple(q + 1 if p.at_infinity else p.x + 1 for p in images)
+        """The induced permutation of the projective line in one-line notation.
+
+        Point i <= q is [i-1 : 1], the element with code i-1, and point q+1
+        is infinity [1 : 0]; [x:1] maps to [a x^s + b : c x^s + d] and
+        [1:0] to [a : c].
+        """
+        f, a, b, c, d, s = self
+        q = f.q
+        images = []
+        for x in range(q):
+            xs = f.frobenius(x, s)
+            den = f.add(f.mul(c, xs), d)
+            images.append(q + 1 if den == 0 else f.div(f.add(f.mul(a, xs), b), den) + 1)
+        images.append(q + 1 if c == 0 else f.div(a, c) + 1)
+        return tuple(images)

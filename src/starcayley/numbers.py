@@ -181,21 +181,19 @@ def _simplified_index(d: int) -> Fraction:
     return Fraction(num, n - 3)
 
 
-def index_binomial_bound(d: int, cross_check: bool | None = None) -> bool:
+def index_binomial_bound(d: int) -> bool:
     """Exact comparison (k-1)!/t < C(k-1, r) for the AGL(d,2) case.
 
     The left side is evaluated through its cancelled closed form, which is an
-    identity of the defining formulas.  When cross_check is enabled (default:
-    d <= 16, beyond which the literal factorials are astronomically large)
-    the closed form is asserted equal to the direct quotient (k-1)!/t.
+    identity of the defining formulas.  For d <= IDENTITY_CROSS_CHECK_MAX_D
+    (beyond which the literal factorials are astronomically large) the closed
+    form is asserted equal to the direct quotient (k-1)!/t.
     """
     if d < 8:
         raise ValueError("need d >= 8")
     case = AglCase(d)
     lhs = _simplified_index(d)
-    if cross_check is None:
-        cross_check = d <= IDENTITY_CROSS_CHECK_MAX_D
-    if cross_check:
+    if d <= IDENTITY_CROSS_CHECK_MAX_D:
         from fractions import Fraction
 
         ambient = factorial(case.k - 1)

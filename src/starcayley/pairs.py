@@ -12,15 +12,18 @@ which is the first-k-coordinates view of the two-sided product mu a nu^-1.
 Closures and the search treat a pair as a *flat* tuple, a permutation of
 n+k-1 points: mu on 1..n, and point n+i-1 -> n+nu(i)-1 for 2 <= i <= k.
 S_n x S_{k-1} is then a subgroup of S_{n+k-1} whose product is the
-permutation product, and sorting flat tuples orders pairs by (mu, nu).  Only
-this module knows that layout.  A :class:`PairGroup` is a direct product
-kept as its two factors, or one stabiliser chain on the flat points, and
-neither lists a pair.  A pair fixes the base vertex [1..k] iff mu(j) = nu(j)
-for j <= k.  The elements of a chain that map its first base points to given
-images are none or one coset of the pointwise stabiliser of those points, so
-the pairs fixing [1..k] are counted as that stabiliser's order times the
-number of wanted images some element has.  :class:`AutPair` is the public,
-serialised view, built only at the boundary.
+permutation product, and sorting flat tuples orders pairs by (mu, nu).  The
+search in :mod:`starcayley.cayley` slices flat pairs at n too: in
+``_coset``, which builds them, in ``_ByClass.__contains__``, which types
+them, and in the ``images`` getters of ``search_regular_subgroup``, which
+read a pair's image of [1..k] off its tail.  A :class:`PairGroup` is a
+direct product kept as its two factors, or one stabiliser chain on the flat
+points, and neither lists a pair.  A pair fixes the base vertex [1..k] iff
+mu(j) = nu(j) for j <= k.  The elements of a chain that map its first base
+points to given images are none or one coset of the pointwise stabiliser of
+those points, so the pairs fixing [1..k] are counted as that stabiliser's
+order times the number of wanted images some element has.  :class:`AutPair`
+is the public, serialised view, built only at the boundary.
 """
 
 from __future__ import annotations

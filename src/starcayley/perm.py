@@ -505,8 +505,8 @@ class PermGroup:
 
     def to_dict(self) -> dict:
         return {
-            "degree": self.degree,
             "name": self.name,
+            "degree": self.degree,
             "generators": [g.to_list() for g in self.generators],
         }
 

@@ -164,18 +164,12 @@ class StarGraph:
     def vertex_count(self) -> int:
         return len(self._rows)
 
-    def rank_of(self, v: Sequence[int]) -> int:
-        return self.index[tuple(v)]
-
     def neighbors(self, v: Sequence[int]) -> list[tuple[KPerm, EdgeKind]]:
         row = self._rows[self.index[tuple(v)]]
         split = self.k - 1
         return [(self.vertices[j],
                  EdgeKind.STAR if pos < split else EdgeKind.RESIDUAL)
                 for pos, j in enumerate(row)]
-
-    def are_adjacent(self, u: Sequence[int], v: Sequence[int]) -> bool:
-        return self.index[tuple(v)] in self._rows[self.index[tuple(u)]]
 
     def edges(self) -> Iterator[tuple[int, int, EdgeKind]]:
         """Each undirected edge once, as (smaller rank, larger rank, kind)."""

@@ -4,10 +4,13 @@ transitive Mathieu groups.
 
 Every constructor returns a :class:`~starcayley.perm.PermGroup` acting on
 1-based points, with its order verified on a stabiliser chain.  Projective
-groups act on the q+1 points of the projective line in the fixed order of
-:func:`starcayley.gf.proj_line` (finite points by element code, infinity
-last); affine groups over GF(q) act on the q finite points in the same
-order.
+groups act on the q+1 points of the projective line in the order of
+:meth:`starcayley.gf.SemilinearMap.to_images` (finite points by element
+code, infinity last); affine groups over GF(q) act on the q finite points in
+the same order.  Groups are closed with no element cap: a stabiliser chain
+stays polynomial in the degree whatever the order, each constructor checks
+the order, and callers with an element budget compare it with the closed
+form first (:func:`starcayley.verdicts.build_certificate`).
 
 Constructors are cached: groups are immutable, so sharing is safe.
 """
@@ -30,6 +33,10 @@ def _affine_perm(field: Field, a: int, b: int, frob_exp: int = 0) -> Perm:
     """x -> a x^s + b on the q finite points only: the semilinear map with
     c = 0, d = 1, which fixes infinity."""
     return Perm(SemilinearMap(field, a, b, 0, 1, frob_exp).to_images()[:field.q])
+
+
+def _close(generators: list[Perm], name: str) -> PermGroup:
+    return closure(generators, cap=math.inf, name=name)
 
 
 def _verified(group: PermGroup, order: int) -> PermGroup:
@@ -74,7 +81,7 @@ def _agl1_generators(f: Field) -> list[Perm]:
 @lru_cache(maxsize=None)
 def pgl2(q: int) -> PermGroup:
     """PGL(2,q) acting on the q+1 points of the projective line."""
-    group = closure(_pgl2_generators(field_of_order(q)), name=f"PGL(2,{q})")
+    group = _close(_pgl2_generators(field_of_order(q)), name=f"PGL(2,{q})")
     return _verified(group, pgl_order(q))
 
 
@@ -95,7 +102,7 @@ def psl2(q: int) -> PermGroup:
     gens = [_perm_of(f, 1, 1, 0, 1),
             _perm_of(f, f.mul(g, g), 0, 0, 1),
             _perm_of(f, 0, f.neg(1), 1, 0)]
-    group = closure(gens, name=f"PSL(2,{q})")
+    group = _close(gens, name=f"PSL(2,{q})")
     return _verified(group, psl_order(q))
 
 
@@ -106,14 +113,14 @@ def pgammal2(q: int) -> PermGroup:
     gens = _pgl2_generators(f)
     if f.m > 1:
         gens.append(_perm_of(f, 1, 0, 0, 1, frob_exp=1))
-    group = closure(gens, name=f"PGammaL(2,{q})")
+    group = _close(gens, name=f"PGammaL(2,{q})")
     return _verified(group, pgammal_order(q))
 
 
 @lru_cache(maxsize=None)
 def agl1(q: int) -> PermGroup:
     """AGL(1,q): the maps x -> a x + b (a nonzero) on the q field points."""
-    group = closure(_agl1_generators(field_of_order(q)), name=f"AGL(1,{q})")
+    group = _close(_agl1_generators(field_of_order(q)), name=f"AGL(1,{q})")
     return _verified(group, agl1_order(q))
 
 
@@ -124,7 +131,7 @@ def agammal1(q: int) -> PermGroup:
     gens = _agl1_generators(f)
     if f.m > 1:
         gens.append(_affine_perm(f, 1, 0, frob_exp=1))
-    group = closure(gens, name=f"AGammaL(1,{q})")
+    group = _close(gens, name=f"AGammaL(1,{q})")
     return _verified(group, agammal1_order(q))
 
 
@@ -154,7 +161,7 @@ def agl(d: int) -> PermGroup:
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    group = closure(_agl_d2_generators(d), name=f"AGL({d},2)")
+    group = _close(_agl_d2_generators(d), name=f"AGL({d},2)")
     return _verified(group, agl_d2_order(d))
 
 
@@ -175,7 +182,7 @@ _M12_EXTRA_GENERATOR = ((1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10))
 def mathieu11() -> PermGroup:
     """The sharply 4-transitive Mathieu group on 11 points, order 7920."""
     gens = [Perm.from_cycles(11, *cycs) for cycs in _M11_GENERATORS]
-    group = closure(gens, name="M11")
+    group = _close(gens, name="M11")
     if group.order != 7920 or not is_sharply_k_transitive(group, 4):
         raise AssertionError("embedded M11 generator data failed verification")
     return group
@@ -186,7 +193,7 @@ def mathieu12() -> PermGroup:
     """The sharply 5-transitive Mathieu group on 12 points, order 95040."""
     gens = [Perm.from_cycles(12, *cycs) for cycs in _M11_GENERATORS]
     gens.append(Perm.from_cycles(12, *_M12_EXTRA_GENERATOR))
-    group = closure(gens, name="M12")
+    group = _close(gens, name="M12")
     if group.order != 95040 or not is_sharply_k_transitive(group, 5):
         raise AssertionError("embedded M12 generator data failed verification")
     return group

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -243,6 +244,31 @@ def test_k2_and_k3_witnesses_are_gated_by_the_element_cap():
     assert build_certificate(9, 2, element_cap=71).method == "ClassificationTable"
     assert build_certificate(9, 3, element_cap=504).method == "DirectRegularAction"
     assert build_certificate(9, 3, element_cap=503).method == "ClassificationTable"
+
+
+def test_search_cap_counts_the_vertices():
+    # the search lists P(n,k) vertices and closures of at most P(n,k) pairs;
+    # |S_5 x S_1| = 120 is never listed
+    assert search_regular_subgroup(5, 2, cap=20).verdict == "Cayley"
+    with pytest.raises(CapExceeded, match=r"^P\(5,2\) = 20 exceeds cap 19$"):
+        search_regular_subgroup(5, 2, cap=19)
+
+
+# sha256 of build_certificate(n, k).to_json(): the bytes depend on the field
+# moduli, the point order of the projective line and the witness key order
+CERTIFICATE_SHA256 = {
+    (9, 4): "725f2021b6a11c8e1e493b3738d487455ec12aa2fda659ee310e00a45fc4122b",
+    (33, 4): "a78724e4a76cbc1c07f33592841151dfa00ceafeb7a2026702fa9ac21de20a2c",
+    (33, 30): "fc141eaa493afec5d1d3c6bd02c91f42c86f4668a020cfa6ab428ab8eb61471a",
+    (28, 3): "d23144221f85c99564329b382e11f8790c5836dd0658753f0e27ce3ed249bb15",
+    (27, 2): "ba0b44cb3a0750f93d3594333bab36117a9c6e528c2315286374da6505e22c11",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(CERTIFICATE_SHA256))
+def test_certificate_bytes_are_pinned(n, k):
+    text = build_certificate(n, k).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[n, k]
 
 
 def test_truncated_search_predicate():

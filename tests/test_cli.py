@@ -515,6 +515,35 @@ def test_certify_k2_above_the_old_field_cap_and_check(tmp_path, capsys):
     assert out == "certificate reproduced: (1031,2) Cayley via DirectRegularAction\n"
 
 
+def test_certify_k3_under_a_raised_element_budget_and_check(tmp_path, capsys):
+    # |PGL(2,128)| = P(129,3) = 2,097,024 is above the default budget
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "certify", "129", "3", "--budget-elements", "3000000",
+                           "--out", str(cert_path))
+    assert code == 0
+    assert json.loads(out)["method"] == "DirectRegularAction"
+    code, out, _ = run_cli(capsys, "check", str(cert_path), "--budget-elements", "3000000")
+    assert code == 0
+    assert out == "certificate reproduced: (129,3) Cayley via DirectRegularAction\n"
+    code, out, err = run_cli(capsys, "check", str(cert_path))
+    assert code == 3 and out == ""
+    assert err.startswith("budget exhausted: group order exceeds cap=2000000")
+
+
+def test_forced_search_is_capped_by_the_vertex_count(tmp_path, capsys):
+    # |S_8 x S_5| = 4,838,400 is above the default budget, P(8,6) = 20,160 is not
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "certify", "8", "6", "--force-search",
+                           "--out", str(cert_path))
+    assert code == 0 and json.loads(out)["verdict"] == "Cayley"
+    code, out, _ = run_cli(capsys, "check", str(cert_path))
+    assert code == 0
+    assert out == "certificate reproduced: (8,6) Cayley via DirectRegularAction\n"
+    code, out, err = run_cli(capsys, "certify", "13", "12", "--force-search")
+    assert code == 3 and out == ""
+    assert err == "budget exhausted: P(13,12) = 6227020800 exceeds cap 2000000\n"
+
+
 @pytest.mark.parametrize("n,verdict", [(2**61 - 1, "Cayley"), (2**61 - 2, "NotCayley")])
 def test_certify_and_check_k2_near_2_to_the_61_answer_at_once(tmp_path, n, verdict):
     # 2^61 - 1 is prime, so trial division up to its square root would run

@@ -1,12 +1,11 @@
 import pytest
 
-from starcayley.gf import (Field, ProjPoint, SemilinearMap, field,
-                           proj_line, smallest_irreducible)
+from starcayley.gf import Field, SemilinearMap, field, smallest_irreducible
 
 
 def test_pinned_moduli():
-    # the two binary fields used in explicit computations carry fixed
-    # reduction rules: z^3 = z + 1 and z^5 = z^2 + 1
+    # the two binary fields of the sporadic witnesses reduce by their smallest
+    # irreducibles, z^3 = z + 1 and z^5 = z^2 + 1, which certificates depend on
     f8 = field(2, 3)
     assert f8.modulus == (1, 1, 0, 1)
     z = 2
@@ -74,18 +73,20 @@ def test_odd_characteristic_field():
         assert f.mul(x, f.inv(x)) == 1
 
 
-def test_proj_line_order_and_size():
-    assert len(proj_line(field(2, 3))) == 9
-    assert len(proj_line(field(2, 5))) == 33
-    pts = proj_line(field(2, 3))
-    assert pts[-1].at_infinity
-    assert [p.x for p in pts[:-1]] == list(range(8))
+def test_to_images_is_a_permutation_of_the_line():
+    for f in (field(2, 3), field(3, 2), field(2, 5)):
+        q, g = f.q, f.primitive_element()
+        for args in [(1, 1, 0, 1), (g, 0, 0, 1), (0, 1, 1, 0), (1, g, 1, 0),
+                     (g, 1, 1, 0, 1)]:
+            assert sorted(SemilinearMap(f, *args).to_images()) == list(range(1, q + 2)), args
 
 
-def test_proj_line_deterministic():
-    a = proj_line(field(2, 3))
-    b = proj_line(Field(2, 3, (1, 1, 0, 1)))
-    assert a == b
+def test_to_images_deterministic():
+    # the cached field and a fresh one with the same modulus induce the same maps
+    fresh = Field(2, 3, (1, 1, 0, 1))
+    for args in [(0, 1, 1, 0), (2, 1, 1, 3, 2)]:
+        assert (SemilinearMap(field(2, 3), *args).to_images()
+                == SemilinearMap(fresh, *args).to_images())
 
 
 def test_semilinear_map_validation():
@@ -108,27 +109,22 @@ def test_semilinear_map_is_an_immutable_record():
         m.frob_exp = 0
 
 
-def test_proj_point_is_an_immutable_record():
-    f = field(3, 2)
-    line = proj_line(f)
-    assert sorted(reversed(line)) == line
-    assert line == [ProjPoint(False, x) for x in range(9)] + [ProjPoint(True)]
-    assert [repr(p) for p in line[:2]] + [repr(line[-1])] == ["[0:1]", "[1:1]", "inf"]
-    assert ProjPoint(True) == ProjPoint.infinity() and ProjPoint.infinity().x == 0
-    assert hash(ProjPoint.finite(3)) == hash(ProjPoint(False, 3))
-    assert ProjPoint.finite(3) != ProjPoint.finite(4) and len(set(line + line)) == 10
-    with pytest.raises(AttributeError):
-        line[0].x = 1
-
-
 def test_semilinear_action():
-    f = field(2, 3)
-    inv = SemilinearMap(f, 0, 1, 1, 0)  # x -> 1/x
-    assert inv.apply(ProjPoint.infinity()) == ProjPoint.finite(0)
-    assert inv.apply(ProjPoint.finite(0)).at_infinity
-    assert inv.apply(ProjPoint.finite(1)) == ProjPoint.finite(1)
-    images = inv.to_images()
-    assert sorted(images) == list(range(1, 10))
+    # points 1..q are the element codes 0..q-1, point q+1 is infinity
+    for f in (field(2, 3), field(3, 2)):
+        q, g = f.q, f.primitive_element()
+        inv = SemilinearMap(f, 0, 1, 1, 0).to_images()  # x -> 1/x
+        assert inv[0] == q + 1 and inv[q] == 1 and inv[1] == 2
+        assert all(inv[x] == f.inv(x) + 1 for x in range(1, q))
+        shift = SemilinearMap(f, 1, 1, 0, 1).to_images()  # x -> x + 1
+        assert shift[q] == q + 1
+        assert all(shift[x] == f.add(x, 1) + 1 for x in range(q))
+        frob = SemilinearMap(f, g, 1, 0, 1, 1).to_images()  # x -> g x^p + 1
+        assert frob[q] == q + 1
+        assert all(frob[x] == f.add(f.mul(g, f.pow(x, f.p)), 1) + 1 for x in range(q))
+        # x -> x^p / (x^p + 1): infinity goes to a/c = 1, and x^p = -1 to infinity
+        mobius = SemilinearMap(f, 1, 0, 1, 1, 1).to_images()
+        assert mobius[q] == 2 and mobius[f.neg(1)] == q + 1
 
 
 def test_upper_triangular_flag_fixers_gf8():
