@@ -128,6 +128,25 @@ def _fixes_some_vertex(mu_type: tuple[int, ...], nu_type: tuple[int, ...]) -> bo
     return all(have[length] >= count for length, count in Counter(nu_type).items())
 
 
+def _partition_count(n: int, bound: int) -> int:
+    """p(n), the number of partitions of n, if it is at most bound; else
+    some p(m) > bound with m <= n (p never decreases, so p(n) > bound too).
+    Euler's pentagonal recurrence, stopped as soon as p(m) passes bound."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            total += sign * p[m - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= m:
+                total += sign * p[m - j * (3 * j + 1) // 2]
+            j += 1
+        p.append(total)
+        if total > bound:
+            break
+    return p[-1]
+
+
 def _partitions(n: int, least: int = 1):
     """The partitions of n into parts of at least ``least``, as ascending tuples."""
     if n == 0:
@@ -137,17 +156,21 @@ def _partitions(n: int, least: int = 1):
             yield (part,) + rest
 
 
-def _class_plan(n: int, k: int, target: int, check_clock):
+def _class_plan(n: int, k: int, target: int, cap: int, check_clock):
     """Decide both candidate filters (no fixed vertex, order dividing target)
     once per class of S_n x S_{k-1}, a pair of cycle types, listing no pair.
 
-    Returns (candidates, count): the candidates as a :class:`_ByClass`, and
-    their number.  mu's types are the partitions of n, each the type of
-    n! / prod l^m_l m_l! permutations; nu's are read off S_{k-1}.
+    Returns (candidates, count): the candidates as a :class:`_ByClass` that
+    memoises at most cap pairs, and their number.  mu's types are the
+    partitions of n, each the type of n! / prod l^m_l m_l! permutations;
+    nu's are read off S_{k-1}.
     """
-    sizes = {mu_type: math.factorial(n) // math.prod(
-                 length ** m * math.factorial(m) for length, m in Counter(mu_type).items())
-             for mu_type in _partitions(n)}
+    sizes = {}
+    for i, mu_type in enumerate(_partitions(n)):
+        if i % DEADLINE_STRIDE == 0:
+            check_clock("planning classes", f"partition {i}")
+        sizes[mu_type] = math.factorial(n) // math.prod(
+            length ** m * math.factorial(m) for length, m in Counter(mu_type).items())
     keep: dict[tuple, bool] = {}
     nu_types: dict[tuple, tuple] = {}
     count = 0
@@ -162,23 +185,25 @@ def _class_plan(n: int, k: int, target: int, check_clock):
                                                  target % math.lcm(*mu_type, *nu_type) == 0)
             if kept:
                 count += size
-    return _ByClass(n, keep, nu_types), count
+    return _ByClass(n, keep, nu_types, cap), count
 
 
 class _ByClass(dict):
     """The candidates, as a container that tests a flat pair by its class,
     keep[mu's type, nu_types[nu's tail]]: each pair is typed once, and the
-    dict keeps the answer."""
+    dict keeps the answer, until it holds cap pairs and is emptied."""
 
-    __slots__ = ("n", "keep", "nu_types")
+    __slots__ = ("n", "keep", "nu_types", "cap")
 
-    def __init__(self, n: int, keep: dict, nu_types: dict):
+    def __init__(self, n: int, keep: dict, nu_types: dict, cap: int):
         super().__init__()
-        self.n, self.keep, self.nu_types = n, keep, nu_types
+        self.n, self.keep, self.nu_types, self.cap = n, keep, nu_types, cap
 
     def __contains__(self, pair) -> bool:
         kept = self.get(pair)
         if kept is None:
+            if len(self) >= self.cap:
+                self.clear()
             n = self.n
             kept = self[pair] = self.keep[cycle_type(pair[:n]), self.nu_types[pair[n:]]]
         return kept
@@ -217,34 +242,42 @@ def search_regular_subgroup(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP,
     lies on some branch, and an exhausted search refutes with no bound on
     the number of generators.
 
-    P(n,k) is the length of the search's vertex list and the most any
-    closure may hold, so the search raises :class:`CapExceeded` when it
-    exceeds cap; it never lists S_n x S_{k-1}.  A time_limit (seconds)
-    truncates the search; the clock is read every DEADLINE_STRIDE steps of
-    every phase, and a truncated search always returns Unknown, with a note
-    naming the phase and how far it got.
+    The search never lists S_n x S_{k-1}.  What it holds is bounded by cap:
+    it raises :class:`CapExceeded` when P(n,k), the length of its vertex
+    list and the most any closure may hold, or p(n) (k-1)!, the size of the
+    class plan, exceeds cap.  The closures on the current branch at least
+    double at each level, so together they hold under 2 P(n,k) pairs, plus
+    the closure being computed; the memo of typed pairs and the set of
+    explored closures are caches, emptied whenever they pass cap pairs,
+    which changes no result, since an explored closure is only ever one
+    whose branch found nothing.  A time_limit (seconds) truncates the
+    search; the clock is read every DEADLINE_STRIDE steps of every phase,
+    and a truncated search always returns Unknown, with a note naming the
+    phase and how far it got.
     """
     target = math.perm(n, k)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if target > cap:
         raise CapExceeded(f"P({n},{k}) = {target} exceeds cap {cap}")
+    if _partition_count(n, cap // math.factorial(k - 1)) * math.factorial(k - 1) > cap:
+        raise CapExceeded(f"the class plan, p({n}) x {k - 1}! classes, exceeds cap {cap}")
 
     def check_clock(phase: str, progress: str) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError(f"{phase}, {progress}")
 
     try:
-        allowed, count = _class_plan(n, k, target, check_clock)
+        allowed, count = _class_plan(n, k, target, cap, check_clock)
         vertices = list(permutations(range(1, n + 1), k))
         # a pair's image of [1..k] holds mu(nu^-1(i)) at i: one getter per tail
         images = {nu_tail(nu, n): itemgetter(*sorted(range(k), key=((1,) + nu).__getitem__))
                   for nu in permutations(range(2, k + 1))}
         identity = tuple(range(1, n + k))
         explored = set()
-        tried = 0
+        held = tried = 0
 
         def grow(gens: tuple, group, start: int):
-            nonlocal tried
+            nonlocal held, tried
             covered = {images[p[n:]](p) for p in group}
             while vertices[start] in covered:
                 start += 1
@@ -256,9 +289,13 @@ def search_regular_subgroup(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP,
                 # no start against allowed, so the identity passes
                 seen = orbit(group, gens + (c,), limit=target, allowed=allowed,
                              act=right_multiplication)
-                if seen is None or frozenset(seen) in explored:
+                if seen is None or (key := frozenset(seen)) in explored:
                     continue
-                explored.add(frozenset(seen))
+                if held + len(key) > cap:
+                    explored.clear()
+                    held = 0
+                explored.add(key)
+                held += len(key)
                 found = (gens + (c,) if len(seen) == target
                          else grow(gens + (c,), seen, start + 1))
                 if found:

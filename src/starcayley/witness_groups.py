@@ -35,10 +35,6 @@ def _affine_perm(field: Field, a: int, b: int, frob_exp: int = 0) -> Perm:
     return Perm(SemilinearMap(field, a, b, 0, 1, frob_exp).to_images()[:field.q])
 
 
-def _close(generators: list[Perm], name: str) -> PermGroup:
-    return closure(generators, cap=math.inf, name=name)
-
-
 def _verified(group: PermGroup, order: int) -> PermGroup:
     """The group, once its order matches the closed form (survives ``python -O``)."""
     if group.order != order:
@@ -81,7 +77,7 @@ def _agl1_generators(f: Field) -> list[Perm]:
 @lru_cache(maxsize=None)
 def pgl2(q: int) -> PermGroup:
     """PGL(2,q) acting on the q+1 points of the projective line."""
-    group = _close(_pgl2_generators(field_of_order(q)), name=f"PGL(2,{q})")
+    group = closure(_pgl2_generators(field_of_order(q)), cap=math.inf, name=f"PGL(2,{q})")
     return _verified(group, pgl_order(q))
 
 
@@ -102,7 +98,7 @@ def psl2(q: int) -> PermGroup:
     gens = [_perm_of(f, 1, 1, 0, 1),
             _perm_of(f, f.mul(g, g), 0, 0, 1),
             _perm_of(f, 0, f.neg(1), 1, 0)]
-    group = _close(gens, name=f"PSL(2,{q})")
+    group = closure(gens, cap=math.inf, name=f"PSL(2,{q})")
     return _verified(group, psl_order(q))
 
 
@@ -113,14 +109,14 @@ def pgammal2(q: int) -> PermGroup:
     gens = _pgl2_generators(f)
     if f.m > 1:
         gens.append(_perm_of(f, 1, 0, 0, 1, frob_exp=1))
-    group = _close(gens, name=f"PGammaL(2,{q})")
+    group = closure(gens, cap=math.inf, name=f"PGammaL(2,{q})")
     return _verified(group, pgammal_order(q))
 
 
 @lru_cache(maxsize=None)
 def agl1(q: int) -> PermGroup:
     """AGL(1,q): the maps x -> a x + b (a nonzero) on the q field points."""
-    group = _close(_agl1_generators(field_of_order(q)), name=f"AGL(1,{q})")
+    group = closure(_agl1_generators(field_of_order(q)), cap=math.inf, name=f"AGL(1,{q})")
     return _verified(group, agl1_order(q))
 
 
@@ -131,7 +127,7 @@ def agammal1(q: int) -> PermGroup:
     gens = _agl1_generators(f)
     if f.m > 1:
         gens.append(_affine_perm(f, 1, 0, frob_exp=1))
-    group = _close(gens, name=f"AGammaL(1,{q})")
+    group = closure(gens, cap=math.inf, name=f"AGammaL(1,{q})")
     return _verified(group, agammal1_order(q))
 
 
@@ -161,7 +157,7 @@ def agl(d: int) -> PermGroup:
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    group = _close(_agl_d2_generators(d), name=f"AGL({d},2)")
+    group = closure(_agl_d2_generators(d), cap=math.inf, name=f"AGL({d},2)")
     return _verified(group, agl_d2_order(d))
 
 
@@ -182,7 +178,7 @@ _M12_EXTRA_GENERATOR = ((1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10))
 def mathieu11() -> PermGroup:
     """The sharply 4-transitive Mathieu group on 11 points, order 7920."""
     gens = [Perm.from_cycles(11, *cycs) for cycs in _M11_GENERATORS]
-    group = _close(gens, name="M11")
+    group = closure(gens, cap=math.inf, name="M11")
     if group.order != 7920 or not is_sharply_k_transitive(group, 4):
         raise AssertionError("embedded M11 generator data failed verification")
     return group
@@ -193,7 +189,7 @@ def mathieu12() -> PermGroup:
     """The sharply 5-transitive Mathieu group on 12 points, order 95040."""
     gens = [Perm.from_cycles(12, *cycs) for cycs in _M11_GENERATORS]
     gens.append(Perm.from_cycles(12, *_M12_EXTRA_GENERATOR))
-    group = _close(gens, name="M12")
+    group = closure(gens, cap=math.inf, name="M12")
     if group.order != 95040 or not is_sharply_k_transitive(group, 5):
         raise AssertionError("embedded M12 generator data failed verification")
     return group

@@ -254,6 +254,37 @@ def test_search_cap_counts_the_vertices():
         search_regular_subgroup(5, 2, cap=19)
 
 
+def test_search_cap_counts_the_class_plan():
+    # P(100,2) = 9,900 fits the default cap, but the plan would type
+    # p(100) = 190,569,292 classes of mu: refused before any is listed
+    with pytest.raises(CapExceeded, match=r"^the class plan, p\(100\) x 1! classes, "
+                                          r"exceeds cap 2000000$"):
+        search_regular_subgroup(100, 2, time_limit=1.0)
+    with pytest.raises(CapExceeded, match=r"p\(2000\) x 0!"):
+        search_regular_subgroup(2000, 1)
+    # p(7) x 2! = 30 fits a cap of P(7,3) = 210
+    assert search_regular_subgroup(7, 3, cap=210).verdict == "NotCayley"
+
+
+def test_partition_count():
+    assert [cayley._partition_count(n, 10**9) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    assert cayley._partition_count(100, 10**9) == 190_569_292
+    # stopped at the first p(m) above the bound, 2,012,558 = p(65)
+    assert cayley._partition_count(2000, 2_000_000) == 2_012_558
+
+
+@pytest.mark.parametrize("n,k", [(6, 4), (7, 3), (7, 4)])
+def test_search_caches_emptied_at_the_cap_change_no_certificate(n, k, monkeypatch):
+    # at cap = P(n,k) the memo of typed pairs and the explored closures are
+    # emptied many times over; count the clears and compare the certificates
+    clears = []
+    real = cayley._ByClass.clear
+    monkeypatch.setattr(cayley._ByClass, "clear", lambda self: (clears.append(1), real(self)))
+    small = search_regular_subgroup(n, k, cap=math.perm(n, k))
+    assert clears
+    assert small == search_regular_subgroup(n, k)
+
+
 # sha256 of build_certificate(n, k).to_json(): the bytes depend on the field
 # moduli, the point order of the projective line and the witness key order
 CERTIFICATE_SHA256 = {
@@ -332,7 +363,7 @@ def _streamed(n, k):
     """The search's class plan, and the candidates its cosets list lazily,
     one coset for each vertex in rank order; each candidate maps [1..k] to
     the vertex of its coset."""
-    candidates, count = cayley._class_plan(n, k, math.perm(n, k), _no_clock)
+    candidates, count = cayley._class_plan(n, k, math.perm(n, k), math.inf, _no_clock)
     streamed = []
     for v in itertools.permutations(range(1, n + 1), k):
         coset = list(cayley._coset(n, k, v, candidates))
@@ -391,7 +422,7 @@ def _lex_scan_plan(n, k):
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 9) for k in range(2, n)])
 def test_class_plan_matches_the_lex_scan(n, k):
-    candidates, count = cayley._class_plan(n, k, math.perm(n, k), _no_clock)
+    candidates, count = cayley._class_plan(n, k, math.perm(n, k), math.inf, _no_clock)
     assert (candidates.keep, count) == _lex_scan_plan(n, k)
 
 
@@ -400,7 +431,7 @@ def test_search_deadline_checked_while_planning(monkeypatch):
 
     def fake_monotonic():
         reads.append(None)
-        return 0.0 if len(reads) < 3 else 100.0
+        return 0.0 if len(reads) < 4 else 100.0
 
     monkeypatch.setattr(cayley, "time", SimpleNamespace(monotonic=fake_monotonic))
     cert = search_regular_subgroup(9, 7, cap=10**9, time_limit=10.0)
@@ -408,9 +439,10 @@ def test_search_deadline_checked_while_planning(monkeypatch):
     assert cert.checks == (("search_space_exhausted", False),)
     (note,) = cert.notes
     assert "budget" in note
-    # the class plan reads the clock at the 0th and the 256th nu of S_6
+    # the class plan reads the clock at the 0th of the 30 partitions of 9,
+    # then at the 0th and the 256th nu of S_6
     assert "planning classes, nu 256/720" in note
-    assert len(reads) == 3
+    assert len(reads) == 4
 
 
 def test_search_deadline_checked_in_every_phase(monkeypatch):
@@ -432,8 +464,9 @@ def test_search_deadline_checked_in_every_phase(monkeypatch):
         assert is_truncated_search(cert), cut
         (note,) = cert.notes
         phases.append(re.search(r"\((.*), ", note).group(1))
-    # the search tries 510 candidates, and reads the clock at the 0th and the 256th
-    assert phases == ["planning classes", "transversal search", "transversal search"]
+    # the plan reads the clock at the 0th partition of 7 and the 0th nu of
+    # S_2; the search tries 510 candidates, and reads it at the 0th and the 256th
+    assert phases == ["planning classes"] * 2 + ["transversal search"] * 2
 
 
 @pytest.mark.parametrize("n,k,force_search", [
@@ -719,7 +752,7 @@ def test_representatives_are_the_first_candidate_of_each_class(n, k, classes):
     # scan took as representatives
     representatives = []
     _candidates(n, k, representatives)
-    kept, _ = cayley._class_plan(n, k, math.perm(n, k), _no_clock)
+    kept, _ = cayley._class_plan(n, k, math.perm(n, k), math.inf, _no_clock)
     types = {(cycle_type(flat[:n]), cycle_type(AutPair.from_flat(flat, n).nu.images[:k]))
              for flat in representatives}
     assert {t for t, keep in kept.keep.items() if keep} == types

@@ -544,6 +544,28 @@ def test_forced_search_is_capped_by_the_vertex_count(tmp_path, capsys):
     assert err == "budget exhausted: P(13,12) = 6227020800 exceeds cap 2000000\n"
 
 
+@pytest.mark.parametrize("n,k", [(100, 2), (2000, 1)])
+def test_forced_search_and_its_replay_refuse_a_class_plan_over_the_budget(tmp_path, capsys,
+                                                                          n, k):
+    # P(n,k) fits the default budget, but p(n) classes of mu do not: both
+    # commands exit 3 before listing a partition, whatever the time limit
+    expected = (f"budget exhausted: the class plan, p({n}) x {k - 1}! classes, "
+                "exceeds cap 2000000\n")
+    code, out, err = run_cli(capsys, "certify", str(n), str(k), "--force-search",
+                             "--time-limit", "1")
+    assert (code, out, err) == (3, "", expected)
+    cert_path = tmp_path / "crafted.json"
+    cert_path.write_text(json.dumps({
+        "n": n, "k": k, "verdict": "NotCayley", "method": "ExhaustiveSearchRefutation",
+        "witness": None, "checks": [{"name": name, "pass": True} for name in (
+            "full_automorphism_group_enumerated",
+            "candidates_restricted_to_fixed_point_free_elements",
+            "transversal_search_exhausted", "no_regular_subgroup_found")],
+        "notes": []}))
+    code, out, err = run_cli(capsys, "check", str(cert_path))
+    assert (code, out, err) == (3, "", expected)
+
+
 @pytest.mark.parametrize("n,verdict", [(2**61 - 1, "Cayley"), (2**61 - 2, "NotCayley")])
 def test_certify_and_check_k2_near_2_to_the_61_answer_at_once(tmp_path, n, verdict):
     # 2^61 - 1 is prime, so trial division up to its square root would run
