@@ -6,9 +6,9 @@ import starcayley as sc
 
 # finite fields with pinned reduction rules
 f8 = sc.field(2, 3)
-print("GF(8) modulus:", f8.to_dict()["modulus"], " z*z*z =", f8.element_name(f8.pow(2, 3)))
+print("GF(8) modulus:", list(f8.modulus), " z*z*z =", f8.element_name(f8.pow(2, 3)))
 f32 = sc.field(2, 5)
-print("GF(32) modulus:", f32.to_dict()["modulus"], " z^5 =", f32.element_name(f32.pow(2, 5)))
+print("GF(32) modulus:", list(f32.modulus), " z^5 =", f32.element_name(f32.pow(2, 5)))
 
 # projective-line groups
 psl = sc.psl2(8)

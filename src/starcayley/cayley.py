@@ -113,7 +113,7 @@ def certify_via_lambda(h: PermGroup, n: int, k: int) -> Certificate:
 # exhaustive search
 
 
-# the search looks at the clock once per this many steps of every phase
+# the search looks at the clock once per this many pairs a coset scan passes
 DEADLINE_STRIDE = 256
 
 
@@ -128,95 +128,48 @@ def _fixes_some_vertex(mu_type: tuple[int, ...], nu_type: tuple[int, ...]) -> bo
     return all(have[length] >= count for length, count in Counter(nu_type).items())
 
 
-def _partition_count(n: int, bound: int) -> int:
-    """p(n), the number of partitions of n, if it is at most bound; else
-    some p(m) > bound with m <= n (p never decreases, so p(n) > bound too).
-    Euler's pentagonal recurrence, stopped as soon as p(m) passes bound."""
-    p = [1]
-    for m in range(1, n + 1):
-        total, j = 0, 1
-        while j * (3 * j - 1) // 2 <= m:
-            sign = 1 if j % 2 else -1
-            total += sign * p[m - j * (3 * j - 1) // 2]
-            if j * (3 * j + 1) // 2 <= m:
-                total += sign * p[m - j * (3 * j + 1) // 2]
-            j += 1
-        p.append(total)
-        if total > bound:
-            break
-    return p[-1]
-
-
-def _partitions(n: int, least: int = 1):
-    """The partitions of n into parts of at least ``least``, as ascending tuples."""
-    if n == 0:
-        yield ()
-    for part in range(least, n + 1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-
-
-def _class_plan(n: int, k: int, target: int, cap: int, check_clock):
-    """Decide both candidate filters (no fixed vertex, order dividing target)
-    once per class of S_n x S_{k-1}, a pair of cycle types, listing no pair.
-
-    Returns (candidates, count): the candidates as a :class:`_ByClass` that
-    memoises at most cap pairs, and their number.  mu's types are the
-    partitions of n, each the type of n! / prod l^m_l m_l! permutations;
-    nu's are read off S_{k-1}.
-    """
-    sizes = {}
-    for i, mu_type in enumerate(_partitions(n)):
-        if i % DEADLINE_STRIDE == 0:
-            check_clock("planning classes", f"partition {i}")
-        sizes[mu_type] = math.factorial(n) // math.prod(
-            length ** m * math.factorial(m) for length, m in Counter(mu_type).items())
-    keep: dict[tuple, bool] = {}
-    nu_types: dict[tuple, tuple] = {}
-    count = 0
-    for i, nu in enumerate(permutations(range(2, k + 1))):
-        if i % DEADLINE_STRIDE == 0:
-            check_clock("planning classes", f"nu {i}/{math.factorial(k - 1)}")
-        nu_type = nu_types[nu_tail(nu, n)] = cycle_type((1,) + nu)
-        for mu_type, size in sizes.items():
-            kept = keep.get((mu_type, nu_type))
-            if kept is None:
-                kept = keep[mu_type, nu_type] = (not _fixes_some_vertex(mu_type, nu_type) and
-                                                 target % math.lcm(*mu_type, *nu_type) == 0)
-            if kept:
-                count += size
-    return _ByClass(n, keep, nu_types, cap), count
-
-
 class _ByClass(dict):
     """The candidates, as a container that tests a flat pair by its class,
-    keep[mu's type, nu_types[nu's tail]]: each pair is typed once, and the
-    dict keeps the answer, until it holds cap pairs and is emptied."""
+    mu's cycle type and nu's tail: the first pair typed of a class decides
+    the class, in keep, and the dict keeps each typed pair's answer.  Both
+    are caches, emptied together once the dict holds cap pairs, so keep
+    never holds more classes than that."""
 
-    __slots__ = ("n", "keep", "nu_types", "cap")
+    __slots__ = ("n", "target", "keep", "cap")
 
-    def __init__(self, n: int, keep: dict, nu_types: dict, cap: int):
+    def __init__(self, n: int, k: int, cap: int):
         super().__init__()
-        self.n, self.keep, self.nu_types, self.cap = n, keep, nu_types, cap
+        self.n, self.target, self.keep, self.cap = n, math.perm(n, k), {}, cap
 
     def __contains__(self, pair) -> bool:
         kept = self.get(pair)
         if kept is None:
             if len(self) >= self.cap:
                 self.clear()
+                self.keep.clear()
             n = self.n
-            kept = self[pair] = self.keep[cycle_type(pair[:n]), self.nu_types[pair[n:]]]
+            mu_type, tail = cycle_type(pair[:n]), pair[n:]
+            kept = self.keep.get((mu_type, tail))
+            if kept is None:
+                nu_type = cycle_type((1, *[x - n + 1 for x in tail]))
+                kept = self.keep[mu_type, tail] = (not _fixes_some_vertex(mu_type, nu_type) and
+                                                   self.target % math.lcm(*mu_type, *nu_type) == 0)
+            self[pair] = kept
         return kept
 
 
-def _coset(n: int, k: int, v: tuple, candidates: _ByClass):
+def _coset(n: int, k: int, v: tuple, candidates: _ByClass, check_clock):
     """The candidates that map the base vertex [1..k] to v, lazily, nu outer:
     mu(j) = v[nu(j)] for j <= k, and mu maps k+1..n onto the other points
-    in any way."""
+    in any way.  The clock is read every DEADLINE_STRIDE pairs scanned."""
     rest = [x for x in range(1, n + 1) if x not in v]
+    scanned = 0
     for nu in permutations(range(2, k + 1)):
         head, tail = (v[0], *[v[j - 1] for j in nu]), nu_tail(nu, n)
         for others in permutations(rest):
+            if scanned % DEADLINE_STRIDE == 0:
+                check_clock(f"pair {scanned} of the coset of {v}")
+            scanned += 1
             pair = head + others + tail
             if pair in candidates:
                 yield pair
@@ -229,9 +182,9 @@ def search_regular_subgroup(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP,
     Every non-identity element of a regular subgroup is fixed-point-free on
     the vertices and has order dividing P(n,k).  Both depend on the
     conjugacy class alone, a pair of cycle types, so each class is decided
-    once, up front (:func:`_class_plan`), and a closure is pruned the moment
-    it admits any other element or outgrows P(n,k).  Pairs are flat tuples
-    throughout (see :mod:`starcayley.pairs`).
+    the first time one of its pairs is typed (:class:`_ByClass`), and a
+    closure is pruned the moment it admits any other element or outgrows
+    P(n,k).  Pairs are flat tuples throughout (see :mod:`starcayley.pairs`).
 
     The search grows a semiregular group H from {1}: v is the first vertex,
     in rank order, that H's orbit of the base vertex [1..k] misses; each
@@ -244,64 +197,60 @@ def search_regular_subgroup(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP,
 
     The search never lists S_n x S_{k-1}.  What it holds is bounded by cap:
     it raises :class:`CapExceeded` when P(n,k), the length of its vertex
-    list and the most any closure may hold, or p(n) (k-1)!, the size of the
-    class plan, exceeds cap.  The closures on the current branch at least
-    double at each level, so together they hold under 2 P(n,k) pairs, plus
-    the closure being computed; the memo of typed pairs and the set of
-    explored closures are caches, emptied whenever they pass cap pairs,
-    which changes no result, since an explored closure is only ever one
-    whose branch found nothing.  A time_limit (seconds) truncates the
-    search; the clock is read every DEADLINE_STRIDE steps of every phase,
-    and a truncated search always returns Unknown, with a note naming the
-    phase and how far it got.
+    list and the most any closure may hold, exceeds cap.  The closures on
+    the current branch at least double at each level, so together they hold
+    under 2 P(n,k) pairs, plus the closure being computed; the memo of typed
+    pairs and the set of explored closures are caches, emptied whenever they
+    pass cap points (a pair is n+k-1 points), which changes no result, since
+    an explored closure is only ever one whose branch found nothing.  A
+    time_limit (seconds) truncates the search; the clock is read every
+    DEADLINE_STRIDE pairs a coset scan passes, and a truncated search always
+    returns Unknown, with a note saying how far it got.
     """
     target = math.perm(n, k)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if target > cap:
         raise CapExceeded(f"P({n},{k}) = {target} exceeds cap {cap}")
-    if _partition_count(n, cap // math.factorial(k - 1)) * math.factorial(k - 1) > cap:
-        raise CapExceeded(f"the class plan, p({n}) x {k - 1}! classes, exceeds cap {cap}")
 
-    def check_clock(phase: str, progress: str) -> None:
+    def check_clock(progress: str) -> None:
         if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(f"{phase}, {progress}")
+            raise TimeoutError(f"transversal search, {progress}")
+
+    width = n + k - 1  # the points of a pair, which the caches count against cap
+    allowed = _ByClass(n, k, cap // width)
+    vertices = list(permutations(range(1, n + 1), k))
+    # a pair's image of [1..k] holds mu(nu^-1(i)) at i: one getter per tail,
+    # and for k = 1 a 1-tuple, as the vertices are
+    images = {nu_tail(nu, n): itemgetter(*sorted(range(k), key=((1,) + nu).__getitem__))
+              for nu in permutations(range(2, k + 1))} if k > 1 else {(): itemgetter(slice(1))}
+    identity = tuple(range(1, n + k))
+    explored = set()
+    held = 0
+
+    def grow(gens: tuple, group, start: int):
+        nonlocal held
+        covered = {images[p[n:]](p) for p in group}
+        while vertices[start] in covered:
+            start += 1
+        for c in _coset(n, k, vertices[start], allowed, check_clock):
+            # x -> x * g from H reaches <H, c>, as g * x would; orbit() tests
+            # no start against allowed, so the identity passes
+            seen = orbit(group, gens + (c,), limit=target, allowed=allowed,
+                         act=right_multiplication)
+            if seen is None or (key := frozenset(seen)) in explored:
+                continue
+            if held + len(key) * width > cap:
+                explored.clear()
+                held = 0
+            explored.add(key)
+            held += len(key) * width
+            found = (gens + (c,) if len(seen) == target
+                     else grow(gens + (c,), seen, start + 1))
+            if found:
+                return found
+        return None
 
     try:
-        allowed, count = _class_plan(n, k, target, cap, check_clock)
-        vertices = list(permutations(range(1, n + 1), k))
-        # a pair's image of [1..k] holds mu(nu^-1(i)) at i: one getter per tail
-        images = {nu_tail(nu, n): itemgetter(*sorted(range(k), key=((1,) + nu).__getitem__))
-                  for nu in permutations(range(2, k + 1))}
-        identity = tuple(range(1, n + k))
-        explored = set()
-        held = tried = 0
-
-        def grow(gens: tuple, group, start: int):
-            nonlocal held, tried
-            covered = {images[p[n:]](p) for p in group}
-            while vertices[start] in covered:
-                start += 1
-            for c in _coset(n, k, vertices[start], allowed):
-                if tried % DEADLINE_STRIDE == 0:
-                    check_clock("transversal search", f"candidate {tried}")
-                tried += 1
-                # x -> x * g from H reaches <H, c>, as g * x would; orbit() tests
-                # no start against allowed, so the identity passes
-                seen = orbit(group, gens + (c,), limit=target, allowed=allowed,
-                             act=right_multiplication)
-                if seen is None or (key := frozenset(seen)) in explored:
-                    continue
-                if held + len(key) > cap:
-                    explored.clear()
-                    held = 0
-                explored.add(key)
-                held += len(key)
-                found = (gens + (c,) if len(seen) == target
-                         else grow(gens + (c,), seen, start + 1))
-                if found:
-                    return found
-            return None
-
         found = grow((), (identity,), 0)
     except TimeoutError as stop:
         return Certificate(
@@ -310,7 +259,7 @@ def search_regular_subgroup(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP,
             (f"time budget of {time_limit}s exhausted before the search "
              f"space was covered ({stop})",))
     if found:
-        return _search_hit(n, k, found, count)
+        return _search_hit(n, k, found)
     checks = (
         ("full_automorphism_group_enumerated", True),
         ("candidates_restricted_to_fixed_point_free_elements", True),
@@ -358,7 +307,7 @@ def derive_two_generator_search(cert: Certificate, fresh: Certificate) -> Certif
                        METHOD_REFUTATION, None, checks)
 
 
-def _search_hit(n, k, gens, candidate_count) -> Certificate:
+def _search_hit(n, k, gens) -> Certificate:
     # drop each generator that the others generate, last first
     identity = tuple(range(1, n + k))
     gens = list(gens)
@@ -367,10 +316,7 @@ def _search_hit(n, k, gens, candidate_count) -> Certificate:
             gens.remove(g)
     group = PairGroup.generate(n, k, [AutPair.from_flat(g, n) for g in gens],
                                name=f"search-regular({n},{k})")
-    cert = sabidussi_direct(group, n, k)
-    notes = (f"found among {candidate_count} fixed-point-free candidates",)
-    return Certificate(cert.n, cert.k, cert.verdict, cert.method,
-                       cert.witness, cert.checks, notes)
+    return sabidussi_direct(group, n, k)
 
 
 # ---------------------------------------------------------------------------

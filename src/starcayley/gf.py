@@ -9,7 +9,6 @@ digits.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
@@ -66,30 +65,23 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """GF(p^m) with integer-coded elements.
 
+    Residues are reduced by :func:`smallest_irreducible`, the modulus.
     Built once from two tables of q entries: exp[i] = g^i for the smallest
     primitive element g (exp[q-1] = 1 again), and log, its inverse on the
     nonzero elements.  Multiplicative operations read these tables; addition
     works on the base-p digits.  Immutable once built.
     """
 
-    def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         q = p ** m
-        if modulus is None:
-            modulus = smallest_irreducible(p, m)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[m] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}")
-            if not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = modulus
+        self.modulus = smallest_irreducible(p, m)
         # g = 1 has order 1, which is q - 1 only for q = 2
         for g in range(1, q):
             powers, x = [1], g
@@ -151,16 +143,8 @@ class Field:
         """x -> x^(p^e)."""
         return self.pow(x, self.p ** (e % self.m))
 
-    def mult_order(self, x: int) -> int:
-        if x == 0:
-            raise ValueError("0 has no multiplicative order")
-        return (self.q - 1) // math.gcd(self._log[x], self.q - 1)
-
     def primitive_element(self) -> int:
         return self._exp[1]
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def element_name(self, x: int) -> str:
         """Readable polynomial form, e.g. 'z^2+z+1'."""
@@ -177,13 +161,6 @@ class Field:
                 z = "z" if i == 1 else f"z^{i}"
                 terms.append(z if c == 1 else f"{c}{z}")
         return "+".join(terms)
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Field":
-        return cls(data["p"], data["m"], data["modulus"])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Field) and self.p == other.p

@@ -254,23 +254,17 @@ def test_search_cap_counts_the_vertices():
         search_regular_subgroup(5, 2, cap=19)
 
 
-def test_search_cap_counts_the_class_plan():
-    # P(100,2) = 9,900 fits the default cap, but the plan would type
-    # p(100) = 190,569,292 classes of mu: refused before any is listed
-    with pytest.raises(CapExceeded, match=r"^the class plan, p\(100\) x 1! classes, "
-                                          r"exceeds cap 2000000$"):
-        search_regular_subgroup(100, 2, time_limit=1.0)
-    with pytest.raises(CapExceeded, match=r"p\(2000\) x 0!"):
-        search_regular_subgroup(2000, 1)
-    # p(7) x 2! = 30 fits a cap of P(7,3) = 210
+def test_search_of_many_classes_is_bounded_by_the_time_limit():
+    # P(100,2) = 9,900 and P(2000,1) fit the default cap, and the
+    # p(100) = 190,569,292 classes of mu are never listed: each is decided
+    # when the search first meets it, and the clock ends the search
+    for n, k in [(100, 2), (2000, 1)]:
+        start = time.perf_counter()
+        assert is_truncated_search(search_regular_subgroup(n, k, time_limit=0.2))
+        assert time.perf_counter() - start < 1.0
+    # at a cap of P(7,3) = 210 points, pairs of 9 points, the memo and the
+    # explored set are emptied whenever they pass 23 pairs
     assert search_regular_subgroup(7, 3, cap=210).verdict == "NotCayley"
-
-
-def test_partition_count():
-    assert [cayley._partition_count(n, 10**9) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
-    assert cayley._partition_count(100, 10**9) == 190_569_292
-    # stopped at the first p(m) above the bound, 2,012,558 = p(65)
-    assert cayley._partition_count(2000, 2_000_000) == 2_012_558
 
 
 @pytest.mark.parametrize("n,k", [(6, 4), (7, 3), (7, 4)])
@@ -355,21 +349,21 @@ def _candidates(n, k, representatives=None):
     return candidates
 
 
-def _no_clock(phase, progress):
+def _no_clock(progress):
     pass
 
 
 def _streamed(n, k):
-    """The search's class plan, and the candidates its cosets list lazily,
-    one coset for each vertex in rank order; each candidate maps [1..k] to
-    the vertex of its coset."""
-    candidates, count = cayley._class_plan(n, k, math.perm(n, k), math.inf, _no_clock)
+    """The candidates the search's cosets list lazily, one coset for each
+    vertex in rank order, and the classes decided on the way; each
+    candidate maps [1..k] to the vertex of its coset."""
+    candidates = cayley._ByClass(n, k, math.inf)
     streamed = []
     for v in itertools.permutations(range(1, n + 1), k):
-        coset = list(cayley._coset(n, k, v, candidates))
+        coset = list(cayley._coset(n, k, v, candidates, _no_clock))
         assert all(AutPair.from_flat(c, n).apply(range(1, k + 1)) == v for c in coset)
         streamed += coset
-    return streamed, count
+    return streamed, candidates
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 3), (6, 4), (7, 3)])
@@ -391,58 +385,75 @@ def test_cycle_type_fixed_point_test_matches_vertex_scan(n, k):
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 9) for k in range(2, n - 1)
                                  if aut_order(n, k) <= 80_640])
 def test_streamed_candidates_match_the_enumeration(n, k):
-    candidates = _candidates(n, k)
-    streamed, count = _streamed(n, k)
-    assert sorted(streamed) == sorted(candidates)
-    assert count == len(candidates)
+    streamed, _ = _streamed(n, k)
+    assert sorted(streamed) == sorted(_candidates(n, k))
 
 
-def _lex_scan_plan(n, k):
-    """Oracle: the class plan as a lex scan of S_n found it, up to the
-    classes seen covering S_n: each class's verdict, and the candidate count."""
+def _lex_scan_verdicts(n, k):
+    """Oracle: each class's verdict, for the classes a lex scan of S_n sees
+    until they cover S_n."""
     target, order = math.perm(n, k), math.factorial(n)
-    sizes, covered = {}, 0
+    mu_types, covered = set(), 0
     for mu in itertools.permutations(range(1, n + 1)):
         mu_type = cycle_type(mu)
-        if mu_type not in sizes:
-            sizes[mu_type] = order // math.prod(l ** m * math.factorial(m) for l, m
-                                                in collections.Counter(mu_type).items())
-            covered += sizes[mu_type]
+        if mu_type not in mu_types:
+            mu_types.add(mu_type)
+            covered += order // math.prod(l ** m * math.factorial(m) for l, m
+                                          in collections.Counter(mu_type).items())
             if covered == order:
                 break
-    keep, count = {}, 0
-    for nu in itertools.permutations(range(2, k + 1)):
-        nu_type = cycle_type((1,) + nu)
-        for mu_type, size in sizes.items():
-            kept = keep[mu_type, nu_type] = (not cayley._fixes_some_vertex(mu_type, nu_type)
-                                             and target % math.lcm(*mu_type, *nu_type) == 0)
-            count += size if kept else 0
-    return keep, count
+    return {(mu_type, nu_type): (not cayley._fixes_some_vertex(mu_type, nu_type)
+                                 and target % math.lcm(*mu_type, *nu_type) == 0)
+            for nu_type in {cycle_type((1,) + nu) for nu in itertools.permutations(range(2, k + 1))}
+            for mu_type in mu_types}
+
+
+def _pair_of_type(mu_type, nu, n):
+    """A flat pair whose mu has cycle type mu_type, each cycle on
+    consecutive points, and whose nu has the images nu of 2..k."""
+    mu, start = [], 1
+    for length in mu_type:
+        mu += [*range(start + 1, start + length), start]
+        start += length
+    return tuple(mu) + nu_tail(nu, n)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 9) for k in range(2, n)])
 def test_class_plan_matches_the_lex_scan(n, k):
-    candidates, count = cayley._class_plan(n, k, math.perm(n, k), math.inf, _no_clock)
-    assert (candidates.keep, count) == _lex_scan_plan(n, k)
+    # the search decides a class when it first types one of its pairs, and
+    # decides each one as the lex scan does
+    verdicts = _lex_scan_verdicts(n, k)
+    mu_types = {mu_type for mu_type, _ in verdicts}
+    candidates = cayley._ByClass(n, k, math.inf)
+    for nu in itertools.permutations(range(2, k + 1)):
+        for mu_type in mu_types:
+            pair = _pair_of_type(mu_type, nu, n)
+            assert cycle_type(pair[:n]) == mu_type
+            assert (pair in candidates) == verdicts[mu_type, cycle_type((1,) + nu)]
+    # each pair typed was the first of its class, mu's type and nu's tail
+    assert len(candidates.keep) == len(mu_types) * math.factorial(k - 1)
 
 
-def test_search_deadline_checked_while_planning(monkeypatch):
-    reads = []
+def test_search_deadline_checked_while_scanning_a_coset(monkeypatch):
+    # (11,1) scans 409,114 pairs of the coset of (2,) to reach its first
+    # candidate, an 11-cycle; the scan reads the clock every DEADLINE_STRIDE
+    # pairs, so a clock past the deadline at its fourth read stops it there
+    reads, scanned = [], []
 
     def fake_monotonic():
         reads.append(None)
         return 0.0 if len(reads) < 4 else 100.0
 
+    contains = cayley._ByClass.__contains__
+    monkeypatch.setattr(cayley._ByClass, "__contains__",
+                        lambda self, pair: scanned.append(pair) or contains(self, pair))
     monkeypatch.setattr(cayley, "time", SimpleNamespace(monotonic=fake_monotonic))
-    cert = search_regular_subgroup(9, 7, cap=10**9, time_limit=10.0)
-    assert cert.verdict == "Unknown"
-    assert cert.checks == (("search_space_exhausted", False),)
+    cert = search_regular_subgroup(11, 1, time_limit=10.0)
+    assert is_truncated_search(cert)
+    # one read sets the deadline, and the scan reads it at pairs 0, 256 and 512
     (note,) = cert.notes
-    assert "budget" in note
-    # the class plan reads the clock at the 0th of the 30 partitions of 9,
-    # then at the 0th and the 256th nu of S_6
-    assert "planning classes, nu 256/720" in note
-    assert len(reads) == 4
+    assert note.endswith("(transversal search, pair 512 of the coset of (2,))")
+    assert len(scanned) == 2 * cayley.DEADLINE_STRIDE
 
 
 def test_search_deadline_checked_in_every_phase(monkeypatch):
@@ -458,15 +469,16 @@ def test_search_deadline_checked_in_every_phase(monkeypatch):
 
     cert, reads = run(math.inf)
     assert cert.verdict == "NotCayley"
-    phases = []
+    # the one phase is the transversal search, and every read can stop it:
+    # one read sets the deadline, and the scan of each of the 21 cosets the
+    # search grows a group over reads it once, at its first of 4! 2! = 48 pairs
+    assert reads == 22
     for cut in range(2, reads + 1):
         cert, _ = run(cut)
         assert is_truncated_search(cert), cut
         (note,) = cert.notes
-        phases.append(re.search(r"\((.*), ", note).group(1))
-    # the plan reads the clock at the 0th partition of 7 and the 0th nu of
-    # S_2; the search tries 510 candidates, and reads it at the 0th and the 256th
-    assert phases == ["planning classes"] * 2 + ["transversal search"] * 2
+        assert re.search(r"\(transversal search, pair 0 of the coset of \(\d, \d, \d\)\)$",
+                         note), note
 
 
 @pytest.mark.parametrize("n,k,force_search", [
@@ -715,10 +727,10 @@ def test_yes_case_certify_and_check_list_no_elements(monkeypatch, n, k):
 # the transversal search, against the classification
 
 
-@pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 9) for k in range(2, n - 1)])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 9) for k in range(1, n)])
 def test_search_matches_the_classification(n, k):
-    # (8,6) alone has |S_8 x S_5| = 4,838,400 over the default cap; the
-    # search lists no pair of it
+    # (8,6) has |S_8 x S_5| = 4,838,400 over the default cap, and (8,7)
+    # 29,030,400; the search lists no pair of them
     cert = search_regular_subgroup(n, k, cap=10**7)
     expected = "Cayley" if classify(n, k).is_cayley else "NotCayley"
     assert cert.verdict == expected and cert.all_passed()
@@ -748,14 +760,16 @@ def test_search_up_to_conjugacy_matches_the_full_search(n, k):
 
 @pytest.mark.parametrize("n,k,classes", [(6, 2, 5), (7, 3, 16), (6, 4, 27)])
 def test_representatives_are_the_first_candidate_of_each_class(n, k, classes):
-    # the plan keeps exactly the classes whose first candidates the lex
-    # scan took as representatives
+    # the classes the search keeps, decided as its cosets meet them, are
+    # exactly those whose first candidates the lex scan took as representatives
     representatives = []
     _candidates(n, k, representatives)
-    kept, _ = cayley._class_plan(n, k, math.perm(n, k), math.inf, _no_clock)
+    _, decided = _streamed(n, k)
+    kept = {(mu_type, cycle_type(pairs_mod._nu_of_tail(tail, n)[:k]))
+            for (mu_type, tail), keep in decided.keep.items() if keep}
     types = {(cycle_type(flat[:n]), cycle_type(AutPair.from_flat(flat, n).nu.images[:k]))
              for flat in representatives}
-    assert {t for t, keep in kept.keep.items() if keep} == types
+    assert kept == types
     assert len(representatives) == classes
 
 
@@ -789,7 +803,7 @@ def test_refutation_branches_over_the_coset_of_each_missed_vertex(monkeypatch):
         assert AutPair.from_flat(c, n).apply(range(1, k + 1)) == missed
     # from {1} the search branches over the whole coset of (1,3)
     first = [gens for gens in closures if len(gens) == 1]
-    assert first == [(c,) for c in cayley._coset(n, k, (1, 3), candidates)]
+    assert first == [(c,) for c in cayley._coset(n, k, (1, 3), candidates, _no_clock)]
     # a group is grown once: the generators before the last, over all
     # closures, generate distinct groups
     identity = tuple(range(1, n + k))

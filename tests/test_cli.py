@@ -101,7 +101,7 @@ def test_certify_force_search(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "Cayley"
-    assert "candidates" in payload["notes"][0]
+    assert payload["notes"] == []
 
 
 def test_certify_lambda_route(capsys):
@@ -544,26 +544,48 @@ def test_forced_search_is_capped_by_the_vertex_count(tmp_path, capsys):
     assert err == "budget exhausted: P(13,12) = 6227020800 exceeds cap 2000000\n"
 
 
-@pytest.mark.parametrize("n,k", [(100, 2), (2000, 1)])
-def test_forced_search_and_its_replay_refuse_a_class_plan_over_the_budget(tmp_path, capsys,
-                                                                          n, k):
-    # P(n,k) fits the default budget, but p(n) classes of mu do not: both
-    # commands exit 3 before listing a partition, whatever the time limit
-    expected = (f"budget exhausted: the class plan, p({n}) x {k - 1}! classes, "
-                "exceeds cap 2000000\n")
-    code, out, err = run_cli(capsys, "certify", str(n), str(k), "--force-search",
-                             "--time-limit", "1")
-    assert (code, out, err) == (3, "", expected)
-    cert_path = tmp_path / "crafted.json"
-    cert_path.write_text(json.dumps({
+def _refutation(n, k):
+    """A refutation as the transversal search writes it."""
+    return json.dumps({
         "n": n, "k": k, "verdict": "NotCayley", "method": "ExhaustiveSearchRefutation",
         "witness": None, "checks": [{"name": name, "pass": True} for name in (
             "full_automorphism_group_enumerated",
             "candidates_restricted_to_fixed_point_free_elements",
             "transversal_search_exhausted", "no_regular_subgroup_found")],
-        "notes": []}))
-    code, out, err = run_cli(capsys, "check", str(cert_path))
-    assert (code, out, err) == (3, "", expected)
+        "notes": []})
+
+
+@pytest.mark.parametrize("n,k", [(100, 2), (2000, 1)])
+def test_forced_search_and_its_replay_of_many_classes_stop_at_the_time_limit(tmp_path, capsys,
+                                                                             n, k):
+    # P(n,k) fits the default budget, and the p(n) classes of mu are never
+    # listed: both commands search until the time limit, then exit 3
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "certify", str(n), str(k), "--force-search",
+                             "--time-limit", "0.5")
+    assert code == 3 and time.perf_counter() - start < 1.5
+    assert json.loads(out)["verdict"] == "Unknown"
+    assert err.startswith("budget exhausted: time budget of 0.5s exhausted before the search "
+                          "space was covered (transversal search, pair ")
+    cert_path = tmp_path / "crafted.json"
+    cert_path.write_text(_refutation(n, k))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", str(cert_path), "--time-limit", "0.5")
+    assert code == 3 and time.perf_counter() - start < 1.5
+    assert (out, err) == ("", f"budget exhausted: the search replay of {cert_path} ran past "
+                              "--time-limit 0.5\n")
+
+
+def test_forced_search_for_k_1_finds_the_cyclic_group_and_refutes_nothing(tmp_path, capsys):
+    # a pair with k = 1 is a permutation of the n points, and C_n is regular
+    # on them; a refutation of (5,1) by search fails to reproduce
+    code, out, _ = run_cli(capsys, "certify", "5", "1", "--force-search")
+    assert code == 0 and json.loads(out)["verdict"] == "Cayley"
+    cert_path = tmp_path / "refutation-5-1.json"
+    cert_path.write_text(_refutation(5, 1))
+    code, out, _ = run_cli(capsys, "check", str(cert_path))
+    assert code == 2
+    assert "Cayley" in out
 
 
 @pytest.mark.parametrize("n,verdict", [(2**61 - 1, "Cayley"), (2**61 - 2, "NotCayley")])
