@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import signal
+import threading
+from array import array
 from bisect import bisect_left
 from collections import deque
 from enum import Enum
@@ -120,29 +124,43 @@ def edge_kind(u: Sequence[int], v: Sequence[int]) -> EdgeKind | None:
     return None
 
 
+# Ranks are stored as C unsigned ints, so a graph may have at most this many
+# vertices.
+_RANK_LIMIT = 1 << 8 * array("I").itemsize
+
+# Forking a census worker and reaping it costs 1-2 ms, and the census about
+# 5 us per vertex (2 CPUs, Python 3.11), so a worker is forked only for a
+# share of at least this many vertices, about 20 ms of counting.
+_CENSUS_SHARE = 4096
+
+
 class StarGraph:
-    """A fully materialized (n,k)-star graph: one flat index row per vertex.
+    """A fully materialized (n,k)-star graph: one flat adjacency array.
 
-    Each row lists the k-1 star neighbors first and the n-k residual
-    neighbors after them, so the edge kind is positional and the
-    million-vertex graphs stay materializable.  :func:`build` makes each row
-    from the row of the vertex's first k-1 labels in S(n,k-1), by one
-    C-level pick, without looking up any neighbour's label tuple.
+    The adjacency is one ``array('I')`` of P(n,k)*(n-1) ranks; the row of
+    rank i, read by :meth:`row`, is the slice [i*(n-1), (i+1)*(n-1)).  Each
+    row lists the k-1 star neighbors first and the n-k residual neighbors
+    after them, so the edge kind is positional.  A flat array holds no int
+    objects, so the store costs 4 bytes a rank, and reading it writes no
+    reference count in its buffer, which lets forked census workers share
+    its pages (see :func:`_census`).  :func:`build` makes each row from the
+    row of the vertex's first k-1 labels in S(n,k-1), by one C-level pick,
+    without looking up any neighbour's label tuple.
 
-    The rows are all a graph holds.  The label tables ``vertices`` (rank
+    The array is all a graph holds.  The label tables ``vertices`` (rank
     order, which is the lexicographic order of
     :func:`itertools.permutations`) and ``index`` (its inverse) are built
     on first use and cached, so the counting queries never pay for them.
-    Immutable after construction: the rows never change, and the cached
+    Immutable after construction: the array never changes, and the cached
     tables are functions of (n, k).
     """
 
-    __slots__ = ("n", "k", "_rows", "_vertices", "_index")
+    __slots__ = ("n", "k", "_adj", "_vertices", "_index")
 
-    def __init__(self, n, k, rows):
+    def __init__(self, n, k, adj):
         self.n = n
         self.k = k
-        self._rows = rows
+        self._adj = adj
         self._vertices = None
         self._index = None
 
@@ -162,48 +180,126 @@ class StarGraph:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._rows)
+        return len(self._adj) // (self.n - 1)
+
+    def row(self, i: int) -> array:
+        """The ranks adjacent to rank i: k-1 star neighbours, then n-k residual."""
+        width = self.n - 1
+        return self._adj[i * width:i * width + width]
 
     def neighbors(self, v: Sequence[int]) -> list[tuple[KPerm, EdgeKind]]:
-        row = self._rows[self.index[tuple(v)]]
         split = self.k - 1
         return [(self.vertices[j],
                  EdgeKind.STAR if pos < split else EdgeKind.RESIDUAL)
-                for pos, j in enumerate(row)]
+                for pos, j in enumerate(self.row(self.index[tuple(v)]))]
 
     def edges(self) -> Iterator[tuple[int, int, EdgeKind]]:
         """Each undirected edge once, as (smaller rank, larger rank, kind)."""
         split = self.k - 1
-        for i, row in enumerate(self._rows):
-            for pos, j in enumerate(row):
+        for i in range(self.vertex_count):
+            for pos, j in enumerate(self.row(i)):
                 if i < j:
                     yield i, j, EdgeKind.STAR if pos < split else EdgeKind.RESIDUAL
 
     def edge_count(self) -> int:
-        return sum(len(row) for row in self._rows) // 2
+        return len(self._adj) // 2
 
     def triangle_count(self) -> int:
         """Each triangle is seen once from each of its three edges."""
-        rows = self._rows
-        total = 0
-        for i, row in enumerate(rows):
-            mine = set(row)
-            for j in row:
-                if i < j:
-                    total += len(mine.intersection(rows[j]))
-        return total // 3
+        return _census(self._adj, self.n - 1, _census_workers(self.vertex_count)) // 3
 
     def degree_split(self) -> tuple[int, int]:
         """(star degree, residual degree), uniform over vertices by construction."""
         return self.k - 1, self.n - self.k
 
 
-def _extend_rows(parent_rows: Iterator[tuple[int, ...]], n: int, j: int,
-                 ranks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _census_workers(vertices: int) -> int:
+    """How many processes the triangle census of a graph this large runs in.
+
+    One per usable CPU, as long as each has at least ``_CENSUS_SHARE``
+    vertices to count; one alone where the platform cannot fork or report
+    its usable CPUs, or where the process runs other threads, which a fork
+    would not copy.
+    """
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), vertices // _CENSUS_SHARE))
+
+
+def _census_stride(adj: array, width: int, start: int, step: int) -> int:
+    """Common neighbours summed over the edges ij with i < j and i = start mod step."""
+    total = 0
+    for i in range(start, len(adj) // width, step):
+        lo = i * width
+        row = adj[lo:lo + width]
+        mine = set(row)
+        for j in row:
+            if i < j:
+                total += len(mine.intersection(adj[j * width:j * width + width]))
+    return total
+
+
+def _census_worker(adj: array, width: int, start: int, step: int, write: int) -> None:
+    """Write one stride's sum to the pipe ``write`` and end the process.
+
+    Runs in a forked child and never returns, so a child never runs on in
+    its caller's code; it exits 0 only once the sum is written.
+    """
+    code = 1
+    try:
+        os.write(write, b"%d" % _census_stride(adj, width, start, step))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _census(adj: array, width: int, workers: int) -> int:
+    """:func:`_census_stride` over every vertex, split among ``workers`` processes.
+
+    This process counts the vertices of rank 0 mod ``workers`` and forks
+    one worker for each other residue; each sends its sum back over a
+    pipe.  Strides rather than contiguous blocks, because a low rank has
+    more neighbours above it than a high one, so a block of low ranks
+    costs more than one of high ranks.  Every worker is reaped
+    before this returns or raises: on any exception here, the workers are
+    killed first.  A worker that fails raises :class:`RuntimeError`, so no
+    partial count is ever returned.
+    """
+    pids, pipes = [], []
+    try:
+        for start in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _census_worker(adj, width, start, workers, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        total = _census_stride(adj, width, 0, workers)
+        # a worker's one write is shorter than PIPE_BUF, so it arrives whole
+        sums = [os.read(read, 64) for read in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for read in pipes:
+            os.close(read)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise RuntimeError(f"triangle census workers exited with codes {codes}")
+    return total + sum(map(int, sums))
+
+
+def _extend_rows(parent_rows: Iterator[tuple[int, ...]], n: int,
+                 j: int) -> Iterator[tuple[int, ...]]:
     """The rows of S(n,j) in rank order, from the rows of S(n,j-1).
 
     A vertex v = P + (b,) has rank rank(P)*c + t, where c = n-j+1 and b is
-    the t-th smallest label missing from P; call ranks[g*c:(g+1)*c] the
+    the t-th smallest label missing from P; call range(g*c, (g+1)*c) the
     group of prefix rank g.  Let s count the labels missing from P below
     P[0].  Every neighbour of v lies in the group of an entry of P's row:
     * the star neighbour that swaps v[0] and v[i], 1 <= i < j-1, at offset
@@ -226,7 +322,7 @@ def _extend_rows(parent_rows: Iterator[tuple[int, ...]], n: int, j: int,
                 for t in range(c)] for s in range(c + 1)]
     for p, row in enumerate(parent_rows):
         groups = tuple(itertools.chain.from_iterable(
-            [ranks[g * c:g * c + c] for g in row]))
+            [range(g * c, g * c + c) for g in row]))
         for pick in pickers[bisect_left(row, p, stars) - stars]:
             yield pick(groups)
 
@@ -237,11 +333,10 @@ def build(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> StarGraph:
     No neighbour is looked up by its label tuple.  The rows grow one
     position at a time from those of S(n,1) = K_n, each row of S(n,j) one
     C-level pick from the row of its prefix in S(n,j-1) (see
-    :func:`_extend_rows`).  Rows of the levels below k hold fresh ints and
-    live only while their extensions are made; the rows of S(n,k) take
-    their ints from one shared tuple of ranks, so each rank is one object
-    however many rows hold it (slices of a bare range would give every row
-    its own ints).  No label table is made here; see :class:`StarGraph`.
+    :func:`_extend_rows`).  Every level is a stream: the rows of S(n,k) go
+    straight into the flat array, and the rows below k live only while
+    their extensions are made.  No label table is made here; see
+    :class:`StarGraph`.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got ({n},{k})")
@@ -249,12 +344,14 @@ def build(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> StarGraph:
     if count > vertex_cap:
         raise GraphSizeExceeded(
             f"P({n},{k}) = {count} exceeds vertex cap {vertex_cap}")
-    ranks = tuple(range(count))
-    first = ranks if k == 1 else range(n)
-    rows = ((*first[:a], *first[a + 1:]) for a in range(n))
+    if count > _RANK_LIMIT:
+        raise GraphSizeExceeded(
+            f"P({n},{k}) = {count} exceeds {_RANK_LIMIT}, the most vertices "
+            f"an unsigned int rank can index")
+    rows = ((*range(a), *range(a + 1, n)) for a in range(n))
     for j in range(2, k + 1):
-        rows = _extend_rows(rows, n, j, ranks if j == k else range(math.perm(n, j)))
-    return StarGraph(n, k, list(rows))
+        rows = _extend_rows(rows, n, j)
+    return StarGraph(n, k, array("I", itertools.chain.from_iterable(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +373,10 @@ def apply_automorphism(f: AutPair | tuple[Perm, Perm], v: Sequence[int]) -> KPer
 def is_edge_in_triangle(graph: StarGraph, u: Sequence[int], v: Sequence[int]) -> bool:
     """True iff the edge uv lies in a 3-cycle (shares a common neighbor)."""
     iu, iv = graph.index[tuple(u)], graph.index[tuple(v)]
-    if iv not in graph._rows[iu]:
+    row = graph.row(iu)
+    if iv not in row:
         raise ValueError(f"{u!r} and {v!r} are not adjacent")
-    return not set(graph._rows[iu]).isdisjoint(graph._rows[iv])
+    return not set(row).isdisjoint(graph.row(iv))
 
 
 def six_cycles_through(graph: StarGraph, u: Sequence[int], v: Sequence[int],
@@ -316,7 +414,7 @@ def six_cycles_through(graph: StarGraph, u: Sequence[int], v: Sequence[int],
                 if kz is not kinds[2] or z in path or z in (x, y):
                     continue
                 iz = graph.index[z]
-                if iu in graph._rows[iz]:
+                if iu in graph.row(iz):
                     close = edge_kind(z, u)
                     if close is kinds[3]:
                         found.append((u, v, w, x, y, z))
@@ -389,7 +487,7 @@ def brute_force_automorphism_count(graph: StarGraph, node_budget: int = 10_000_0
     size = graph.vertex_count
     if size > max_vertices:
         raise ValueError(f"{size} vertices exceeds max_vertices={max_vertices}")
-    adj = [frozenset(row) for row in graph._rows]
+    adj = [frozenset(graph.row(i)) for i in range(size)]
     start = 0 if fix_vertex is None else fix_vertex
     order = [start]
     placed = {start}

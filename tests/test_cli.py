@@ -50,6 +50,11 @@ def test_graph_budget(capsys):
     code, _, err = run_cli(capsys, "graph", "10", "5", "--budget-vertices", "100")
     assert code == 3
     assert "budget" in err
+    # past 2^32 vertices the ranks outgrow the adjacency store, whatever the budget
+    code, _, err = run_cli(capsys, "graph", "14", "13", "--stats",
+                           "--budget-vertices", str(10**12))
+    assert code == 3
+    assert "unsigned int" in err
 
 
 def test_classify_table(capsys):
