@@ -68,7 +68,10 @@ def cmd_graph(args) -> int:
     try:
         graph = build(args.n, args.k, vertex_cap=args.budget_vertices)
     except GraphSizeExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
+        # within the budget, only the 2^32 ranks of the adjacency store refuse it
+        over = math.perm(args.n, args.k) > args.budget_vertices
+        print(f"{'budget exhausted' if over else 'graph too large'}: {exc}",
+              file=sys.stderr)
         return EXIT_BUDGET
     if args.stats:
         star, residual = graph.degree_split()

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import signal
-import threading
+import struct
 from array import array
 from bisect import bisect_left
 from collections import deque
@@ -128,11 +126,6 @@ def edge_kind(u: Sequence[int], v: Sequence[int]) -> EdgeKind | None:
 # vertices.
 _RANK_LIMIT = 1 << 8 * array("I").itemsize
 
-# Forking a census worker and reaping it costs 1-2 ms, and the census about
-# 5 us per vertex (2 CPUs, Python 3.11), so a worker is forked only for a
-# share of at least this many vertices, about 20 ms of counting.
-_CENSUS_SHARE = 4096
-
 
 class StarGraph:
     """A fully materialized (n,k)-star graph: one flat adjacency array.
@@ -141,11 +134,9 @@ class StarGraph:
     rank i, read by :meth:`row`, is the slice [i*(n-1), (i+1)*(n-1)).  Each
     row lists the k-1 star neighbors first and the n-k residual neighbors
     after them, so the edge kind is positional.  A flat array holds no int
-    objects, so the store costs 4 bytes a rank, and reading it writes no
-    reference count in its buffer, which lets forked census workers share
-    its pages (see :func:`_census`).  :func:`build` makes each row from the
-    row of the vertex's first k-1 labels in S(n,k-1), by one C-level pick,
-    without looking up any neighbour's label tuple.
+    objects, so the store costs 4 bytes a rank.  :func:`build` makes each
+    row from the row of the vertex's first k-1 labels in S(n,k-1), by one
+    C-level pick, without looking up any neighbour's label tuple.
 
     The array is all a graph holds.  The label tables ``vertices`` (rank
     order, which is the lexicographic order of
@@ -206,92 +197,23 @@ class StarGraph:
 
     def triangle_count(self) -> int:
         """Each triangle is seen once from each of its three edges."""
-        return _census(self._adj, self.n - 1, _census_workers(self.vertex_count)) // 3
+        adj, width = self._adj, self.n - 1
+        # a row unpacked straight into a tuple skips the array slice that
+        # row() makes, which is about a sixth of the census
+        read = struct.Struct(f"{width}{adj.typecode}").unpack_from
+        step = width * adj.itemsize
+        total = 0
+        for i in range(self.vertex_count):
+            row = read(adj, i * step)
+            mine = set(row)
+            for j in row:
+                if i < j:
+                    total += len(mine.intersection(read(adj, j * step)))
+        return total // 3
 
     def degree_split(self) -> tuple[int, int]:
         """(star degree, residual degree), uniform over vertices by construction."""
         return self.k - 1, self.n - self.k
-
-
-def _census_workers(vertices: int) -> int:
-    """How many processes the triangle census of a graph this large runs in.
-
-    One per usable CPU, as long as each has at least ``_CENSUS_SHARE``
-    vertices to count; one alone where the platform cannot fork or report
-    its usable CPUs, or where the process runs other threads, which a fork
-    would not copy.
-    """
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), vertices // _CENSUS_SHARE))
-
-
-def _census_stride(adj: array, width: int, start: int, step: int) -> int:
-    """Common neighbours summed over the edges ij with i < j and i = start mod step."""
-    total = 0
-    for i in range(start, len(adj) // width, step):
-        lo = i * width
-        row = adj[lo:lo + width]
-        mine = set(row)
-        for j in row:
-            if i < j:
-                total += len(mine.intersection(adj[j * width:j * width + width]))
-    return total
-
-
-def _census_worker(adj: array, width: int, start: int, step: int, write: int) -> None:
-    """Write one stride's sum to the pipe ``write`` and end the process.
-
-    Runs in a forked child and never returns, so a child never runs on in
-    its caller's code; it exits 0 only once the sum is written.
-    """
-    code = 1
-    try:
-        os.write(write, b"%d" % _census_stride(adj, width, start, step))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _census(adj: array, width: int, workers: int) -> int:
-    """:func:`_census_stride` over every vertex, split among ``workers`` processes.
-
-    This process counts the vertices of rank 0 mod ``workers`` and forks
-    one worker for each other residue; each sends its sum back over a
-    pipe.  Strides rather than contiguous blocks, because a low rank has
-    more neighbours above it than a high one, so a block of low ranks
-    costs more than one of high ranks.  Every worker is reaped
-    before this returns or raises: on any exception here, the workers are
-    killed first.  A worker that fails raises :class:`RuntimeError`, so no
-    partial count is ever returned.
-    """
-    pids, pipes = [], []
-    try:
-        for start in range(1, workers):
-            read, write = os.pipe()
-            pipes.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _census_worker(adj, width, start, workers, write)
-            finally:
-                os.close(write)
-            pids.append(pid)
-        total = _census_stride(adj, width, 0, workers)
-        # a worker's one write is shorter than PIPE_BUF, so it arrives whole
-        sums = [os.read(read, 64) for read in pipes]
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for read in pipes:
-            os.close(read)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if any(codes):
-        raise RuntimeError(f"triangle census workers exited with codes {codes}")
-    return total + sum(map(int, sums))
 
 
 def _extend_rows(parent_rows: Iterator[tuple[int, ...]], n: int,

@@ -1,11 +1,8 @@
 import math
-import os
-import threading
 from itertools import permutations
 
 import pytest
 
-from starcayley import stargraph
 from starcayley.pairs import AutPair, aut_product
 from starcayley.perm import Perm
 from starcayley.stargraph import (BudgetExceeded, EdgeKind, GraphSizeExceeded,
@@ -305,63 +302,3 @@ def test_triangle_census_matches_clique_structure(n, k, expected):
     # triangles come only from residual cliques: one clique of n-k+1
     # vertices per tail, P(n, k-1) tails, C(n-k+1, 3) triangles per clique
     assert build(n, k).triangle_count() == expected
-
-
-def _no_child_is_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("n,k", [(3, 1), (5, 4), (7, 3), (8, 4)])
-def test_census_is_the_same_for_any_number_of_workers(n, k):
-    g = build(n, k)
-    expected = 3 * math.perm(n, k - 1) * math.comb(n - k + 1, 3)
-    assert [stargraph._census(g._adj, n - 1, w) for w in (1, 2, 3)] == [expected] * 3
-    _no_child_is_left()
-
-
-def test_a_failing_census_worker_raises_and_every_worker_is_reaped(monkeypatch):
-    g = build(7, 3)
-    stride = stargraph._census_stride
-
-    def fail_in_worker(adj, width, start, step):
-        if start == 2:
-            raise MemoryError("worker")
-        return stride(adj, width, start, step)
-
-    monkeypatch.setattr(stargraph, "_census_stride", fail_in_worker)
-    with pytest.raises(RuntimeError, match="census workers exited"):
-        stargraph._census(g._adj, 6, 3)
-    _no_child_is_left()
-
-
-def test_an_interrupted_census_reaps_its_workers(monkeypatch):
-    g = build(7, 3)
-    stride = stargraph._census_stride
-
-    def interrupt_in_caller(adj, width, start, step):
-        if start == 0:
-            raise KeyboardInterrupt
-        return stride(adj, width, start, step)
-
-    monkeypatch.setattr(stargraph, "_census_stride", interrupt_in_caller)
-    with pytest.raises(KeyboardInterrupt):
-        stargraph._census(g._adj, 6, 3)
-    _no_child_is_left()
-
-
-def test_census_forks_only_where_it_pays_and_is_safe(monkeypatch):
-    share = stargraph._census_workers
-    assert share(stargraph._CENSUS_SHARE - 1) == 1
-    assert share(10**9) == len(os.sched_getaffinity(0))
-    done = threading.Event()
-    other = threading.Thread(target=done.wait)
-    other.start()
-    try:
-        assert share(10**9) == 1
-    finally:
-        done.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    monkeypatch.delattr(os, "fork")
-    assert share(10**9) == 1
