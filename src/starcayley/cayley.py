@@ -327,7 +327,8 @@ def witness_certificate(n: int, k: int) -> Certificate:
     """Check the known witness group of the yes-case (n,k): a sporadic pair,
     or k = 2 or k = 3 with 2 <= k <= n-2.  :func:`verdicts.build_certificate`
     calls this only when the group's order fits its element cap."""
-    from .witness_groups import agl1, mathieu11, mathieu12, pgammal2, pgl2, psl2
+    from .witness_groups import (agl1_unclosed, mathieu11, mathieu12, pgammal2,
+                                 pgl2_unclosed, psl2)
 
     special = {
         (11, 4): lambda: _direct_product_cert(mathieu11(), n, k),
@@ -339,10 +340,11 @@ def witness_certificate(n: int, k: int) -> Certificate:
     }
     if (n, k) in special:
         return special[(n, k)]()
+    # H is closed only inside the pair group, whose order the certificate checks
     if k == 2:
-        return _direct_product_cert(agl1(n), n, k)
+        return _direct_product_cert(agl1_unclosed(n), n, k)
     if k == 3:
-        return _direct_product_cert(pgl2(n - 1), n, k)
+        return _direct_product_cert(pgl2_unclosed(n - 1), n, k)
     raise ValueError(f"no witness group is known for ({n},{k})")
 
 

@@ -16,14 +16,14 @@ permutation product, and sorting flat tuples orders pairs by (mu, nu).  The
 search in :mod:`starcayley.cayley` slices flat pairs at n too: in
 ``_coset``, which builds them, in ``_ByClass.__contains__``, which types
 them, and in the ``images`` getters of ``search_regular_subgroup``, which
-read a pair's image of [1..k] off its tail.  A :class:`PairGroup` is a
-direct product kept as its two factors, or one stabiliser chain on the flat
-points, and neither lists a pair.  A pair fixes the base vertex [1..k] iff
-mu(j) = nu(j) for j <= k.  The elements of a chain that map its first base
-points to given images are none or one coset of the pointwise stabiliser of
-those points, so the pairs fixing [1..k] are counted as that stabiliser's
-order times the number of wanted images some element has.  :class:`AutPair`
-is the public, serialised view, built only at the boundary.
+read a pair's image of [1..k] off its tail.  A :class:`PairGroup`, a direct
+product H x T included, is one stabiliser chain on the flat points, and
+lists no pair.  A pair fixes the base vertex [1..k] iff mu(j) = nu(j) for
+j <= k.  The elements of a chain that map its first base points to given
+images are none or one coset of the pointwise stabiliser of those points, so
+the pairs fixing [1..k] are counted as that stabiliser's order times the
+number of wanted images some element has.  :class:`AutPair` is the public,
+serialised view, built only at the boundary.
 """
 
 from __future__ import annotations
@@ -106,30 +106,26 @@ class AutPair:
 
 
 class PairGroup:
-    """A subgroup of S_n x S_{k-1}, the automorphism group of the star graph.
-
-    A direct product H x T keeps its two factors: its order is |H| |T|, and
-    :meth:`base_stabilizer_order` reads H's chain.  Any other group is one
-    :class:`StabChain` on the n+k-1 flat points, on the base 1..k,
-    n+1..n+k-1, then the rest, which gives the order and membership.
-    Neither shape lists a pair; :meth:`iter_pairs` builds them on demand.
-    :class:`AutPair` objects are built only by :meth:`iter_pairs` and for the
-    generators.
+    """A subgroup of S_n x S_{k-1}, the automorphism group of the star graph,
+    held as one :class:`StabChain` on the n+k-1 flat points, on the base
+    1..k, n+1..n+k-1, then the rest, which gives the order and membership.
+    Every group, a direct product H x T included, is made by :meth:`generate`,
+    so ``certify`` builds the very chain that ``check`` rebuilds from the
+    certificate.  No pair is listed; :meth:`iter_pairs` builds them on
+    demand.  :class:`AutPair` objects are built only by :meth:`iter_pairs`
+    and for the generators.
     """
 
-    __slots__ = ("n", "k", "name", "generators", "_factors", "_chain", "order")
+    __slots__ = ("n", "k", "name", "generators", "_chain", "order")
 
     def __init__(self, n: int, k: int, generators: Sequence[AutPair],
-                 name: str | None = None, factors: tuple | None = None,
-                 chain: StabChain | None = None):
+                 name: str | None, chain: StabChain):
         self.n = n
         self.k = k
         self.name = name
         self.generators = tuple(generators)
-        self._factors = factors
         self._chain = chain
-        self.order = (math.prod(f.order for f in factors) if factors
-                      else chain.order())
+        self.order = chain.order()
 
     # -- constructors -------------------------------------------------------
 
@@ -137,27 +133,23 @@ class PairGroup:
     def direct_product(cls, mu_group: PermGroup, k: int,
                        nu_group: PermGroup | None = None,
                        name: str | None = None) -> "PairGroup":
-        """All pairs (mu, nu) with mu from mu_group and nu from nu_group.
+        """All pairs (mu, nu) with mu from mu_group and nu from nu_group,
+        generated by the pairs (g, 1) and (1, s).
 
-        With nu_group omitted the nu side is trivial, giving {(mu, 1)}.
+        With nu_group omitted the nu side is trivial, giving {(mu, 1)}.  Only
+        the factors' generators are read, so neither factor is closed on its
+        own.  The chain has no element cap: the callers know the product's
+        order before they build it.
         """
         n = mu_group.degree
-        if nu_group is None:
-            nu_group = PermGroup.trivial(n)
-        if nu_group.degree != n:
-            raise ValueError("factor degrees differ")
-        for nu in nu_group.generators:
-            if not nu_is_admissible(nu, k):
-                raise ValueError(f"nu generator moves points outside 2..{k}")
         e = Perm.identity(n)
-        gens = tuple(AutPair(g, e) for g in mu_group.generators)
-        gens += tuple(AutPair(e, s) for s in nu_group.generators
-                      if not s.is_identity())
+        nus = [] if nu_group is None else [s for s in nu_group.generators if not s.is_identity()]
         if name is None:
             name = mu_group.name or "H"
-            if nu_group.order > 1:
+            if nus:
                 name = f"{name} x S_{k - 1}"
-        return cls(n, k, gens, name, factors=(mu_group, nu_group))
+        gens = [AutPair(g, e) for g in mu_group.generators] + [AutPair(e, s) for s in nus]
+        return cls.generate(n, k, gens, cap=math.inf, name=name)
 
     @classmethod
     def generate(cls, n: int, k: int, generators: Sequence[AutPair],
@@ -169,7 +161,7 @@ class PairGroup:
                 raise ValueError(f"{g!r} is not a pair for the ({n},{k})-star graph")
         chain = StabChain(n + k - 1, [g.flat(k) for g in generators],
                           tuple(range(1, k + 1)) + tuple(range(n + 1, n + k)), cap)
-        return cls(n, k, generators, name, chain=chain)
+        return cls(n, k, generators, name, chain)
 
     # -- queries -------------------------------------------------------------
 
@@ -183,28 +175,18 @@ class PairGroup:
 
     def base_stabilizer_order(self) -> int:
         """How many pairs fix the base vertex [1..k], counted by cosets (see
-        the module notes).  In a product H x T the wanted images of 1..k are
-        T's orbit of (1..k), read against H's chain.  On the flat chain they
-        are pi(tau) + tau, the images of the first 2k-1 base points, for each
-        tail tau, where pi(tau) is the nu that tau encodes, read on 1..k."""
-        k = self.k
-        if self._factors is None:
-            n, chain = self.n, self._chain
-            wanted = (_nu_of_tail(tail, n)[:k] + tail for tail in self._tails())
-            return chain.order(2 * k - 1) * sum(map(chain.has_base_image, wanted))
-        h, t = self._factors
-        chain = h.chain_from(range(1, k + 1))
-        nus = orbit([tuple(range(1, k + 1))], [g.images[:k] for g in t.generators])
-        return chain.order(k) * sum(map(chain.has_base_image, nus))
+        the module notes).  The wanted images of the first 2k-1 base points
+        are pi(tau) + tau for each tail tau, where pi(tau) is the nu that tau
+        encodes, read on 1..k."""
+        n, k, chain = self.n, self.k, self._chain
+        wanted = (_nu_of_tail(tail, n)[:k] + tail for tail in self._tails())
+        return chain.order(2 * k - 1) * sum(map(chain.has_base_image, wanted))
 
     def iter_pairs(self) -> Iterator[AutPair]:
-        """Every pair as an :class:`AutPair`: a product's with nu outer and mu
-        inner, both in increasing order; a chain's in the order of
-        :meth:`StabChain.elements`."""
-        if self._factors is None:
-            return (AutPair.from_flat(f, self.n) for f in self._chain.elements())
-        h, t = self._factors
-        return (AutPair(Perm._raw(mu), nu) for nu in t for mu in h.elements)
+        """Every pair as an :class:`AutPair`, in the order of
+        :meth:`StabChain.elements`: by the images of the base points
+        1..k, n+1..n+k-1, then the rest."""
+        return (AutPair.from_flat(f, self.n) for f in self._chain.elements())
 
     def __iter__(self) -> Iterator[AutPair]:
         return self.iter_pairs()
@@ -263,10 +245,8 @@ def project_and_kernel(group: PairGroup) -> tuple[PermGroup, PermGroup]:
     components of pairs whose mu is the identity, the tails tau whose flat
     pair (1..n) + tau lies in the chain.  |H| * |T| = |G| is asserted, which
     is the first-isomorphism-theorem bookkeeping for the projection onto
-    S_n.  A direct product returns its own factors.
+    S_n.
     """
-    if group._factors is not None:
-        return group._factors
     n, label = group.n, group.name or "G"
     identity = tuple(range(1, n + 1))
     h = closure([g.mu for g in group.generators] or [Perm._raw(identity)],

@@ -32,10 +32,10 @@ METHOD_REFUTATION = "ExhaustiveSearchRefutation"
 
 SPORADIC_CAYLEY_PAIRS = frozenset({(9, 4), (9, 6), (11, 4), (12, 5), (33, 4), (33, 30)})
 
-# build_certificate searches a no-case when the base vertex's stabiliser,
-# (n-k)!(k-1)! pairs, and the vertex count P(n,k) are at most these: that is
-# (6,2), (7,3), (7,4), (8,4) and (8,5)
-SEARCH_STABILIZER_LIMIT, SEARCH_VERTEX_LIMIT = 144, 6_720
+# the no-cases build_certificate refutes by search: those whose base vertex
+# stabiliser, (n-k)!(k-1)! pairs, is at most 144 and whose vertex count P(n,k)
+# is at most 6,720
+SEARCHED_NO_CASES = frozenset({(6, 2), (7, 3), (7, 4), (8, 4), (8, 5)})
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -251,15 +251,11 @@ def build_certificate(n: int, k: int, force_search: bool = False,
 
     Preference order: a known witness group checked directly (or via the
     flag route for (33,30)), built only when its order fits element_cap,
-    the cap ``check`` closes it under; a search for a no-case whose
-    automorphism group is small enough; the labeled classification table
-    otherwise.
+    the cap ``check`` closes it under; a search for the no-cases in
+    SEARCHED_NO_CASES; the labeled classification table otherwise.
     """
     result = classify(n, k)
-    # n - k and k - 1 below 6 first: 6! alone exceeds the stabiliser limit
-    if force_search or (not result.is_cayley and max(n - k, k - 1) < 6 and
-                        math.factorial(n - k) * math.factorial(k - 1) <= SEARCH_STABILIZER_LIMIT
-                        and math.perm(n, k) <= SEARCH_VERTEX_LIMIT):
+    if force_search or (n, k) in SEARCHED_NO_CASES:
         # perm first: see the note on import order in cli.py
         from . import perm, cayley
         return cayley.search_regular_subgroup(n, k, cap=element_cap,

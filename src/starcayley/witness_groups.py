@@ -2,8 +2,11 @@
 groups over small fields, affine groups over GF(2)^d, and the two sharply
 transitive Mathieu groups.
 
-Every constructor returns a :class:`~starcayley.perm.PermGroup` acting on
-1-based points, with its order verified on a stabiliser chain.  Projective
+Every cached constructor returns a :class:`~starcayley.perm.PermGroup`
+acting on 1-based points, with its order verified on a stabiliser chain;
+:func:`agl1_unclosed` and :func:`pgl2_unclosed` return the generators of the
+k = 2 and k = 3 witnesses alone, which the certificate closes once, as a
+pair group.  Projective
 groups act on the q+1 points of the projective line in the order of
 :meth:`starcayley.gf.SemilinearMap.to_images` (finite points by element
 code, infinity last); affine groups over GF(q) act on the q finite points in
@@ -36,7 +39,8 @@ def _affine_perm(field: Field, a: int, b: int, frob_exp: int = 0) -> Perm:
 
 
 def _verified(group: PermGroup, order: int) -> PermGroup:
-    """The group, once its order matches the closed form (survives ``python -O``)."""
+    """The group, once its order, read off its chain, matches the closed form
+    (survives ``python -O``)."""
     if group.order != order:
         raise AssertionError(
             f"{group.name} has order {group.order}, expected {order}")
@@ -74,11 +78,22 @@ def _agl1_generators(f: Field) -> list[Perm]:
     return [_affine_perm(f, 1, 1), _affine_perm(f, f.primitive_element(), 0)]
 
 
+def pgl2_unclosed(q: int) -> PermGroup:
+    """PGL(2,q) from its three generators, its chain not built yet: for a
+    caller that closes it only inside a larger group whose order it checks."""
+    return PermGroup(q + 1, _pgl2_generators(field_of_order(q)), name=f"PGL(2,{q})")
+
+
+def agl1_unclosed(q: int) -> PermGroup:
+    """AGL(1,q) from its two generators, its chain not built yet (see
+    :func:`pgl2_unclosed`)."""
+    return PermGroup(q, _agl1_generators(field_of_order(q)), name=f"AGL(1,{q})")
+
+
 @lru_cache(maxsize=None)
 def pgl2(q: int) -> PermGroup:
     """PGL(2,q) acting on the q+1 points of the projective line."""
-    group = closure(_pgl2_generators(field_of_order(q)), cap=math.inf, name=f"PGL(2,{q})")
-    return _verified(group, pgl_order(q))
+    return _verified(pgl2_unclosed(q), pgl_order(q))
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +131,7 @@ def pgammal2(q: int) -> PermGroup:
 @lru_cache(maxsize=None)
 def agl1(q: int) -> PermGroup:
     """AGL(1,q): the maps x -> a x + b (a nonzero) on the q field points."""
-    group = closure(_agl1_generators(field_of_order(q)), cap=math.inf, name=f"AGL(1,{q})")
-    return _verified(group, agl1_order(q))
+    return _verified(agl1_unclosed(q), agl1_order(q))
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from starcayley import CapExceeded, cayley, verdicts
 from starcayley import pairs as pairs_mod
+from starcayley import witness_groups as witness_groups_mod
 from starcayley.cayley import (Certificate, build_certificate, certify_via_lambda,
                                certify_via_sharp_k, classify, is_prime_power,
                                is_truncated_search, sabidussi_direct,
@@ -328,8 +329,8 @@ def _fixes_a_vertex_by_scan(pair, n, k):
 
 def _candidates(n, k, representatives=None):
     """Oracle: every flat pair that fixes no vertex and whose order divides
-    P(n,k), in the order of aut_product(n, k).iter_pairs(), each typed; the
-    first candidate of each class is appended to representatives."""
+    P(n,k), nu outer and mu inner, each typed; the first candidate of each
+    class is appended to representatives."""
     target = math.perm(n, k)
     verdicts = {}
     candidates = []
@@ -369,8 +370,14 @@ def _streamed(n, k):
 @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 3), (6, 4), (7, 3)])
 def test_cycle_type_fixed_point_test_matches_vertex_scan(n, k):
     target = math.perm(n, k)
+    pairs = list(aut_product(n, k).iter_pairs())
+    # the chain lists every pair once, by its flat images of the base 1..k,
+    # n+1..n+k-1, then k+1..n
+    base = (*range(1, k + 1), *range(n + 1, n + k), *range(k + 1, n + 1))
+    keys = [tuple(pair.flat(k)[b - 1] for b in base) for pair in pairs]
+    assert keys == sorted(set(keys)) and len(keys) == aut_order(n, k)
     expected = []
-    for pair in aut_product(n, k).iter_pairs():
+    for pair in pairs:
         by_scan = _fixes_a_vertex_by_scan(pair, n, k)
         by_type = cayley._fixes_some_vertex(cycle_type(pair.mu.images),
                                             cycle_type(pair.nu.images[:k]))
@@ -378,7 +385,7 @@ def test_cycle_type_fixed_point_test_matches_vertex_scan(n, k):
         if not by_scan and target % pair.order() == 0:
             expected.append(pair.flat(k))
     # the search sees the surviving pairs as flat tuples, coset by coset
-    assert _candidates(n, k) == expected
+    assert sorted(_candidates(n, k)) == sorted(expected)
     assert sorted(_streamed(n, k)[0]) == sorted(expected)
 
 
@@ -521,8 +528,9 @@ def test_tampered_product_witness_fails_to_reproduce(monkeypatch):
     # swap the first mu for a copy of the second: H shrinks
     wrong = [dict(gens[0], mu=gens[1]["mu"])] + gens[1:]
     assert not verify_certificate(_with_generators(cert, wrong))[0]
-    # every witness, product-shaped or not, is closed as one flat chain
-    assert calls == [(9, 4)] * 3
+    # every witness, product-shaped or not, is closed as one flat chain:
+    # once by certify, and once by each check
+    assert calls == [(9, 4)] * 4
 
 
 def _with_a_mixed_pair(cert):
@@ -538,7 +546,31 @@ def test_mixed_generator_witness_takes_generic_path(monkeypatch):
     calls = _generate_calls(monkeypatch)
     reproduced, fresh = verify_certificate(_with_a_mixed_pair(build_certificate(9, 4)))
     assert reproduced, fresh
-    assert calls == [(9, 4)]
+    # certify and check each close one chain
+    assert calls == [(9, 4)] * 2
+
+
+@pytest.mark.parametrize("n,k", [(25, 2), (28, 3)])
+def test_k_2_and_k_3_witnesses_close_one_chain(monkeypatch, n, k):
+    # AGL(1,25) and PGL(2,27) are closed only inside the pair group: certify
+    # closes one chain, and never the cached, verified H on its own
+    def refuse(*args, **kwargs):
+        raise AssertionError("H was closed on its own")
+
+    monkeypatch.setattr(witness_groups_mod, "agl1", refuse)
+    monkeypatch.setattr(witness_groups_mod, "pgl2", refuse)
+    calls = _generate_calls(monkeypatch)
+    chains = []
+    init = StabChain.__init__
+
+    def counting(self, *args, **kwargs):
+        chains.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabChain, "__init__", counting)
+    cert = build_certificate(n, k)
+    assert cert.verdict == "Cayley" and cert.method == "DirectRegularAction"
+    assert calls == [(n, k)] and chains == [n + k - 1]
 
 
 def test_mixed_generator_witness_lists_no_pair(monkeypatch):
@@ -655,12 +687,6 @@ def test_counted_sabidussi_matches_the_rank_pass(h, n, k, t):
     expected, fixers = _sabidussi_by_ranks(product, n, k)
     assert product.base_stabilizer_order() == fixers
     assert _booleans(sabidussi_direct(product, n, k)) == expected
-    # the same group, closed from the same generators as one flat chain
-    flat = PairGroup.generate(n, k, product.generators)
-    assert flat.order == product.order
-    assert _sabidussi_by_ranks(flat, n, k) == (expected, fixers)
-    assert flat.base_stabilizer_order() == fixers
-    assert _booleans(sabidussi_direct(flat, n, k)) == expected
 
 
 def test_rank_oracle_sees_regular_and_non_regular_groups():
@@ -697,15 +723,6 @@ def test_counted_sabidussi_matches_the_rank_pass_on_random_pairs(case):
     expected, fixers = _sabidussi_by_ranks(group, n, k)
     assert group.base_stabilizer_order() == fixers
     assert _booleans(sabidussi_direct(group, n, k)) == expected
-    if all(g.mu.is_identity() or g.nu.is_identity() for g in gens):
-        mus = [g.mu for g in gens if g.nu.is_identity()]
-        nus = [g.nu for g in gens if not g.nu.is_identity()]
-        product = PairGroup.direct_product(
-            closure(mus) if mus else PermGroup.trivial(n), k,
-            closure(nus) if nus else None)
-        assert product.order == group.order
-        assert product.base_stabilizer_order() == fixers
-        assert _booleans(sabidussi_direct(product, n, k)) == expected
 
 
 @pytest.mark.parametrize("n,k", [(33, 4), (12, 5), (9, 6)])
@@ -853,6 +870,7 @@ def test_build_certificate_searches_exactly_the_gated_no_cases(monkeypatch):
         for k in range(1, n):
             build_certificate(n, k)
     assert searched == [(6, 2), (7, 3), (7, 4), (8, 4), (8, 5)]
+    assert set(searched) == verdicts.SEARCHED_NO_CASES
 
 
 def test_refutation_without_the_reduction_replays_the_full_search(monkeypatch):
