@@ -64,9 +64,12 @@ def _time_limit(text: str) -> float:
 
 
 def cmd_graph(args) -> int:
-    from .stargraph import GraphSizeExceeded, build, edge_list_lines, to_dot
+    from .stargraph import GraphSizeExceeded, build, edge_list_lines, stats, to_dot
     try:
-        graph = build(args.n, args.k, vertex_cap=args.budget_vertices)
+        # --stats counts at one vertex and builds no graph, but is refused
+        # as the exports are
+        result = (stats if args.stats else build)(
+            args.n, args.k, vertex_cap=args.budget_vertices)
     except GraphSizeExceeded as exc:
         # within the budget, only the 2^32 ranks of the adjacency store refuse it
         over = math.perm(args.n, args.k) > args.budget_vertices
@@ -74,12 +77,13 @@ def cmd_graph(args) -> int:
               file=sys.stderr)
         return EXIT_BUDGET
     if args.stats:
-        star, residual = graph.degree_split()
-        print(f"vertices: {graph.vertex_count}")
-        print(f"edges: {graph.edge_count()}")
+        vertices, edges, (star, residual), triangles = result
+        print(f"vertices: {vertices}")
+        print(f"edges: {edges}")
         print(f"star:{star} residual:{residual} per vertex")
-        print(f"triangles: {graph.triangle_count()}")
+        print(f"triangles: {triangles}")
         return EXIT_OK
+    graph = result
     if args.format == "dot":
         print(to_dot(graph))
     elif args.format == "edges":

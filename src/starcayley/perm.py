@@ -218,10 +218,14 @@ def right_multiplication(g: tuple):
     return itemgetter(*[v - 1 for v in g])
 
 
-def _padded_inverse(u: tuple) -> tuple:
-    """The inverse of u, padded so that entry x is the preimage of x."""
+def _padded_inverse(u: tuple, points: tuple) -> tuple:
+    """The inverse of u, padded so that entry x is the preimage of x.
+
+    ``points`` is the padded identity (0, 1, ..., len(u)), and the entries
+    are taken from it: a fresh int would cost 28 bytes for every entry above
+    256, in each of a chain's transversal entries."""
     inv = [0] * (len(u) + 1)
-    for i, x in enumerate(u, 1):
+    for i, x in zip(points[1:], u):
         inv[x] = i
     return tuple(inv)
 
@@ -314,6 +318,8 @@ class StabChain:
         """Make h a strong generator of levels first..last and grow their orbits."""
         for i in range(first, last + 1):
             gens, orbit, transversal = self._gens[i], self._orbits[i], self._transversals[i]
+            # the base point's entry is (identity, padded identity)
+            points = transversal[orbit[0]][1]
             gens.append(h)
             self._tested[i].append(0)
             padded = [(0,) + s for s in gens]
@@ -326,7 +332,7 @@ class StabChain:
                     gamma = s[beta]
                     if gamma not in transversal:
                         v = tuple(map(s.__getitem__, u))
-                        transversal[gamma] = (v, _padded_inverse(v))
+                        transversal[gamma] = (v, _padded_inverse(v, points))
                         orbit.append(gamma)
                         todo.append((gamma, padded))
         if self.order() > self._cap:

@@ -196,7 +196,10 @@ class StarGraph:
         return len(self._adj) // 2
 
     def triangle_count(self) -> int:
-        """Each triangle is seen once from each of its three edges."""
+        """Each triangle is seen once from each of its three edges.
+
+        An exact, kind-blind census over every edge, kept as the test
+        oracle for :func:`stats`, which counts at one vertex."""
         adj, width = self._adj, self.n - 1
         # a row unpacked straight into a tuple skips the array slice that
         # row() makes, which is about a sixth of the census
@@ -249,6 +252,23 @@ def _extend_rows(parent_rows: Iterator[tuple[int, ...]], n: int,
             yield pick(groups)
 
 
+def _check_size(n: int, k: int, vertex_cap: int) -> int:
+    """P(n,k) for 1 <= k < n.  :class:`GraphSizeExceeded` when the graph is
+    over the vertex cap or has more vertices than an unsigned int rank can
+    index."""
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got ({n},{k})")
+    count = math.perm(n, k)
+    if count > vertex_cap:
+        raise GraphSizeExceeded(
+            f"P({n},{k}) = {count} exceeds vertex cap {vertex_cap}")
+    if count > _RANK_LIMIT:
+        raise GraphSizeExceeded(
+            f"P({n},{k}) = {count} exceeds {_RANK_LIMIT}, the most vertices "
+            f"an unsigned int rank can index")
+    return count
+
+
 def build(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> StarGraph:
     """Materialize the (n,k)-star graph, vertices indexed by lexicographic rank.
 
@@ -260,20 +280,33 @@ def build(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> StarGraph:
     their extensions are made.  No label table is made here; see
     :class:`StarGraph`.
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got ({n},{k})")
-    count = math.perm(n, k)
-    if count > vertex_cap:
-        raise GraphSizeExceeded(
-            f"P({n},{k}) = {count} exceeds vertex cap {vertex_cap}")
-    if count > _RANK_LIMIT:
-        raise GraphSizeExceeded(
-            f"P({n},{k}) = {count} exceeds {_RANK_LIMIT}, the most vertices "
-            f"an unsigned int rank can index")
+    _check_size(n, k, vertex_cap)
     rows = ((*range(a), *range(a + 1, n)) for a in range(n))
     for j in range(2, k + 1):
         rows = _extend_rows(rows, n, j)
     return StarGraph(n, k, array("I", itertools.chain.from_iterable(rows)))
+
+
+def stats(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP
+          ) -> tuple[int, int, tuple[int, int], int]:
+    """(vertices, edges, (star degree, residual degree), triangles) of the
+    (n,k)-star graph, counted at the base vertex (1..k) alone.
+
+    S_n relabels symbols, keeps both edge kinds and is transitive on
+    k-permutations, so the graph is vertex-transitive: every vertex has as
+    many star and residual neighbours as the base vertex, and lies in as
+    many triangles, t, the number of adjacent pairs among those neighbours.
+    Each edge has two ends and each triangle three corners, so the counts
+    are P(n,k)*(n-1)/2 and P(n,k)*t/3.  The graph is refused as :func:`build` refuses it, so
+    ``graph --stats`` and the exports share their exit codes and messages.
+    """
+    count = _check_size(n, k, vertex_cap)
+    base = tuple(range(1, k + 1))
+    star, residual = star_neighbors(base), residual_neighbors(base, n)
+    t = sum(edge_kind(u, v) is not None
+            for u, v in itertools.combinations(star + residual, 2))
+    return (count, count * (len(star) + len(residual)) // 2,
+            (len(star), len(residual)), count * t // 3)
 
 
 # ---------------------------------------------------------------------------

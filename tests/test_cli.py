@@ -46,10 +46,28 @@ def test_graph_json(capsys):
     assert all(tag in {"S", "R"} for _, _, tag in payload["edges"])
 
 
+def test_graph_stats_builds_no_graph(capsys, monkeypatch):
+    from starcayley import stargraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph --stats built the graph")
+
+    monkeypatch.setattr(stargraph, "build", refuse)
+    code, out, _ = run_cli(capsys, "graph", "11", "6", "--stats")
+    assert code == 0
+    assert out == ("vertices: 332640\nedges: 1663200\n"
+                   "star:5 residual:5 per vertex\ntriangles: 1108800\n")
+
+
 def test_graph_budget(capsys):
     code, _, err = run_cli(capsys, "graph", "10", "5", "--budget-vertices", "100")
     assert code == 3
     assert "budget" in err
+    # --stats builds no graph, but the vertex budget still refuses it
+    code, out, err = run_cli(capsys, "graph", "10", "5", "--stats",
+                             "--budget-vertices", "100")
+    assert code == 3 and out == ""
+    assert err.startswith("budget exhausted: ")
     # past 2^32 vertices the ranks outgrow the adjacency store, whatever the budget
     code, _, err = run_cli(capsys, "graph", "14", "13", "--stats",
                            "--budget-vertices", str(10**12))

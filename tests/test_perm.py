@@ -284,6 +284,18 @@ def test_chain_stops_at_the_cap_before_it_is_complete():
     assert StabChain(5, [(2, 3, 4, 1, 5), (2, 1, 3, 4, 5)], cap=24).order() == 24
 
 
+def test_chain_inverses_share_the_ints_of_the_padded_identity():
+    # past 256 each entry of an inverse would otherwise be an int of its own
+    m = 400
+    chain = StabChain(m, [tuple(range(2, m + 1)) + (1,)])
+    transversal = chain._transversals[0]
+    points = transversal[chain.base[0]][1]
+    assert points == tuple(range(m + 1)) and len(transversal) == m
+    for u, inverse in transversal.values():
+        assert all(inverse[x] == i for i, x in enumerate(u, 1))
+        assert all(x is points[x] for x in inverse)
+
+
 @st.composite
 def generated_groups(draw):
     """A degree n <= 7, one to three generators, a probe permutation and a flag."""

@@ -11,7 +11,7 @@ from starcayley.stargraph import (BudgetExceeded, EdgeKind, GraphSizeExceeded,
                                   edge_kind, edge_list_lines,
                                   is_edge_in_triangle, rank,
                                   residual_neighbors, six_cycles_through,
-                                  star_neighbors, to_dot,
+                                  star_neighbors, stats, to_dot,
                                   transposition_identity_check, unrank,
                                   validate_kperm)
 
@@ -45,14 +45,16 @@ def test_build_k1_is_complete_graph():
 
 
 def test_build_validation_and_cap():
-    with pytest.raises(ValueError):
-        build(3, 3)
-    with pytest.raises(GraphSizeExceeded):
-        build(10, 5, vertex_cap=100)
-    # P(14,13) > 2^32 ranks do not fit an unsigned int: refused before any
-    # row is made, whatever the cap
-    with pytest.raises(GraphSizeExceeded):
-        build(14, 13, vertex_cap=10**12)
+    # stats builds no graph but refuses exactly what build refuses
+    for make in (build, stats):
+        with pytest.raises(ValueError):
+            make(3, 3)
+        with pytest.raises(GraphSizeExceeded, match="vertex cap"):
+            make(10, 5, vertex_cap=100)
+        # P(14,13) > 2^32 ranks do not fit an unsigned int: refused before
+        # any row is made, whatever the cap
+        with pytest.raises(GraphSizeExceeded, match="unsigned int"):
+            make(14, 13, vertex_cap=10**12)
 
 
 def test_adjacency_symmetric_with_matching_kinds():
@@ -301,4 +303,7 @@ def test_exports():
 def test_triangle_census_matches_clique_structure(n, k, expected):
     # triangles come only from residual cliques: one clique of n-k+1
     # vertices per tail, P(n, k-1) tails, C(n-k+1, 3) triangles per clique
-    assert build(n, k).triangle_count() == expected
+    g = build(n, k)
+    assert g.triangle_count() == expected
+    # the count at one vertex agrees with the census over every edge
+    assert stats(n, k) == (g.vertex_count, g.edge_count(), g.degree_split(), expected)
