@@ -7,7 +7,9 @@ or written (one line on stderr), or the arguments are malformed, such as an
 (n,k) without 1 <= k < n, a budget below 1, a --time-limit that is not a
 finite number >= 0 or an empty --d range (argparse's usage line); 3 a budget
 was exhausted: an element cap, a --time-limit (for check, the replay of a
-search) or a primality that Miller-Rabin cannot prove (one line on stderr).
+search) or a primality that Miller-Rabin cannot prove (one line on stderr);
+1 stdout was closed before all output was written, as by `| head` (nothing
+on stderr).
 Output is deterministic: fixed point orders, fixed field moduli, no
 randomness anywhere.
 """
@@ -15,7 +17,6 @@ randomness anywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -25,6 +26,7 @@ from pathlib import Path
 from . import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, CapExceeded
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
@@ -64,7 +66,7 @@ def _time_limit(text: str) -> float:
 
 
 def cmd_graph(args) -> int:
-    from .stargraph import GraphSizeExceeded, build, edge_list_lines, stats, to_dot
+    from .stargraph import GraphSizeExceeded, build, export_chunks, stats
     try:
         # --stats counts at one vertex and builds no graph, but is refused
         # as the exports are
@@ -83,21 +85,8 @@ def cmd_graph(args) -> int:
         print(f"star:{star} residual:{residual} per vertex")
         print(f"triangles: {triangles}")
         return EXIT_OK
-    graph = result
-    if args.format == "dot":
-        print(to_dot(graph))
-    elif args.format == "edges":
-        print("\n".join(edge_list_lines(graph)))
-    else:
-        payload = {
-            "n": graph.n,
-            "k": graph.k,
-            "vertex_count": graph.vertex_count,
-            "vertices": [list(v) for v in graph.vertices],
-            "edges": [[i, j, "S" if kind.value == "star" else "R"]
-                      for i, j, kind in graph.edges()],
-        }
-        print(json.dumps(payload))
+    # each chunk is written as it is made, so the text is never held whole
+    sys.stdout.writelines(export_chunks(result, args.format))
     return EXIT_OK
 
 
@@ -339,7 +328,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "k" in vars(args) and not 1 <= args.k < args.n:
         parser.error(f"{args.command}: need 1 <= k < n, got n={args.n}, k={args.k}")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows up here too
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does.  Point stdout at
+        # devnull, so that the flush at exit meets no second broken pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

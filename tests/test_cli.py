@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -57,6 +58,64 @@ def test_graph_stats_builds_no_graph(capsys, monkeypatch):
     assert code == 0
     assert out == ("vertices: 332640\nedges: 1663200\n"
                    "star:5 residual:5 per vertex\ntriangles: 1108800\n")
+
+
+# sha256 of `graph 8 4 --format FMT`, pinned from the exports that were
+# built whole before they were printed
+_GRAPH_8_4_SHA256 = {
+    "dot": "26aed06211b4f024e5365e49c887b1c5809bcc492e5fac9dcf868886afbb31b7",
+    "edges": "6b3e17d6ba911587427cae9fa61a509bac15f1e1802fa9b2cf7ed8ed82959290",
+    "json": "c62573cc1f800b2fb090ca4237574823e7764e4e69a35f8e72c1c6d17b0d4fc0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_GRAPH_8_4_SHA256))
+def test_graph_export_bytes_are_pinned(capsys, fmt):
+    code, out, err = run_cli(capsys, "graph", "8", "4", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _GRAPH_8_4_SHA256[fmt]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)])
+def test_graph_export_prints_the_joined_chunks(capsys, n, k):
+    # test_stargraph.py checks the chunks against the label table and the
+    # to_dot / edge_list_lines wrappers
+    from starcayley.stargraph import build, export_chunks
+    g = build(n, k)
+    for fmt in ("dot", "edges", "json"):
+        code, out, _ = run_cli(capsys, "graph", str(n), str(k), "--format", fmt)
+        assert code == 0
+        assert out == "".join(export_chunks(g, fmt))
+
+
+def test_graph_export_builds_no_label_table(capsys, monkeypatch):
+    from starcayley.stargraph import StarGraph
+
+    def refuse(self):
+        raise AssertionError("graph --format built a label table")
+
+    monkeypatch.setattr(StarGraph, "vertices", property(refuse))
+    monkeypatch.setattr(StarGraph, "index", property(refuse))
+    for fmt in ("dot", "edges", "json"):
+        code, out, _ = run_cli(capsys, "graph", "6", "3", "--format", fmt)
+        assert code == 0 and out.endswith("\n")
+
+
+@pytest.mark.parametrize("argv,lines_read", [
+    (["graph", "10", "5", "--format", "dot"], 1),  # stdout closed mid-stream
+    (["classify", "--n-max", "4"], 0),  # closed before the flush at exit
+], ids=["graph-dot", "classify"])
+def test_stdout_closed_early_exits_1_without_a_traceback(argv, lines_read):
+    proc = subprocess.Popen([sys.executable, "-m", "starcayley.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_env_with_this_package())
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 1
+    assert err == ""  # no traceback, and no "Exception ignored" at exit
 
 
 def test_graph_budget(capsys):

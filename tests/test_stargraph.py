@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import permutations
 
@@ -8,7 +9,7 @@ from starcayley.perm import Perm
 from starcayley.stargraph import (BudgetExceeded, EdgeKind, GraphSizeExceeded,
                                   UnsupportedCyclePattern, apply_automorphism,
                                   brute_force_automorphism_count, build,
-                                  edge_kind, edge_list_lines,
+                                  edge_kind, edge_list_lines, export_chunks,
                                   is_edge_in_triangle, rank,
                                   residual_neighbors, six_cycles_through,
                                   star_neighbors, stats, to_dot,
@@ -295,6 +296,47 @@ def test_exports():
     lines = edge_list_lines(g)
     assert len(lines) == 6  # 6 vertices, degree 2
     assert all(line.split()[2] in {"S", "R"} for line in lines)
+
+
+def _export_from_the_label_table(g, fmt):
+    """The export built whole from ``vertices`` and ``edges()``: the text the
+    streamed writer must reproduce byte for byte."""
+    tag = {EdgeKind.STAR: "S", EdgeKind.RESIDUAL: "R"}
+    if fmt == "json":
+        return json.dumps({"n": g.n, "k": g.k, "vertex_count": g.vertex_count,
+                           "vertices": [list(v) for v in g.vertices],
+                           "edges": [[i, j, tag[kind]] for i, j, kind in g.edges()]}) + "\n"
+    if fmt == "edges":
+        return "".join(f"{i} {j} {tag[kind]}\n" for i, j, kind in g.edges())
+    return "".join([f'graph "S_{g.n}_{g.k}" {{\n',
+                    *(f'  v{i} [label="[{",".join(map(str, v))}]"];\n'
+                      for i, v in enumerate(g.vertices)),
+                    *(f'  v{i} -- v{j} [kind="{kind.value}"];\n' for i, j, kind in g.edges()),
+                    "}\n"])
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8) for k in range(1, n)])
+def test_export_chunks_match_the_label_table_and_the_wrappers(n, k):
+    g = build(n, k)
+    texts = {fmt: "".join(export_chunks(g, fmt)) for fmt in ("dot", "edges", "json")}
+    assert g._vertices is None and g._index is None
+    for fmt, text in texts.items():
+        assert text == _export_from_the_label_table(g, fmt)
+    assert to_dot(g) + "\n" == texts["dot"]
+    assert edge_list_lines(g) == texts["edges"].splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["dot", "edges", "json"])
+def test_export_chunks_stay_small(fmt):
+    chunks = list(export_chunks(build(9, 4), fmt))  # 3,024 vertices, 12,096 edges
+    # a chunk holds at most 2,000 lines (or list items) of under 64 bytes
+    assert len(chunks) > 10
+    assert max(map(len, chunks)) < 128 * 1024
+
+
+def test_export_chunks_reject_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown export format 'csv'"):
+        list(export_chunks(build(3, 2), "csv"))
 
 
 @pytest.mark.parametrize("n,k,expected", [
