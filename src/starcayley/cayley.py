@@ -326,21 +326,24 @@ def _search_hit(n, k, gens) -> Certificate:
 def witness_certificate(n: int, k: int) -> Certificate:
     """Check the known witness group of the yes-case (n,k): a sporadic pair,
     or k = 2 or k = 3 with 2 <= k <= n-2.  :func:`verdicts.build_certificate`
-    calls this only when the group's order fits its element cap."""
-    from .witness_groups import (agl1_unclosed, mathieu11, mathieu12, pgammal2,
-                                 pgl2_unclosed, psl2)
+    calls this only when the group's order fits its element cap.  H is
+    passed as generators alone and closed once, on the chain whose order the
+    certificate checks."""
+    from .witness_groups import (agl1_unclosed, mathieu11_unclosed, mathieu12_unclosed,
+                                 pgammal2_unclosed, pgl2_unclosed, psl2_unclosed)
 
+    if (n, k) == (33, 30):
+        return certify_via_lambda(pgammal2_unclosed(32), n, k)
     special = {
-        (11, 4): lambda: _direct_product_cert(mathieu11(), n, k),
-        (12, 5): lambda: _direct_product_cert(mathieu12(), n, k),
-        (9, 4): lambda: _direct_product_cert(psl2(8), n, k, with_nu=True),
-        (9, 6): lambda: _direct_product_cert(psl2(8), n, k, with_nu=True),
-        (33, 4): lambda: _direct_product_cert(pgammal2(32), n, k, with_nu=True),
-        (33, 30): lambda: certify_via_lambda(pgammal2(32), n, k),
+        (11, 4): (mathieu11_unclosed, False),
+        (12, 5): (mathieu12_unclosed, False),
+        (9, 4): (lambda: psl2_unclosed(8), True),
+        (9, 6): (lambda: psl2_unclosed(8), True),
+        (33, 4): (lambda: pgammal2_unclosed(32), True),
     }
     if (n, k) in special:
-        return special[(n, k)]()
-    # H is closed only inside the pair group, whose order the certificate checks
+        witness, with_nu = special[n, k]
+        return _direct_product_cert(witness(), n, k, with_nu)
     if k == 2:
         return _direct_product_cert(agl1_unclosed(n), n, k)
     if k == 3:

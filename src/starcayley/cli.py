@@ -2,14 +2,15 @@
 
 Subcommands: graph, classify, certify, check, zsigmondy, verify-lemmas.
 Exit codes: 0 all checks pass / verdict delivered; 2 a recorded claim failed
-to reproduce, or a certificate or checkpoint is malformed or cannot be read
-or written (one line on stderr), or the arguments are malformed, such as an
-(n,k) without 1 <= k < n, a budget below 1, a --time-limit that is not a
-finite number >= 0 or an empty --d range (argparse's usage line); 3 a budget
-was exhausted: an element cap, a --time-limit (for check, the replay of a
-search) or a primality that Miller-Rabin cannot prove (one line on stderr);
-1 stdout was closed before all output was written, as by `| head` (nothing
-on stderr).
+to reproduce, or a witness check that certify ran failed (the certificate,
+Unknown, is still written), or a certificate or checkpoint is malformed or
+cannot be read or written (one line on stderr), or the arguments are
+malformed, such as an (n,k) without 1 <= k < n, a budget below 1, a
+--time-limit that is not a finite number >= 0 or an empty --d range
+(argparse's usage line); 3 a budget was exhausted: an element cap, a
+--time-limit (for check, the replay of a search) or a primality that
+Miller-Rabin cannot prove (one line on stderr); 1 stdout was closed before
+all output was written, as by `| head` (nothing on stderr).
 Output is deterministic: fixed point orders, fixed field moduli, no
 randomness anywhere.
 """
@@ -134,6 +135,8 @@ def cmd_certify(args) -> int:
     if is_truncated_search(cert):
         print(f"budget exhausted: {cert.notes[0]}", file=sys.stderr)
         return EXIT_BUDGET
+    if not cert.all_passed():  # a witness check failed: the verdict is Unknown
+        return EXIT_MISMATCH
     expected = classify(args.n, args.k)
     consistent = (cert.verdict == "Unknown"
                   or (cert.verdict == "Cayley") == expected.is_cayley)

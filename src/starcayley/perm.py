@@ -373,7 +373,7 @@ class StabChain:
                     return found
         return None
 
-    def elements(self, level: int = 0) -> list[tuple]:
+    def elements(self, level: int = 0, within: dict | None = None) -> list[tuple]:
         """Every element of the stabiliser of the first ``level`` base points.
 
         Each is a product of one transversal element per level.  They come
@@ -381,26 +381,57 @@ class StabChain:
         for the natural base 1..n is sorted order: an element at or below
         level i fixes every base point before b_i, so the images before
         b_i are set by the levels above, and the image of b_i by this one.
+
+        ``within`` maps base points to point sets; only the elements that
+        map each such b into within[b] are listed.  The image of b is set
+        once the walk has passed b's level, so a transversal entry that
+        sends b outside within[b] is dropped with every product below it.
+        A level whose orbit is b alone has no entry to drop, and b is
+        tested on the product of the levels above it.
         """
         identity = tuple(range(1, self.degree + 1))
-        # per level: the getter of the orbit points' images under a prefix,
-        # and for each orbit point the getter of prefix * u
-        levels = [(itemgetter(*[beta - 1 for beta in t]),
-                   [itemgetter(*[x - 1 for x in u]) for u, _ in t.values()])
-                  for t in self._transversals[level:] if len(t) > 1]
+        within = within or {}
+        # per level with more than one orbit point: the points its base
+        # point may go to (None: any), the getter of the orbit points' images
+        # under a prefix, for each orbit point the getter of prefix * u, and
+        # the tests of the one-point levels below it, up to the next level
+        levels = []
+        # the tests of the one-point levels above the first listed level,
+        # which the identity must pass
+        tests = first_tests = []
+        for b, t in zip(self.base[level:], self._transversals[level:]):
+            if len(t) > 1:
+                tests = []
+                levels.append((within.get(b), itemgetter(*[beta - 1 for beta in t]),
+                               [itemgetter(*[x - 1 for x in u]) for u, _ in t.values()],
+                               tests))
+            elif b in within:
+                tests.append((b - 1, within[b]))
+
+        def passes(g: tuple, tests: list) -> bool:
+            return all(g[i] in allowed for i, allowed in tests)
+
+        if not passes(identity, first_tests):
+            return []
         if not levels:
             return [identity]
         out: list[tuple] = []
 
         def walk(prefix: tuple, depth: int) -> None:
-            images_of_orbit, products = levels[depth]
+            allowed, images_of_orbit, products, tests = levels[depth]
             # the images are distinct, so the getters are never compared
             ordered = sorted(zip(images_of_orbit(prefix), products))
-            if depth == len(levels) - 1:
-                out.extend([times(prefix) for _, times in ordered])
+            if allowed is None:
+                found = [times(prefix) for _, times in ordered]
             else:
-                for _, times in ordered:
-                    walk(times(prefix), depth + 1)
+                found = [times(prefix) for image, times in ordered if image in allowed]
+            if tests:
+                found = [g for g in found if passes(g, tests)]
+            if depth == len(levels) - 1:
+                out.extend(found)
+            else:
+                for g in found:
+                    walk(g, depth + 1)
 
         walk(identity, 0)
         return out
@@ -645,24 +676,19 @@ def flag_count(lam, n: int) -> int:
     return count
 
 
-def _flag_fixed_by(images: tuple, blocks: tuple[frozenset, ...]) -> bool:
-    for block in blocks:
-        for x in block:
-            if images[x - 1] not in block:
-                return False
-    return True
-
-
 def flag_stabilizer(group: PermGroup, flag: Flag) -> PermGroup:
     """Subgroup of elements mapping every block of the flag onto itself.
 
-    Only the pointwise stabiliser of the singleton blocks is scanned, since
-    every element outside it moves a singleton block.
+    Its elements are listed by a walk of the group's own chain that drops
+    every transversal entry sending a base point out of its block (see
+    :meth:`StabChain.elements`); points outside every block are free.
+    The walk is short when the first points lie in small blocks: for
+    PGammaL(2,32) it builds 45 products at the canonical flag of type
+    (3,29,1), where the singleton's stabiliser alone has 4,960 elements, and
+    117,769 at the one of type (29,3,1).
     """
-    singles = tuple(x for block in flag.blocks if len(block) == 1 for x in block)
-    keep = [g for g in group.chain_from(singles).elements(len(singles))
-            if _flag_fixed_by(g, flag.blocks)]
-    return PermGroup.from_elements(keep, group.degree,
+    within = {x: block for block in flag.blocks for x in block}
+    return PermGroup.from_elements(group.chain.elements(within=within), group.degree,
                                    name=f"stab({group.name or 'G'})")
 
 
@@ -673,9 +699,12 @@ def is_sharply_lambda_transitive(group: PermGroup, lam) -> bool:
     that, regularity is equivalent to freeness, and freeness needs checking
     only at the canonical flag: a trivial stabilizer there makes the orbit
     exhaust all tuples, and the stabilizers elsewhere are conjugate.
+    Reordering the parts reorders the blocks of every tuple alike, which
+    changes neither answer, so the flag is taken with the smallest block
+    first, where :func:`flag_stabilizer` walks least.
     """
     parts = _parts(lam)
     n = group.degree
     if group.order != flag_count(parts, n):
         return False
-    return flag_stabilizer(group, canonical_flag(parts, n)).order == 1
+    return flag_stabilizer(group, canonical_flag(sorted(parts), n)).order == 1

@@ -14,7 +14,6 @@ yields ``"Unknown"``, because the absence of one witness proves nothing.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 
@@ -191,6 +190,9 @@ class Certificate(namedtuple("Certificate", "n k verdict method witness checks n
 
     def to_json(self) -> str:
         """One line of JSON with no insignificant whitespace."""
+        # json is imported only where certificates are written or read, so
+        # classify and the arithmetic commands never load it
+        import json
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
@@ -204,6 +206,7 @@ class Certificate(namedtuple("Certificate", "n k verdict method witness checks n
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
+        import json
         return cls.from_dict(json.loads(text))
 
 

@@ -3,10 +3,15 @@ groups over small fields, affine groups over GF(2)^d, and the two sharply
 transitive Mathieu groups.
 
 Every cached constructor returns a :class:`~starcayley.perm.PermGroup`
-acting on 1-based points, with its order verified on a stabiliser chain;
-:func:`agl1_unclosed` and :func:`pgl2_unclosed` return the generators of the
-k = 2 and k = 3 witnesses alone, which the certificate closes once, as a
-pair group.  Projective
+acting on 1-based points, with its order verified on a stabiliser chain.
+Each witness a certificate closes also has an ``*_unclosed`` constructor
+(:func:`agl1_unclosed`, :func:`pgl2_unclosed`, :func:`psl2_unclosed`,
+:func:`pgammal2_unclosed`, :func:`mathieu11_unclosed`,
+:func:`mathieu12_unclosed`), which returns its generators alone, the same
+list the cached constructor closes.  The certificate closes that group
+once, on the chain whose order its checks compare with the closed form: a
+pair group for the direct-product witnesses, and for (33,30) PGammaL(2,32)'s
+own chain, which the flag check then walks.  Projective
 groups act on the q+1 points of the projective line in the order of
 :meth:`starcayley.gf.SemilinearMap.to_images` (finite points by element
 code, infinity last); affine groups over GF(q) act on the q finite points in
@@ -80,7 +85,7 @@ def _agl1_generators(f: Field) -> list[Perm]:
 
 def pgl2_unclosed(q: int) -> PermGroup:
     """PGL(2,q) from its three generators, its chain not built yet: for a
-    caller that closes it only inside a larger group whose order it checks."""
+    caller that closes it once, on the chain whose order it checks."""
     return PermGroup(q + 1, _pgl2_generators(field_of_order(q)), name=f"PGL(2,{q})")
 
 
@@ -88,6 +93,35 @@ def agl1_unclosed(q: int) -> PermGroup:
     """AGL(1,q) from its two generators, its chain not built yet (see
     :func:`pgl2_unclosed`)."""
     return PermGroup(q, _agl1_generators(field_of_order(q)), name=f"AGL(1,{q})")
+
+
+def psl2_unclosed(q: int) -> PermGroup:
+    """PSL(2,q) from its generators, its chain not built yet (see
+    :func:`pgl2_unclosed`).
+
+    For even q the determinant-1 action coincides with PGL(2,q), and the
+    generators are PGL(2,q)'s; only odd q gives the index-2 subgroup,
+    generated by x -> x+1, x -> g^2 x and x -> -1/x, all of determinant 1.
+    """
+    f = field_of_order(q)
+    if f.p == 2:
+        gens = _pgl2_generators(f)
+    else:
+        g = f.primitive_element()
+        gens = [_perm_of(f, 1, 1, 0, 1),
+                _perm_of(f, f.mul(g, g), 0, 0, 1),
+                _perm_of(f, 0, f.neg(1), 1, 0)]
+    return PermGroup(q + 1, gens, name=f"PSL(2,{q})")
+
+
+def pgammal2_unclosed(q: int) -> PermGroup:
+    """PGammaL(2,q), PGL(2,q) extended by the Frobenius x -> x^p, from its
+    generators, its chain not built yet (see :func:`pgl2_unclosed`)."""
+    f = field_of_order(q)
+    gens = _pgl2_generators(f)
+    if f.m > 1:
+        gens.append(_perm_of(f, 1, 0, 0, 1, frob_exp=1))
+    return PermGroup(q + 1, gens, name=f"PGammaL(2,{q})")
 
 
 @lru_cache(maxsize=None)
@@ -98,34 +132,14 @@ def pgl2(q: int) -> PermGroup:
 
 @lru_cache(maxsize=None)
 def psl2(q: int) -> PermGroup:
-    """PSL(2,q) on the projective line.
-
-    For even q the determinant-1 action coincides with PGL(2,q); only odd q
-    gives the index-2 subgroup.  Generated by x -> x+1, x -> g^2 x and
-    x -> -1/x, all of determinant 1.
-    """
-    f = field_of_order(q)
-    if f.p == 2:
-        group = pgl2(q)
-        return PermGroup(group.degree, group.generators, name=f"PSL(2,{q})",
-                         chain=group.chain)
-    g = f.primitive_element()
-    gens = [_perm_of(f, 1, 1, 0, 1),
-            _perm_of(f, f.mul(g, g), 0, 0, 1),
-            _perm_of(f, 0, f.neg(1), 1, 0)]
-    group = closure(gens, cap=math.inf, name=f"PSL(2,{q})")
-    return _verified(group, psl_order(q))
+    """PSL(2,q) on the projective line (see :func:`psl2_unclosed`)."""
+    return _verified(psl2_unclosed(q), psl_order(q))
 
 
 @lru_cache(maxsize=None)
 def pgammal2(q: int) -> PermGroup:
-    """PGammaL(2,q): PGL(2,q) extended by the Frobenius x -> x^p."""
-    f = field_of_order(q)
-    gens = _pgl2_generators(f)
-    if f.m > 1:
-        gens.append(_perm_of(f, 1, 0, 0, 1, frob_exp=1))
-    group = closure(gens, cap=math.inf, name=f"PGammaL(2,{q})")
-    return _verified(group, pgammal_order(q))
+    """PGammaL(2,q) on the projective line."""
+    return _verified(pgammal2_unclosed(q), pgammal_order(q))
 
 
 @lru_cache(maxsize=None)
@@ -177,8 +191,10 @@ def agl(d: int) -> PermGroup:
 
 # ---------------------------------------------------------------------------
 # Mathieu groups from embedded generator data.  The literals themselves are
-# not trusted: each constructor certifies the order and the sharp 4-/5-
-# transitivity before returning, so any corruption fails loudly at build time.
+# not trusted: each cached constructor certifies the sharp 4-/5-transitivity,
+# and with it the order, before returning, so any corruption fails loudly at
+# build time; a certificate closed from the unclosed group records it as a
+# failed check.
 
 _M11_GENERATORS = (
     ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),),
@@ -188,22 +204,33 @@ _M11_GENERATORS = (
 _M12_EXTRA_GENERATOR = ((1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10))
 
 
+def mathieu11_unclosed() -> PermGroup:
+    """M11 from its two generators, its chain not built yet (see
+    :func:`pgl2_unclosed`)."""
+    return PermGroup(11, [Perm.from_cycles(11, *cycs) for cycs in _M11_GENERATORS],
+                     name="M11")
+
+
+def mathieu12_unclosed() -> PermGroup:
+    """M12, M11's generators on 12 points and one more, its chain not built
+    yet (see :func:`pgl2_unclosed`)."""
+    gens = [Perm.from_cycles(12, *cycs) for cycs in (*_M11_GENERATORS, _M12_EXTRA_GENERATOR)]
+    return PermGroup(12, gens, name="M12")
+
+
+def _sharply_transitive(group: PermGroup, k: int) -> PermGroup:
+    if not is_sharply_k_transitive(group, k):
+        raise AssertionError(f"embedded {group.name} generator data failed verification")
+    return group
+
+
 @lru_cache(maxsize=None)
 def mathieu11() -> PermGroup:
     """The sharply 4-transitive Mathieu group on 11 points, order 7920."""
-    gens = [Perm.from_cycles(11, *cycs) for cycs in _M11_GENERATORS]
-    group = closure(gens, cap=math.inf, name="M11")
-    if group.order != 7920 or not is_sharply_k_transitive(group, 4):
-        raise AssertionError("embedded M11 generator data failed verification")
-    return group
+    return _sharply_transitive(mathieu11_unclosed(), 4)
 
 
 @lru_cache(maxsize=None)
 def mathieu12() -> PermGroup:
     """The sharply 5-transitive Mathieu group on 12 points, order 95040."""
-    gens = [Perm.from_cycles(12, *cycs) for cycs in _M11_GENERATORS]
-    gens.append(Perm.from_cycles(12, *_M12_EXTRA_GENERATOR))
-    group = closure(gens, cap=math.inf, name="M12")
-    if group.order != 95040 or not is_sharply_k_transitive(group, 5):
-        raise AssertionError("embedded M12 generator data failed verification")
-    return group
+    return _sharply_transitive(mathieu12_unclosed(), 5)

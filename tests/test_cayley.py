@@ -284,8 +284,13 @@ def test_search_caches_emptied_at_the_cap_change_no_certificate(n, k, monkeypatc
 # moduli, the point order of the projective line and the witness key order
 CERTIFICATE_SHA256 = {
     (9, 4): "725f2021b6a11c8e1e493b3738d487455ec12aa2fda659ee310e00a45fc4122b",
+    (9, 6): "4eb243e563f223bc7a8c802b3ebb52f6bc56221fd5e50f9edf2b51c853fbbb03",
+    (11, 4): "f21daaa2ddc0c545b9059421d2dcc48b41caa61cc9286a98527130d924d48d97",
+    (12, 5): "c266f1e7649560b36cd1b54a66fd97086c01a3eb859934f0c49d73dc4cdce3de",
     (33, 4): "a78724e4a76cbc1c07f33592841151dfa00ceafeb7a2026702fa9ac21de20a2c",
     (33, 30): "fc141eaa493afec5d1d3c6bd02c91f42c86f4668a020cfa6ab428ab8eb61471a",
+    (25, 2): "ff1fa09d2c8b899a0cbc479ef2c4b2e75f9d8eec183f9092bf13a695782f5f18",
+    (26, 3): "abce13108284d3e6441137e37fbfc51321ec0271d7386788b55cd0391be5ad6c",
     (28, 3): "d23144221f85c99564329b382e11f8790c5836dd0658753f0e27ce3ed249bb15",
     (27, 2): "ba0b44cb3a0750f93d3594333bab36117a9c6e528c2315286374da6505e22c11",
 }
@@ -550,16 +555,14 @@ def test_mixed_generator_witness_takes_generic_path(monkeypatch):
     assert calls == [(9, 4)] * 2
 
 
-@pytest.mark.parametrize("n,k", [(25, 2), (28, 3)])
-def test_k_2_and_k_3_witnesses_close_one_chain(monkeypatch, n, k):
-    # AGL(1,25) and PGL(2,27) are closed only inside the pair group: certify
-    # closes one chain, and never the cached, verified H on its own
+def _chains_built_with_no_cached_witness(monkeypatch) -> list[int]:
+    """Make every cached, verified witness constructor raise, and return the
+    list that records the degree of each StabChain built from then on."""
     def refuse(*args, **kwargs):
         raise AssertionError("H was closed on its own")
 
-    monkeypatch.setattr(witness_groups_mod, "agl1", refuse)
-    monkeypatch.setattr(witness_groups_mod, "pgl2", refuse)
-    calls = _generate_calls(monkeypatch)
+    for name in ("agl1", "pgl2", "psl2", "pgammal2", "mathieu11", "mathieu12"):
+        monkeypatch.setattr(witness_groups_mod, name, refuse)
     chains = []
     init = StabChain.__init__
 
@@ -568,9 +571,56 @@ def test_k_2_and_k_3_witnesses_close_one_chain(monkeypatch, n, k):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(StabChain, "__init__", counting)
+    return chains
+
+
+@pytest.mark.parametrize("n,k", [(25, 2), (28, 3)])
+def test_k_2_and_k_3_witnesses_close_one_chain(monkeypatch, n, k):
+    # AGL(1,25) and PGL(2,27) are closed only inside the pair group: certify
+    # closes one chain, and never the cached, verified H on its own
+    chains = _chains_built_with_no_cached_witness(monkeypatch)
+    calls = _generate_calls(monkeypatch)
     cert = build_certificate(n, k)
     assert cert.verdict == "Cayley" and cert.method == "DirectRegularAction"
     assert calls == [(n, k)] and chains == [n + k - 1]
+
+
+@pytest.mark.parametrize("n,k", [(9, 4), (9, 6), (11, 4), (12, 5), (33, 4)])
+def test_sporadic_product_witnesses_close_one_chain(monkeypatch, n, k):
+    # PSL(2,8), M11, M12 and PGammaL(2,32) are passed to the pair group as
+    # generators alone, so certify closes the pair chain and nothing else
+    chains = _chains_built_with_no_cached_witness(monkeypatch)
+    cert = build_certificate(n, k)
+    assert cert.verdict == "Cayley" and cert.method == "DirectRegularAction"
+    assert chains == [n + k - 1]
+
+
+def test_flag_witness_closes_one_chain(monkeypatch):
+    # (33,30) closes PGammaL(2,32) once; the flag check walks that chain, and
+    # the one element it keeps, the identity, makes the stabiliser's chain
+    chains = _chains_built_with_no_cached_witness(monkeypatch)
+    cert = build_certificate(33, 30)
+    assert cert.verdict == "Cayley" and cert.method == "LambdaTransitiveWitness"
+    assert chains == [33, 33]
+
+
+def test_flag_check_lists_no_stabiliser_and_builds_no_second_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain on another base was built")
+
+    monkeypatch.setattr(PermGroup, "chain_from", refuse)
+    elements = StabChain.elements
+
+    def filtered_walk_only(self, level=0, within=None):
+        if level or within is None:
+            raise AssertionError("a stabiliser was listed")
+        return elements(self, level, within)
+
+    monkeypatch.setattr(StabChain, "elements", filtered_walk_only)
+    cert = certify_via_lambda(witness_groups_mod.pgammal2(32), 33, 30)
+    assert cert.verdict == "Cayley" and len(cert.checks) == 3 and cert.all_passed()
+    reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()))
+    assert reproduced and fresh.all_passed()
 
 
 def test_mixed_generator_witness_lists_no_pair(monkeypatch):

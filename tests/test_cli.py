@@ -266,8 +266,11 @@ def test_budget_below_1_is_a_usage_error(capsys, argv, value):
     assert f"argument {argv[-1]}: need an integer >= 1, got {value}" in captured.err
 
 
+# the harness imports nothing, json included, before it starts recording:
+# the commands come as argv, split at ";", and the results go out as two
+# lines of space-separated words
 _LOADED_MODULES = """
-import json, sys
+import sys
 
 class Started:
     # a finder that finds nothing: it sees each import start, before the
@@ -280,8 +283,15 @@ class Started:
 
 sys.meta_path.insert(0, Started)
 from starcayley.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, Started.names]))
+commands = [[]]
+for word in sys.argv[1:]:
+    if word == ";":
+        commands.append([])
+    else:
+        commands[-1].append(word)
+codes = [main(argv) for argv in commands]
+print(*codes)
+print(*Started.names)
 """
 
 
@@ -297,12 +307,13 @@ def _loaded_modules(cwd, *commands) -> tuple[list[int], list[str]]:
     imports started.  (sys.modules is no record of that order: a module moves
     to its end once it has run.)"""
     env = _env_with_this_package()
-    result = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(commands)],
+    argv = [word for command in commands for word in (";", *command)][1:]
+    result = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
                             capture_output=True, text=True, env=env, cwd=cwd,
                             timeout=120)
     assert result.returncode == 0, result.stderr
-    codes, loaded = json.loads(result.stdout.splitlines()[-1])
-    return codes, loaded
+    codes, loaded = result.stdout.splitlines()[-2:]
+    return [int(code) for code in codes.split()], loaded.split()
 
 
 def test_arithmetic_commands_load_no_group_or_graph_module(tmp_path):
@@ -350,6 +361,23 @@ def test_group_routes_load_no_dataclasses_fractions_or_numbers(tmp_path):
         assert name not in loaded
 
 
+@pytest.mark.parametrize("commands,loads_json", [
+    ([["classify", "--n-max", "4"]], False),
+    ([["zsigmondy", "--d-max", "10"]], False),
+    ([["verify-lemmas", "--d", "3..9"]], False),
+    ([["graph", "4", "2", "--format", "json"]], False),
+    ([["certify", "34", "5"]], True),
+    ([["check", "cert.json"]], True),
+], ids=["classify", "zsigmondy", "verify-lemmas", "graph-json", "certify", "check"])
+def test_json_is_loaded_only_where_certificates_are_written_or_read(tmp_path, commands,
+                                                                   loads_json):
+    # the harness loads no json itself, so certify and check show it being loaded
+    (tmp_path / "cert.json").write_text(verdicts.table_certificate(34, 5).to_json())
+    codes, loaded = _loaded_modules(tmp_path, *commands)
+    assert codes == [0] * len(commands)
+    assert ("json" in loaded) == loads_json
+
+
 def test_group_routes_load_perm_before_cayley(tmp_path):
     # compiling perm before the modules that import it keeps peak memory lower
     # where bytecode is not cached
@@ -375,6 +403,22 @@ def test_check_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, tex
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("malformed certificate")
+
+
+def test_corrupted_m11_data_fails_a_sabidussi_check_and_exits_2(tmp_path, capsys,
+                                                                monkeypatch):
+    from starcayley import witness_groups
+    # one 4-cycle of the second generator shortened to a 3-cycle
+    long_cycle, _ = witness_groups._M11_GENERATORS
+    monkeypatch.setattr(witness_groups, "_M11_GENERATORS",
+                        (long_cycle, ((3, 7, 11, 8), (4, 10, 5))))
+    out_path = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "certify", "11", "4", "--out", str(out_path))
+    assert code == 2
+    payload = json.loads(out)
+    assert payload == json.loads(out_path.read_text())
+    assert payload["verdict"] == "Unknown" and payload["method"] == "DirectRegularAction"
+    assert {"name": "order_equals_vertex_count", "pass": False} in payload["checks"]
 
 
 def test_check_mismatch_prints_only_the_differing_checks(tmp_path, capsys):

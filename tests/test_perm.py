@@ -331,6 +331,20 @@ def test_chain_matches_breadth_first_closure(case):
     assert PermGroup.from_elements(oracle, n).order == len(oracle)
 
 
+@settings(max_examples=150, deadline=None)
+@given(generated_groups(), st.data())
+def test_filtered_walk_lists_exactly_the_elements_within(case, data):
+    # within may name any points, those of one-point levels included, and
+    # map them to any sets, empty ones included
+    n, gens, _, _ = case
+    points = st.integers(1, n)
+    within = {x: frozenset(data.draw(st.sets(points)))
+              for x in data.draw(st.sets(points))}
+    oracle = orbit([tuple(range(1, n + 1))], [g.images for g in gens])
+    assert closure(gens).chain.elements(within=within) == sorted(
+        g for g in oracle if all(g[x - 1] in allowed for x, allowed in within.items()))
+
+
 @settings(max_examples=100, deadline=None)
 @given(generated_groups())
 def test_base_image_sift_matches_the_listed_prefixes(case):
