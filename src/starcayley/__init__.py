@@ -40,8 +40,8 @@ _LAZY = {name: module for module, names in [
     ("verdicts", ("Certificate", "ClassificationResult", "build_certificate",
                   "classify", "is_prime_power", "table_certificate",
                   "verify_certificate")),
-    ("cayley", ("certify_via_lambda", "certify_via_sharp_k", "sabidussi_direct",
-                "search_regular_subgroup")),
+    ("cayley", ("certify_via_lambda", "certify_via_sharp_k", "sabidussi_direct")),
+    ("search", ("search_regular_subgroup",)),
     ("numbers", ("numbers",)),
     ("witness_groups", ("agammal1", "agl", "agl1", "mathieu11", "mathieu12",
                         "pgammal2", "pgl2", "psl2")),

@@ -61,9 +61,11 @@ def _time_limit(text: str) -> float:
 # the modules it imports, and bytecode caching may be off.  classify,
 # certify and check import verdicts alone, which states the rule and records
 # table certificates; it imports the group modules only on a route that
-# closes a group or searches.  There it imports perm, the largest module,
-# before cayley: where bytecode is not cached, compiling perm before the
-# modules that import it keeps a process's peak memory lower.
+# closes a group (cayley) or searches (search).  Where bytecode is not
+# cached, a module's whole syntax tree is held while it compiles, so a
+# process peaks at its largest compile: the group modules are compiled in
+# pieces, perm's engine in chain and the search apart from cayley, and perm,
+# the largest, is imported first, while the process is smallest.
 
 
 def cmd_graph(args) -> int:

@@ -13,7 +13,7 @@ Closures and the search treat a pair as a *flat* tuple, a permutation of
 n+k-1 points: mu on 1..n, and point n+i-1 -> n+nu(i)-1 for 2 <= i <= k.
 S_n x S_{k-1} is then a subgroup of S_{n+k-1} whose product is the
 permutation product, and sorting flat tuples orders pairs by (mu, nu).  The
-search in :mod:`starcayley.cayley` slices flat pairs at n too: in
+search in :mod:`starcayley.search` slices flat pairs at n too: in
 ``_coset``, which builds them, in ``_ByClass.__contains__``, which types
 them, and in the ``images`` getters of ``search_regular_subgroup``, which
 read a pair's image of [1..k] off its tail.  A :class:`PairGroup`, a direct
@@ -32,8 +32,8 @@ import math
 from math import lcm
 from typing import Iterator, Sequence
 
-from .perm import (DEFAULT_ELEMENT_CAP, CapExceeded, Perm, PermGroup, StabChain,
-                   closure, orbit)
+from .chain import StabChain, orbit
+from .perm import DEFAULT_ELEMENT_CAP, CapExceeded, Perm, PermGroup, closure
 
 
 def nu_is_admissible(nu: Perm, k: int) -> bool:

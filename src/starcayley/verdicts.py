@@ -2,10 +2,11 @@
 
 :func:`classify` answers from the closed-form rule alone (pure arithmetic
 plus a six-pair exceptional table).  :func:`build_certificate` and
-:func:`verify_certificate` pick a route from arithmetic alone, and only a
-route that closes a group or searches imports :mod:`starcayley.cayley`,
-which holds the machine checks; so ``classify`` and every table certificate
-load no group module.
+:func:`verify_certificate` pick a route from arithmetic alone.  Only a
+route that closes a witness group imports :mod:`starcayley.cayley`, which
+holds the machine checks, and only a search or the replay of a refutation
+imports :mod:`starcayley.search`; so ``classify`` and every table
+certificate load no group module, and a witness never loads the search.
 
 A verdict of ``"NotCayley"`` is only ever produced by the classification
 table (labeled as such) or by an exhausted search; a failed witness check
@@ -260,12 +261,13 @@ def build_certificate(n: int, k: int, force_search: bool = False,
     result = classify(n, k)
     if force_search or (n, k) in SEARCHED_NO_CASES:
         # perm first: see the note on import order in cli.py
-        from . import perm, cayley
-        return cayley.search_regular_subgroup(n, k, cap=element_cap,
+        from . import perm, search
+        return search.search_regular_subgroup(n, k, cap=element_cap,
                                               time_limit=time_limit)
     order = _witness_order(n, k) if result.is_cayley else None
     if order is None or order > element_cap:
         return table_certificate(n, k)
+    # perm first, and no search: see the note on import order in cli.py
     from . import perm, cayley
     return cayley.witness_certificate(n, k)
 
@@ -278,7 +280,7 @@ def verify_certificate(cert: Certificate, cap: int = DEFAULT_ELEMENT_CAP,
     fresh run agrees bit-for-bit on the verdict and on every recorded check.
     A refutation is replayed by the transversal search, under time_limit,
     and one by the older two-generator search is derived from it
-    (:func:`cayley.derive_two_generator_search`); a replay the clock cuts
+    (:func:`search.derive_two_generator_search`); a replay the clock cuts
     short is a truncated search (:func:`is_truncated_search`), which
     reproduces nothing.
     """
@@ -299,8 +301,9 @@ def verify_certificate(cert: Certificate, cap: int = DEFAULT_ELEMENT_CAP,
             h = perm.PermGroup.from_dict(cert.witness, cap=cap)
             fresh = cayley.certify_via_lambda(h, n, k)
         else:
-            fresh = cayley.derive_two_generator_search(
-                cert, cayley.search_regular_subgroup(n, k, cap=cap, time_limit=time_limit))
+            from . import search
+            fresh = search.derive_two_generator_search(
+                cert, search.search_regular_subgroup(n, k, cap=cap, time_limit=time_limit))
     else:
         raise ValueError(f"unknown certificate method {cert.method!r}")
     reproduced = (fresh.verdict == cert.verdict and fresh.checks == cert.checks)

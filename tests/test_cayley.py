@@ -12,17 +12,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starcayley import CapExceeded, cayley, verdicts
+from starcayley import chain as chain_mod
 from starcayley import pairs as pairs_mod
+from starcayley import search as search_mod
 from starcayley import witness_groups as witness_groups_mod
 from starcayley.cayley import (Certificate, build_certificate, certify_via_lambda,
                                certify_via_sharp_k, classify, is_prime_power,
-                               is_truncated_search, sabidussi_direct,
-                               search_regular_subgroup, table_certificate,
+                               is_truncated_search, sabidussi_direct, table_certificate,
                                verify_certificate)
+from starcayley.chain import StabChain, cycle_type
 from starcayley.pairs import (AutPair, PairGroup, aut_order, aut_product, nu_tail,
                               project_and_kernel, symmetric_nu_group)
-from starcayley.perm import (Perm, PermGroup, StabChain, closure, cycle_type,
-                             is_k_homogeneous)
+from starcayley.perm import Perm, PermGroup, closure, is_k_homogeneous
+from starcayley.search import search_regular_subgroup
 from starcayley.stargraph import rank
 from starcayley.witness_groups import agl1, mathieu11, mathieu12, pgl2, psl2
 
@@ -273,8 +275,8 @@ def test_search_caches_emptied_at_the_cap_change_no_certificate(n, k, monkeypatc
     # at cap = P(n,k) the memo of typed pairs and the explored closures are
     # emptied many times over; count the clears and compare the certificates
     clears = []
-    real = cayley._ByClass.clear
-    monkeypatch.setattr(cayley._ByClass, "clear", lambda self: (clears.append(1), real(self)))
+    real = search_mod._ByClass.clear
+    monkeypatch.setattr(search_mod._ByClass, "clear", lambda self: (clears.append(1), real(self)))
     small = search_regular_subgroup(n, k, cap=math.perm(n, k))
     assert clears
     assert small == search_regular_subgroup(n, k)
@@ -346,7 +348,7 @@ def _candidates(n, k, representatives=None):
             types = (cycle_type(mu), nu_type)
             keep = verdicts.get(types)
             if keep is None:
-                keep = verdicts[types] = (not cayley._fixes_some_vertex(*types) and
+                keep = verdicts[types] = (not search_mod._fixes_some_vertex(*types) and
                                           target % math.lcm(*types[0], *nu_type) == 0)
                 if keep and representatives is not None:
                     representatives.append(mu + tail)
@@ -363,10 +365,10 @@ def _streamed(n, k):
     """The candidates the search's cosets list lazily, one coset for each
     vertex in rank order, and the classes decided on the way; each
     candidate maps [1..k] to the vertex of its coset."""
-    candidates = cayley._ByClass(n, k, math.inf)
+    candidates = search_mod._ByClass(n, k, math.inf)
     streamed = []
     for v in itertools.permutations(range(1, n + 1), k):
-        coset = list(cayley._coset(n, k, v, candidates, _no_clock))
+        coset = list(search_mod._coset(n, k, v, candidates, _no_clock))
         assert all(AutPair.from_flat(c, n).apply(range(1, k + 1)) == v for c in coset)
         streamed += coset
     return streamed, candidates
@@ -384,7 +386,7 @@ def test_cycle_type_fixed_point_test_matches_vertex_scan(n, k):
     expected = []
     for pair in pairs:
         by_scan = _fixes_a_vertex_by_scan(pair, n, k)
-        by_type = cayley._fixes_some_vertex(cycle_type(pair.mu.images),
+        by_type = search_mod._fixes_some_vertex(cycle_type(pair.mu.images),
                                             cycle_type(pair.nu.images[:k]))
         assert by_type == by_scan, pair
         if not by_scan and target % pair.order() == 0:
@@ -414,7 +416,7 @@ def _lex_scan_verdicts(n, k):
                                           in collections.Counter(mu_type).items())
             if covered == order:
                 break
-    return {(mu_type, nu_type): (not cayley._fixes_some_vertex(mu_type, nu_type)
+    return {(mu_type, nu_type): (not search_mod._fixes_some_vertex(mu_type, nu_type)
                                  and target % math.lcm(*mu_type, *nu_type) == 0)
             for nu_type in {cycle_type((1,) + nu) for nu in itertools.permutations(range(2, k + 1))}
             for mu_type in mu_types}
@@ -436,7 +438,7 @@ def test_class_plan_matches_the_lex_scan(n, k):
     # decides each one as the lex scan does
     verdicts = _lex_scan_verdicts(n, k)
     mu_types = {mu_type for mu_type, _ in verdicts}
-    candidates = cayley._ByClass(n, k, math.inf)
+    candidates = search_mod._ByClass(n, k, math.inf)
     for nu in itertools.permutations(range(2, k + 1)):
         for mu_type in mu_types:
             pair = _pair_of_type(mu_type, nu, n)
@@ -456,16 +458,16 @@ def test_search_deadline_checked_while_scanning_a_coset(monkeypatch):
         reads.append(None)
         return 0.0 if len(reads) < 4 else 100.0
 
-    contains = cayley._ByClass.__contains__
-    monkeypatch.setattr(cayley._ByClass, "__contains__",
+    contains = search_mod._ByClass.__contains__
+    monkeypatch.setattr(search_mod._ByClass, "__contains__",
                         lambda self, pair: scanned.append(pair) or contains(self, pair))
-    monkeypatch.setattr(cayley, "time", SimpleNamespace(monotonic=fake_monotonic))
+    monkeypatch.setattr(search_mod, "time", SimpleNamespace(monotonic=fake_monotonic))
     cert = search_regular_subgroup(11, 1, time_limit=10.0)
     assert is_truncated_search(cert)
     # one read sets the deadline, and the scan reads it at pairs 0, 256 and 512
     (note,) = cert.notes
     assert note.endswith("(transversal search, pair 512 of the coset of (2,))")
-    assert len(scanned) == 2 * cayley.DEADLINE_STRIDE
+    assert len(scanned) == 2 * search_mod.DEADLINE_STRIDE
 
 
 def test_search_deadline_checked_in_every_phase(monkeypatch):
@@ -476,7 +478,7 @@ def test_search_deadline_checked_in_every_phase(monkeypatch):
             reads.append(None)
             return 0.0 if len(reads) < cut else 100.0
 
-        monkeypatch.setattr(cayley, "time", SimpleNamespace(monotonic=fake_monotonic))
+        monkeypatch.setattr(search_mod, "time", SimpleNamespace(monotonic=fake_monotonic))
         return search_regular_subgroup(7, 3, time_limit=10.0), len(reads)
 
     cert, reads = run(math.inf)
@@ -843,20 +845,20 @@ def test_representatives_are_the_first_candidate_of_each_class(n, k, classes):
 def _base_images(n, k, generators):
     """Oracle: the vertices the group of the flat generators maps [1..k] to."""
     identity = tuple(range(1, n + k))
-    group = pairs_mod.orbit([identity], generators) if generators else {identity}
+    group = chain_mod.orbit([identity], generators) if generators else {identity}
     return {AutPair.from_flat(g, n).apply(range(1, k + 1)) for g in group}
 
 
 def test_refutation_branches_over_the_coset_of_each_missed_vertex(monkeypatch):
     n, k = 6, 2
     closures = []
-    orbit = cayley.orbit
+    orbit = search_mod.orbit
 
     def counting(starts, gens, **kwargs):
         closures.append(gens)
         return orbit(starts, gens, **kwargs)
 
-    monkeypatch.setattr(cayley, "orbit", counting)
+    monkeypatch.setattr(search_mod, "orbit", counting)
     assert search_regular_subgroup(n, k).verdict == "NotCayley"
     vertices = list(itertools.permutations(range(1, n + 1), k))
     candidates = set(_candidates(n, k))
@@ -870,12 +872,12 @@ def test_refutation_branches_over_the_coset_of_each_missed_vertex(monkeypatch):
         assert AutPair.from_flat(c, n).apply(range(1, k + 1)) == missed
     # from {1} the search branches over the whole coset of (1,3)
     first = [gens for gens in closures if len(gens) == 1]
-    assert first == [(c,) for c in cayley._coset(n, k, (1, 3), candidates, _no_clock)]
+    assert first == [(c,) for c in search_mod._coset(n, k, (1, 3), candidates, _no_clock)]
     # a group is grown once: the generators before the last, over all
     # closures, generate distinct groups
     identity = tuple(range(1, n + k))
     grown = {gens[:-1] for gens in closures if len(gens) > 1}
-    assert len({frozenset(pairs_mod.orbit([identity], g)) for g in grown}) == len(grown)
+    assert len({frozenset(chain_mod.orbit([identity], g)) for g in grown}) == len(grown)
     assert len(closures) == 77
 
 
@@ -890,7 +892,7 @@ def test_8_3_hit_keeps_no_redundant_generator_and_types_few_pairs(monkeypatch):
         typed.append(images)
         return cycle_type(images)
 
-    monkeypatch.setattr(cayley, "cycle_type", spy)
+    monkeypatch.setattr(search_mod, "cycle_type", spy)
     cert = search_regular_subgroup(8, 3)
     assert cert.verdict == "Cayley" and cert.all_passed()
     assert cert.to_json() == json.dumps(cert.to_dict(), separators=(",", ":"))
@@ -914,7 +916,7 @@ def test_build_certificate_refutes_7_3_by_search():
 
 def test_build_certificate_searches_exactly_the_gated_no_cases(monkeypatch):
     searched = []
-    monkeypatch.setattr(cayley, "search_regular_subgroup",
+    monkeypatch.setattr(search_mod, "search_regular_subgroup",
                         lambda n, k, **kwargs: searched.append((n, k)))
     for n in range(4, 35):
         for k in range(1, n):
@@ -926,13 +928,13 @@ def test_build_certificate_searches_exactly_the_gated_no_cases(monkeypatch):
 def test_refutation_without_the_reduction_replays_the_full_search(monkeypatch):
     text = (Path(__file__).parent / "data" / "refutation-6-2-full.json").read_text()
     calls = []
-    search = cayley.search_regular_subgroup
+    search = search_mod.search_regular_subgroup
 
     def spy(*args, **kwargs):
         calls.append(set(kwargs))
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(cayley, "search_regular_subgroup", spy)
+    monkeypatch.setattr(search_mod, "search_regular_subgroup", spy)
     old = Certificate.from_json(text)
     reproduced, fresh = verify_certificate(old)
     assert reproduced and fresh.checks == old.checks

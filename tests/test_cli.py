@@ -321,7 +321,7 @@ def test_arithmetic_commands_load_no_group_or_graph_module(tmp_path):
                                     ["verify-lemmas", "--d", "8..9"])
     assert codes == [0, 0]
     assert "starcayley.numbers" in loaded
-    for name in ("perm", "pairs", "cayley", "gf", "stargraph"):
+    for name in ("perm", "chain", "pairs", "cayley", "search", "gf", "stargraph"):
         assert f"starcayley.{name}" not in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
@@ -341,7 +341,8 @@ def test_classify_and_table_certificates_load_no_group_module(tmp_path):
     assert codes == [0, 0, 0]
     assert json.loads((tmp_path / "cert.json").read_text())["method"] == "ClassificationTable"
     assert "starcayley.verdicts" in loaded
-    for name in ("perm", "pairs", "cayley", "witness_groups", "stargraph", "gf"):
+    for name in ("perm", "chain", "pairs", "cayley", "search", "witness_groups",
+                 "stargraph", "gf"):
         assert f"starcayley.{name}" not in loaded
 
 
@@ -376,6 +377,26 @@ def test_json_is_loaded_only_where_certificates_are_written_or_read(tmp_path, co
     codes, loaded = _loaded_modules(tmp_path, *commands)
     assert codes == [0] * len(commands)
     assert ("json" in loaded) == loads_json
+
+
+@pytest.mark.parametrize("n,k", [("9", "4"), ("33", "30")])
+def test_witness_routes_load_the_chain_engine_and_never_the_search(tmp_path, n, k):
+    codes, loaded = _loaded_modules(tmp_path, ["certify", n, k, "--out", "cert.json"],
+                                    ["check", "cert.json"])
+    assert codes == [0, 0]
+    assert "starcayley.chain" in loaded and "starcayley.witness_groups" in loaded
+    assert "starcayley.search" not in loaded
+
+
+def test_search_routes_load_the_search_and_no_witness_group(tmp_path):
+    codes, loaded = _loaded_modules(tmp_path, ["certify", "6", "2", "--out", "cert.json"],
+                                    ["check", "cert.json"],
+                                    ["certify", "7", "2", "--force-search"])
+    assert codes == [0, 0, 0]
+    assert json.loads((tmp_path / "cert.json").read_text())["verdict"] == "NotCayley"
+    assert "starcayley.search" in loaded and "starcayley.chain" in loaded
+    for name in ("witness_groups", "gf"):
+        assert f"starcayley.{name}" not in loaded
 
 
 def test_group_routes_load_perm_before_cayley(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 
 from starcayley.pairs import (AutPair, PairGroup, aut_order, aut_product,
                               project_and_kernel, symmetric_nu_group)
-from starcayley.perm import (CapExceeded, Perm, PermGroup, StabChain, closure,
-                             is_k_homogeneous)
+from starcayley.chain import StabChain
+from starcayley.perm import CapExceeded, Perm, PermGroup, closure, is_k_homogeneous
 from starcayley.witness_groups import mathieu11, pgammal2, psl2
 
 

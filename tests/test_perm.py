@@ -4,13 +4,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starcayley.chain import StabChain, orbit
 from starcayley.perm import (CapExceeded, Flag, Lambda, Perm, PermGroup,
-                             StabChain, canonical_flag, closure, compose,
-                             flag_count, flag_stabilizer, is_k_homogeneous,
+                             canonical_flag, closure, compose, flag_count,
+                             flag_stabilizer, is_k_homogeneous,
                              is_k_transitive, is_sharply_k_transitive,
-                             is_sharply_lambda_transitive, orbit,
-                             orbit_of_set, orbit_of_tuple,
-                             tuple_stabilizer_is_trivial)
+                             is_sharply_lambda_transitive, orbit_of_set,
+                             orbit_of_tuple, tuple_stabilizer_is_trivial)
 from starcayley.witness_groups import mathieu11, mathieu12, psl2
 
 

@@ -6,10 +6,10 @@ homogeneous, and the two primitive-divisor routes agree.
 import math
 from itertools import permutations
 
-from starcayley.cayley import search_regular_subgroup
 from starcayley.pairs import AutPair, PairGroup, aut_product, project_and_kernel
 from starcayley.perm import (Perm, is_k_homogeneous, is_k_transitive,
                              is_sharply_lambda_transitive)
+from starcayley.search import search_regular_subgroup
 from starcayley.stargraph import apply_automorphism, build
 from starcayley.witness_groups import (agammal1, agl, agl1, mathieu11,
                                        pgammal2, psl2)

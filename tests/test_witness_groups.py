@@ -6,9 +6,9 @@ from pathlib import Path
 
 import starcayley
 from starcayley.case_elim import _FINITE_FAMILY_DATA, CaseFamily
-from starcayley.perm import (StabChain, canonical_flag, flag_stabilizer,
-                             is_k_homogeneous, is_k_transitive,
-                             is_sharply_k_transitive,
+from starcayley.chain import StabChain
+from starcayley.perm import (canonical_flag, flag_stabilizer, is_k_homogeneous,
+                             is_k_transitive, is_sharply_k_transitive,
                              is_sharply_lambda_transitive)
 from starcayley.perm import Flag
 from starcayley.witness_groups import (_agl_d2_generators, agammal1, agl, agl1,
