@@ -31,7 +31,7 @@ base = (1, 2, 3)
 target = (4, 1, 5)
 mu = sc.Perm([4, 1, 5, 2, 3])
 print("\nvertex transitivity:",
-      sc.apply_automorphism((mu, sc.Perm.identity(5)), base) == target)
+      sc.AutPair(mu, sc.Perm.identity(5)).apply(base) == target)
 
 # through v=[1,2,3], the residual edge to [4,2,3] and the star edge to
 # [2,1,3] lie on exactly one alternating 6-cycle

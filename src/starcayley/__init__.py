@@ -25,16 +25,14 @@ class CapExceeded(RuntimeError):
 # whose group work takes 5-10 ms.
 _LAZY = {name: module for module, names in [
     ("perm", ("Flag", "Lambda", "Perm", "PermGroup",
-              "canonical_flag", "closure", "compose", "flag_count",
-              "flag_stabilizer", "is_k_homogeneous", "is_k_transitive",
-              "is_sharply_k_transitive", "is_sharply_lambda_transitive",
-              "orbit_of_set", "orbit_of_tuple")),
+              "canonical_flag", "closure", "flag_count", "flag_stabilizer",
+              "is_k_homogeneous", "is_k_transitive", "is_sharply_k_transitive",
+              "is_sharply_lambda_transitive")),
     ("pairs", ("AutPair", "PairGroup", "aut_product", "project_and_kernel",
                "symmetric_nu_group")),
-    ("stargraph", ("EdgeKind", "StarGraph", "apply_automorphism",
-                   "brute_force_automorphism_count", "build", "edge_kind",
-                   "is_edge_in_triangle", "rank", "residual_neighbors",
-                   "six_cycles_through", "star_neighbors",
+    ("stargraph", ("EdgeKind", "StarGraph", "brute_force_automorphism_count",
+                   "build", "edge_kind", "is_edge_in_triangle", "rank",
+                   "residual_neighbors", "six_cycles_through", "star_neighbors",
                    "transposition_identity_check", "unrank")),
     ("gf", ("Field", "SemilinearMap", "field", "field_of_order")),
     ("verdicts", ("Certificate", "ClassificationResult", "build_certificate",

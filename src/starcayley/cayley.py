@@ -116,36 +116,18 @@ def certify_via_lambda(h: PermGroup, n: int, k: int) -> Certificate:
 # witness groups
 
 
-def witness_certificate(n: int, k: int) -> Certificate:
-    """Check the known witness group of the yes-case (n,k): a sporadic pair,
-    or k = 2 or k = 3 with 2 <= k <= n-2.  :func:`verdicts.build_certificate`
-    calls this only when the group's order fits its element cap.  H is
-    passed as generators alone and closed once, on the chain whose order the
-    certificate checks."""
-    from .witness_groups import (agl1_unclosed, mathieu11_unclosed, mathieu12_unclosed,
-                                 pgammal2_unclosed, pgl2_unclosed, psl2_unclosed)
+def witness_certificate(n: int, k: int, recipe: tuple) -> Certificate:
+    """Check the witness group :func:`verdicts.witness_recipe` names for the
+    yes-case (n,k).  :func:`verdicts.build_certificate` calls this only when
+    the group's order fits its element cap.  H is passed as generators alone
+    and closed once, on the chain whose order the certificate checks: the
+    pair group H x 1 ("mu") or H x S_{k-1} ("pairs"), or H's own ("flag")."""
+    from . import witness_groups
 
-    if (n, k) == (33, 30):
-        return certify_via_lambda(pgammal2_unclosed(32), n, k)
-    special = {
-        (11, 4): (mathieu11_unclosed, False),
-        (12, 5): (mathieu12_unclosed, False),
-        (9, 4): (lambda: psl2_unclosed(8), True),
-        (9, 6): (lambda: psl2_unclosed(8), True),
-        (33, 4): (lambda: pgammal2_unclosed(32), True),
-    }
-    if (n, k) in special:
-        witness, with_nu = special[n, k]
-        return _direct_product_cert(witness(), n, k, with_nu)
-    if k == 2:
-        return _direct_product_cert(agl1_unclosed(n), n, k)
-    if k == 3:
-        return _direct_product_cert(pgl2_unclosed(n - 1), n, k)
-    raise ValueError(f"no witness group is known for ({n},{k})")
-
-
-def _direct_product_cert(h: PermGroup, n: int, k: int,
-                         with_nu: bool = False) -> Certificate:
-    nu_side = symmetric_nu_group(n, k) if with_nu else None
-    group = PairGroup.direct_product(h, k, nu_side)
-    return sabidussi_direct(group, n, k)
+    name, arg, shape = recipe
+    unclosed = getattr(witness_groups, f"{name}_unclosed")
+    h = unclosed() if arg is None else unclosed(arg)
+    if shape == "flag":
+        return certify_via_lambda(h, n, k)
+    nu_side = symmetric_nu_group(n, k) if shape == "pairs" else None
+    return sabidussi_direct(PairGroup.direct_product(h, k, nu_side), n, k)

@@ -38,7 +38,7 @@ from .perm import DEFAULT_ELEMENT_CAP, CapExceeded, Perm, PermGroup, closure
 
 def nu_is_admissible(nu: Perm, k: int) -> bool:
     """True iff nu fixes 1 and everything above k."""
-    return nu.acts_within(range(2, k + 1))
+    return all(x == i or 2 <= i <= k for i, x in enumerate(nu.images, 1))
 
 
 class AutPair:

@@ -77,6 +77,8 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         # (p * q)(x) = p(q(x))
         a = self.images
+        if len(a) != len(other.images):
+            raise ValueError(f"degree mismatch: {len(a)} != {len(other.images)}")
         return Perm._raw(tuple(a[x - 1] for x in other.images))
 
     def inverse(self) -> "Perm":
@@ -87,17 +89,6 @@ class Perm:
 
     def is_identity(self) -> bool:
         return all(x == i + 1 for i, x in enumerate(self.images))
-
-    def fixed_points(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, x in enumerate(self.images) if x == i + 1)
-
-    def moved_points(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, x in enumerate(self.images) if x != i + 1)
-
-    def acts_within(self, points: Iterable[int]) -> bool:
-        """True iff every point moved by this permutation lies in ``points``."""
-        allowed = set(points)
-        return all(p in allowed for p in self.moved_points())
 
     def order(self) -> int:
         return lcm(*cycle_type(self.images))
@@ -137,13 +128,6 @@ class Perm:
             return f"Perm.identity({self.degree})"
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
         return f"Perm[{body}, n={self.degree}]"
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Compose two permutations: q acts first, then p."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    return p * q
 
 
 def closure(generators: Sequence[Perm], cap: int = DEFAULT_ELEMENT_CAP,
@@ -243,17 +227,6 @@ class PermGroup:
     def order(self) -> int:
         return self.chain.order()
 
-    def chain_from(self, points: Sequence[int]) -> StabChain:
-        """A chain for this group whose base starts with the given distinct
-        points: the group's own chain when its base already does."""
-        points = tuple(points)
-        if self.chain.base[:len(points)] == points:
-            return self.chain
-        return StabChain(self.degree, [g.images for g in self.generators], points)
-
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
-
     def __contains__(self, p: Perm) -> bool:
         return p.degree == self.degree and p.images in self.chain
 
@@ -281,21 +254,6 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# orbits
-
-
-def orbit_of_tuple(generators: Sequence[Perm], start: Sequence[int]) -> set[tuple]:
-    """Orbit of an ordered point tuple under the group the generators produce."""
-    return orbit([tuple(start)], [g.images for g in generators])
-
-
-def orbit_of_set(generators: Sequence[Perm], start: Iterable[int]) -> set[frozenset]:
-    """Orbit of a point set under the induced action on subsets."""
-    return orbit([frozenset(start)], [g.images for g in generators],
-                 act=lambda g: _pointwise(g, frozenset))
-
-
-# ---------------------------------------------------------------------------
 # transitivity and homogeneity
 
 
@@ -314,8 +272,9 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
 def is_k_homogeneous(group: PermGroup, k: int) -> bool:
     """True iff the group is transitive on k-element subsets of the points."""
     _check_k(group, k)
-    orbit = orbit_of_set(group.generators, range(1, k + 1))
-    return len(orbit) == math.comb(group.degree, k)
+    subsets = orbit([frozenset(range(1, k + 1))], [g.images for g in group.generators],
+                    act=lambda g: _pointwise(g, frozenset))
+    return len(subsets) == math.comb(group.degree, k)
 
 
 def is_sharply_k_transitive(group: PermGroup, k: int) -> bool:
@@ -325,12 +284,6 @@ def is_sharply_k_transitive(group: PermGroup, k: int) -> bool:
     """
     _check_k(group, k)
     return group.order == math.perm(group.degree, k) and is_k_transitive(group, k)
-
-
-def tuple_stabilizer_is_trivial(group: PermGroup, points: Sequence[int]) -> bool:
-    """True iff only the identity fixes every listed point."""
-    points = tuple(dict.fromkeys(points))
-    return group.chain_from(points).order(len(points)) == 1
 
 
 def _check_k(group: PermGroup, k: int) -> None:

@@ -1,6 +1,7 @@
-"""The (n,k)-star graph: construction, edge kinds, vertex indexing, the
-automorphism action, and the small structural checks (triangles, six-cycles,
-transposition products, brute-force automorphism counting).
+"""The (n,k)-star graph: construction, edge kinds, vertex indexing, and the
+small structural checks (triangles, six-cycles, transposition products,
+brute-force automorphism counting).  The automorphism action of a pair
+(mu, nu) is :meth:`starcayley.pairs.AutPair.apply`.
 
 Vertices are the k-permutations of {1..n}, held as plain tuples of 1-based
 labels.  Two edge types exist:
@@ -22,13 +23,9 @@ from bisect import bisect_left
 from collections import deque
 from enum import Enum
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import DEFAULT_VERTEX_CAP
-
-if TYPE_CHECKING:
-    from .pairs import AutPair
-    from .perm import Perm
 
 KPerm = tuple[int, ...]
 
@@ -48,13 +45,6 @@ class BudgetExceeded(RuntimeError):
 
 class UnsupportedCyclePattern(ValueError):
     """Six-cycle query on an incident edge pair outside the two handled shapes."""
-
-
-def validate_kperm(v: Sequence[int], n: int) -> KPerm:
-    v = tuple(v)
-    if len(set(v)) != len(v) or not v or any(not 1 <= x <= n for x in v):
-        raise ValueError(f"not a k-permutation of 1..{n}: {v!r}")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +302,6 @@ def stats(n: int, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP
             for u, v in itertools.combinations(star + residual, 2))
     return (count, count * (len(star) + len(residual)) // 2,
             (len(star), len(residual)), count * t // 3)
-
-
-# ---------------------------------------------------------------------------
-# the automorphism action
-
-
-def apply_automorphism(f: AutPair | tuple[Perm, Perm], v: Sequence[int]) -> KPerm:
-    """Apply the pair action [a1..ak] -> [mu(a_{nu^-1(1)}), ..., mu(a_{nu^-1(k)})]."""
-    from .pairs import AutPair
-    if not isinstance(f, AutPair):
-        f = AutPair(*f)
-    return f.apply(tuple(v))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,19 @@ METHOD_LAMBDA = "LambdaTransitiveWitness"
 METHOD_TABLE = "ClassificationTable"
 METHOD_REFUTATION = "ExhaustiveSearchRefutation"
 
-SPORADIC_CAYLEY_PAIRS = frozenset({(9, 4), (9, 6), (11, 4), (12, 5), (33, 4), (33, 30)})
+# The witness each sporadic yes-case is certified by: (n, k) -> (constructor
+# in witness_groups, its argument, shape).  The shape is "mu" for H x 1,
+# "pairs" for H x S_{k-1}, and "flag" for a sharply (n-k, k-1, 1)-transitive H.
+SPORADIC_WITNESSES = {
+    (9, 4): ("psl2", 8, "pairs"),
+    (9, 6): ("psl2", 8, "pairs"),
+    (11, 4): ("mathieu11", None, "mu"),
+    (12, 5): ("mathieu12", None, "mu"),
+    (33, 4): ("pgammal2", 32, "pairs"),
+    (33, 30): ("pgammal2", 32, "flag"),
+}
+
+SPORADIC_CAYLEY_PAIRS = frozenset(SPORADIC_WITNESSES)
 
 # the no-cases build_certificate refutes by search: those whose base vertex
 # stabiliser, (n-k)!(k-1)! pairs, is at most 144 and whose vertex count P(n,k)
@@ -235,17 +247,28 @@ def is_truncated_search(cert: Certificate) -> bool:
 # strategy dispatch and re-verification
 
 
-def _witness_order(n: int, k: int) -> int | None:
-    """The order of the group that cayley.witness_certificate closes for the
-    yes-case (n,k), or None where the table is the only certificate: a
-    regular group has order P(n,k), and the (33,30) witness is PGammaL(2,32)."""
+def witness_recipe(n: int, k: int) -> tuple[str, int | None, str] | None:
+    """The witness group that certifies the yes-case (n,k), in the form of
+    a SPORADIC_WITNESSES entry: AGL(1,n) for k = 2, PGL(2,n-1) for k = 3,
+    the table's entry for a sporadic pair.  None where the table is the only
+    certificate: k = 1, k = n-1, and n = k+2 with k >= 4."""
     if k == 1 or k == n - 1:
         return None
-    if (n, k) == (33, 30):
-        return 33 * 32 * 31 * 5
-    if k in (2, 3) or (n, k) in SPORADIC_CAYLEY_PAIRS:
-        return math.perm(n, k)
+    if (n, k) in SPORADIC_WITNESSES:
+        return SPORADIC_WITNESSES[n, k]
+    if k == 2:
+        return ("agl1", n, "mu")
+    if k == 3:
+        return ("pgl2", n - 1, "mu")
     return None
+
+
+def _witness_order(n: int, k: int, shape: str) -> int:
+    """The order of the group a witness of the given shape closes: the
+    regular group, of order P(n,k), or for "flag" H alone, of order
+    n!/((n-k)!(k-1)!), the number of flags of type (n-k, k-1, 1)."""
+    order = math.perm(n, k)
+    return order // math.factorial(k - 1) if shape == "flag" else order
 
 
 def build_certificate(n: int, k: int, force_search: bool = False,
@@ -253,10 +276,11 @@ def build_certificate(n: int, k: int, force_search: bool = False,
                       time_limit: float | None = None) -> Certificate:
     """Produce the strongest certificate available for (n,k) under the budgets.
 
-    Preference order: a known witness group checked directly (or via the
-    flag route for (33,30)), built only when its order fits element_cap,
-    the cap ``check`` closes it under; a search for the no-cases in
-    SEARCHED_NO_CASES; the labeled classification table otherwise.
+    Preference order: the witness group :func:`witness_recipe` names,
+    checked directly (or via the flag route for (33,30)), built only when
+    its order fits element_cap, the cap ``check`` closes it under; a search
+    for the no-cases in SEARCHED_NO_CASES; the labeled classification table
+    otherwise.
     """
     result = classify(n, k)
     if force_search or (n, k) in SEARCHED_NO_CASES:
@@ -264,12 +288,12 @@ def build_certificate(n: int, k: int, force_search: bool = False,
         from . import perm, search
         return search.search_regular_subgroup(n, k, cap=element_cap,
                                               time_limit=time_limit)
-    order = _witness_order(n, k) if result.is_cayley else None
-    if order is None or order > element_cap:
+    recipe = witness_recipe(n, k) if result.is_cayley else None
+    if recipe is None or _witness_order(n, k, recipe[2]) > element_cap:
         return table_certificate(n, k)
     # perm first, and no search: see the note on import order in cli.py
     from . import perm, cayley
-    return cayley.witness_certificate(n, k)
+    return cayley.witness_certificate(n, k, recipe)
 
 
 def verify_certificate(cert: Certificate, cap: int = DEFAULT_ELEMENT_CAP,

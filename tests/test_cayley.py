@@ -23,7 +23,7 @@ from starcayley.cayley import (Certificate, build_certificate, certify_via_lambd
 from starcayley.chain import StabChain, cycle_type
 from starcayley.pairs import (AutPair, PairGroup, aut_order, aut_product, nu_tail,
                               project_and_kernel, symmetric_nu_group)
-from starcayley.perm import Perm, PermGroup, closure, is_k_homogeneous
+from starcayley.perm import Perm, PermGroup, closure, flag_count, is_k_homogeneous
 from starcayley.search import search_regular_subgroup
 from starcayley.stargraph import rank
 from starcayley.witness_groups import agl1, mathieu11, mathieu12, pgl2, psl2
@@ -247,6 +247,35 @@ def test_k2_and_k3_witnesses_are_gated_by_the_element_cap():
     assert build_certificate(9, 2, element_cap=71).method == "ClassificationTable"
     assert build_certificate(9, 3, element_cap=504).method == "DirectRegularAction"
     assert build_certificate(9, 3, element_cap=503).method == "ClassificationTable"
+
+
+def test_witness_table_names_each_witness_once():
+    assert verdicts.SPORADIC_CAYLEY_PAIRS == frozenset(verdicts.SPORADIC_WITNESSES)
+    # the closed form of each named group's order; M11 and M12 are sharply
+    # 4- and 5-transitive on 11 and 12 points
+    closed_form = {"agl1": witness_groups_mod.agl1_order,
+                   "pgl2": witness_groups_mod.pgl_order,
+                   "psl2": witness_groups_mod.psl_order,
+                   "pgammal2": witness_groups_mod.pgammal_order,
+                   "mathieu11": lambda: math.perm(11, 4),
+                   "mathieu12": lambda: math.perm(12, 5)}
+    recipes = {}
+    for n in range(4, 35):
+        for k in range(1, n):
+            if classify(n, k).is_cayley:
+                recipe = recipes[n, k] = verdicts.witness_recipe(n, k)
+                table = build_certificate(n, k).method == "ClassificationTable"
+                assert (recipe is None) == table, (n, k)
+    recipes[1024, 2] = verdicts.witness_recipe(1024, 2)
+    assert recipes[1024, 2] == ("agl1", 1024, "mu")
+    for (n, k), recipe in recipes.items():
+        if recipe is None:
+            continue
+        name, arg, shape = recipe
+        h = closed_form[name](*([] if arg is None else [arg]))
+        expected = {"mu": h, "pairs": h * math.factorial(k - 1), "flag": h}[shape]
+        assert verdicts._witness_order(n, k, shape) == expected, (n, k)
+    assert verdicts._witness_order(33, 30, "flag") == flag_count((3, 29, 1), 33) == 163_680
 
 
 def test_search_cap_counts_the_vertices():
@@ -607,10 +636,8 @@ def test_flag_witness_closes_one_chain(monkeypatch):
 
 
 def test_flag_check_lists_no_stabiliser_and_builds_no_second_chain(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a chain on another base was built")
-
-    monkeypatch.setattr(PermGroup, "chain_from", refuse)
+    h = witness_groups_mod.pgammal2(32)
+    chains = _chains_built_with_no_cached_witness(monkeypatch)
     elements = StabChain.elements
 
     def filtered_walk_only(self, level=0, within=None):
@@ -619,10 +646,13 @@ def test_flag_check_lists_no_stabiliser_and_builds_no_second_chain(monkeypatch):
         return elements(self, level, within)
 
     monkeypatch.setattr(StabChain, "elements", filtered_walk_only)
-    cert = certify_via_lambda(witness_groups_mod.pgammal2(32), 33, 30)
+    cert = certify_via_lambda(h, 33, 30)
     assert cert.verdict == "Cayley" and len(cert.checks) == 3 and cert.all_passed()
+    # the only chain built is the one-element stabiliser's, none on another base
+    assert chains == [33]
     reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()))
     assert reproduced and fresh.all_passed()
+    assert chains == [33, 33, 33]
 
 
 def test_mixed_generator_witness_lists_no_pair(monkeypatch):
