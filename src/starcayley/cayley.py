@@ -1,12 +1,13 @@
 """Machine checks behind Cayley certificates for (n,k)-star graphs.
 
 The rule, the certificate record and the choice of route live in
-:mod:`starcayley.verdicts`.  Here the ``certify_*`` / ``sabidussi_direct``
-functions run machine checks on explicit witness groups and report exactly
-what was verified.  The search of the full automorphism group for a regular
-subgroup, the one route that may refute, is :mod:`starcayley.search`;
-``cayley.search_regular_subgroup`` still resolves, and imports it on first
-use.
+:mod:`starcayley.verdicts`.  Here :func:`sabidussi_direct` and
+:func:`certify_via_lambda` run machine checks on explicit witness groups and
+report exactly what was verified; ``verify_certificate`` checks an old
+sharply k-transitive witness H as the direct action of H x 1.  The search of
+the full automorphism group for a regular subgroup, the one route that may
+refute, is :mod:`starcayley.search`; ``cayley.search_regular_subgroup`` still
+resolves, and imports it on first use.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from __future__ import annotations
 import math
 
 from .pairs import PairGroup, symmetric_nu_group
-from .perm import PermGroup, canonical_flag, flag_count, flag_stabilizer, is_k_transitive
-from .verdicts import (METHOD_DIRECT, METHOD_LAMBDA, METHOD_SHARP_K, VERDICT_CAYLEY,
-                       VERDICT_UNKNOWN, Certificate)
-# re-exported for callers that read the rule and the dispatch from here
-from .verdicts import (METHOD_REFUTATION, build_certificate, classify, is_prime_power,
-                       is_truncated_search, table_certificate, verify_certificate)
+from .perm import PermGroup, canonical_flag, flag_count, flag_stabilizer
+from .verdicts import METHOD_DIRECT, METHOD_LAMBDA, VERDICT_CAYLEY, VERDICT_UNKNOWN, Certificate
+# re-exported for bench/replay.py, which reads the rule and the dispatch from here
+from .verdicts import METHOD_REFUTATION, classify, table_certificate, verify_certificate
 
 
 def __getattr__(name: str):
@@ -65,25 +64,6 @@ def sabidussi_direct(group: PairGroup, n: int, k: int) -> Certificate:
     )
     verdict = VERDICT_CAYLEY if all(ok for _, ok in checks) else VERDICT_UNKNOWN
     return Certificate(n, k, verdict, METHOD_DIRECT, _pair_witness(group), checks)
-
-
-def certify_via_sharp_k(h: PermGroup, n: int, k: int) -> Certificate:
-    """Certify via a sharply k-transitive witness H <= S_n.
-
-    Such an H acts regularly on the vertices through the pairs (mu, 1), so
-    verifying sharp k-transitivity is the whole certificate.
-    """
-    if h.degree != n:
-        raise ValueError(f"witness degree {h.degree} != n={n}")
-    order_ok = h.order == math.perm(n, k)
-    transitive_ok = is_k_transitive(h, k)
-    checks = (
-        ("order_equals_vertex_count", order_ok),
-        ("k_transitive", transitive_ok),
-    )
-    ok = order_ok and transitive_ok
-    verdict = VERDICT_CAYLEY if ok else VERDICT_UNKNOWN
-    return Certificate(n, k, verdict, METHOD_SHARP_K, h.to_dict(), checks)
 
 
 def certify_via_lambda(h: PermGroup, n: int, k: int) -> Certificate:

@@ -145,7 +145,7 @@ def test_region_verdicts_reproduced_from_arithmetic():
     # over the whole large-k region (n/2 < k <= n-3, n <= 34), the surviving
     # projective solutions are the only Cayley pairs; everything else the
     # case analysis touches is refuted
-    from starcayley.cayley import classify
+    from starcayley.verdicts import classify
     accepted = {(q + 1, q - 2) for q in pgammal_solution_scan(5)}
     assert accepted == {(9, 6), (33, 30)}
     for n in range(6, 35):
@@ -156,7 +156,7 @@ def test_region_verdicts_reproduced_from_arithmetic():
 def test_eliminations_consistent_with_classification():
     # every refuted (n,k) really is a non-Cayley or differently-witnessed
     # pair: the elimination never contradicts the classification rule
-    from starcayley.cayley import classify
+    from starcayley.verdicts import classify
     cases = [
         (CaseFamily.M11, 11, 8), (CaseFamily.M12, 12, 8),
         (CaseFamily.M12, 12, 9), (CaseFamily.M23, 23, 20),

@@ -16,17 +16,17 @@ from starcayley import chain as chain_mod
 from starcayley import pairs as pairs_mod
 from starcayley import search as search_mod
 from starcayley import witness_groups as witness_groups_mod
-from starcayley.cayley import (Certificate, build_certificate, certify_via_lambda,
-                               certify_via_sharp_k, classify, is_prime_power,
-                               is_truncated_search, sabidussi_direct, table_certificate,
-                               verify_certificate)
+from starcayley.cayley import certify_via_lambda, sabidussi_direct
 from starcayley.chain import StabChain, cycle_type
 from starcayley.pairs import (AutPair, PairGroup, aut_order, aut_product, nu_tail,
                               project_and_kernel, symmetric_nu_group)
 from starcayley.perm import Perm, PermGroup, closure, flag_count, is_k_homogeneous
 from starcayley.search import search_regular_subgroup
 from starcayley.stargraph import rank
-from starcayley.witness_groups import agl1, mathieu11, mathieu12, pgl2, psl2
+from starcayley.verdicts import (METHOD_SHARP_K, Certificate, build_certificate, classify,
+                                 is_prime_power, is_truncated_search, table_certificate,
+                                 verify_certificate)
+from starcayley.witness_groups import agl, agl1, mathieu11, mathieu12, pgl2, psl2
 
 
 def test_is_prime_power():
@@ -120,11 +120,51 @@ def test_sabidussi_fails_on_nonregular_group():
     assert not cert.all_passed()
 
 
-def test_certify_via_sharp_k():
-    assert certify_via_sharp_k(agl1(5), 5, 2).verdict == "Cayley"
-    assert certify_via_sharp_k(pgl2(7), 8, 3).verdict == "Cayley"
-    cert = certify_via_sharp_k(PermGroup.symmetric(4), 4, 2)
-    assert cert.verdict == "Unknown"  # order 24 != 12: not sharp
+def test_sharp_k_data_files_reproduce():
+    # written by the sharply k-transitive writer before it was retired
+    for name, n, k, verdict, checks in [
+        ("sharpk-11-4.json", 11, 4, "Cayley", (True, True)),
+        ("sharpk-4-2-unknown.json", 4, 2, "Unknown", (False, True)),  # S_4: 24 != 12
+    ]:
+        cert = Certificate.from_json((Path(__file__).parent / "data" / name).read_text())
+        assert (cert.n, cert.k, cert.verdict, cert.method) == (n, k, verdict, METHOD_SHARP_K)
+        assert cert.checks == (("order_equals_vertex_count", checks[0]),
+                               ("k_transitive", checks[1]))
+        reproduced, fresh = verify_certificate(cert)
+        assert reproduced, fresh
+        assert "schema" not in json.loads(fresh.to_json())
+
+
+@pytest.mark.parametrize("make,n,k,checks", [
+    (lambda: agl1(5), 5, 2, (True, True)),
+    (lambda: pgl2(7), 8, 3, (True, True)),
+    (lambda: PermGroup.symmetric(4), 4, 2, (False, True)),
+    (lambda: PermGroup.symmetric(5), 5, 2, (False, True)),
+    (lambda: PermGroup.symmetric(5), 5, 3, (False, True)),
+    (lambda: agl1(8), 8, 2, (True, True)),
+    (lambda: agl1(8), 8, 3, (False, False)),
+    (lambda: psl2(8), 9, 3, (True, True)),
+    (lambda: pgl2(8), 9, 3, (True, True)),
+    (mathieu11, 11, 3, (False, True)),
+    (mathieu11, 11, 4, (True, True)),
+    (mathieu12, 12, 5, (True, True)),
+    (lambda: agl(3), 8, 3, (False, True)),
+    (lambda: agl1(27), 27, 2, (True, True)),
+    (lambda: pgl2(27), 28, 3, (True, True)),
+    (lambda: closure([Perm.identity(2)]), 2, 1, (False, False)),
+    (lambda: closure([Perm([2, 3, 4, 5, 1])]), 5, 1, (True, True)),
+    (lambda: closure([Perm([2, 3, 1, 5, 6, 4])]), 6, 1, (False, False)),
+], ids=["AGL(1,5)", "PGL(2,7)", "S_4", "S_5-k2", "S_5-k3", "AGL(1,8)-k2", "AGL(1,8)-k3",
+        "PSL(2,8)", "PGL(2,8)", "M11-k3", "M11-k4", "M12", "AGL(3,2)", "AGL(1,27)",
+        "PGL(2,27)", "trivial", "C_5", "C_3-on-6"])
+def test_sharp_k_checks_are_derived_on_the_pair_chain(make, n, k, checks):
+    # the tuples the retired sharply k-transitive writer recorded for each H:
+    # |H| = P(n,k), and k-transitivity read off H's own chain
+    cert = Certificate(n, k, "Cayley", METHOD_SHARP_K, make().to_dict(), ())
+    _, fresh = verify_certificate(cert)
+    assert fresh.checks == (("order_equals_vertex_count", checks[0]),
+                            ("k_transitive", checks[1]))
+    assert fresh.verdict == ("Cayley" if all(checks) else "Unknown")
 
 
 def test_certify_via_lambda_psl28():
@@ -137,7 +177,7 @@ def test_certify_via_lambda_psl28():
 
 
 def test_certificate_json_roundtrip():
-    cert = certify_via_sharp_k(agl1(5), 5, 2)
+    cert = sabidussi_direct(PairGroup.direct_product(agl1(5), 2), 5, 2)
     data = json.loads(cert.to_json())
     assert set(data) == {"n", "k", "verdict", "method", "witness", "checks", "notes"}
     assert data["witness"]["degree"] == 5
@@ -146,7 +186,7 @@ def test_certificate_json_roundtrip():
 
 def test_verify_certificate_roundtrips():
     for cert in [
-        certify_via_sharp_k(agl1(5), 5, 2),
+        sabidussi_direct(PairGroup.direct_product(agl1(5), 2), 5, 2),
         certify_via_lambda(psl2(8), 9, 4),
         sabidussi_direct(PairGroup.direct_product(mathieu11(), 4), 11, 4),
         table_certificate(10, 4),

@@ -416,7 +416,15 @@ def test_group_routes_load_perm_before_cayley(tmp_path):
     ' "checks": []}',
     '{"n": 5, "k": 2, "verdict": "Cayley", "method": "NoSuchMethod",'
     ' "witness": null, "checks": [{"name": "x", "pass": true}]}',
-], ids=["missing-fields", "not-json", "json-list", "bad-generator", "unknown-method"])
+    *(f'{{"n": {n}, "k": {k}, "verdict": "Cayley", "method": "DirectRegularAction",'
+      ' "witness": {"generators": [{"mu": [2, 3, 4, 5, 1], "nu": [1, 2, 3, 4, 5]}]},'
+      ' "checks": [{"name": "x", "pass": true}]}' for n, k in [(5, 0), (5, -1), (5, "true")]),
+    *(f'{{"n": {n}, "k": {k}, "verdict": "NotCayley", "method": "ExhaustiveSearchRefutation",'
+      ' "witness": null, "checks": [{"name": "transversal_search_exhausted", "pass": true}]}'
+      for n, k in [(5, 0), (5, 6), (1, 1), (5, 5)]),
+], ids=["missing-fields", "not-json", "json-list", "bad-generator", "unknown-method",
+        "direct-k-0", "direct-k-negative", "direct-k-bool", "refutation-k-0",
+        "refutation-k-above-n", "refutation-1-1", "refutation-k-equals-n"])
 def test_check_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

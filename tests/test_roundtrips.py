@@ -5,7 +5,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from starcayley.cayley import Certificate
+from starcayley.verdicts import Certificate
 from starcayley.pairs import AutPair
 from starcayley.perm import Perm
 
