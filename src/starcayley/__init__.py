@@ -4,8 +4,9 @@ group-theoretic and number-theoretic verification battery."""
 __version__ = "0.1.0"
 
 # The default budgets and the error an exhausted element budget raises live
-# here, so that the CLI can set its argparse defaults and report the error
-# without importing the modules that enforce them.
+# here, so that the CLI's table of options can give the budgets as defaults,
+# and the CLI report the error, without importing the modules that enforce
+# them.
 DEFAULT_ELEMENT_CAP = 2_000_000
 DEFAULT_VERTEX_CAP = 2_000_000
 

@@ -25,10 +25,10 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 
-from .numbers import (divides_mersenne_product, index_binomial_bound,
-                      kernel_order_divides_factorial, required_kernel_order,
-                      two_adic_obstruction)
-from .verdicts import agl_d2_order, is_prime
+from .numbers import (agl_d2_order, divides_mersenne_product,
+                      index_binomial_bound, kernel_order_divides_factorial,
+                      required_kernel_order, two_adic_obstruction)
+from .verdicts import is_prime
 
 
 class CaseFamily(str, Enum):

@@ -6,25 +6,25 @@ to reproduce, or a witness check that certify ran failed (the certificate,
 Unknown, is still written), or a certificate or checkpoint is malformed or
 cannot be read or written (one line on stderr), or the arguments are
 malformed, such as an (n,k) without 1 <= k < n, a budget below 1, a
---time-limit that is not a finite number >= 0 or an empty --d range
-(argparse's usage line); 3 a budget was exhausted: an element cap, a
---time-limit (for check, the replay of a search) or a primality that
-Miller-Rabin cannot prove (one line on stderr); 1 stdout was closed before
-all output was written, as by `| head` (nothing on stderr).
+--time-limit that is not a finite number >= 0 or an empty --d range (a
+usage line, then one error line, on stderr); 3 a budget was exhausted: an
+element cap, a --time-limit (for check, the replay of a search) or a
+primality that Miller-Rabin cannot prove (one line on stderr); 1 stdout was
+closed before all output was written, as by `| head` (nothing on stderr).
 Output is deterministic: fixed point orders, fixed field moduli, no
 randomness anywhere.
 """
 
 from __future__ import annotations
 
-import argparse
+import errno
 import math
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, CapExceeded
+from .cmdline import Command, Option, Parser
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -37,7 +37,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if lo > hi:
-            raise argparse.ArgumentTypeError(f"empty range {text}: need LO <= HI")
+            raise ValueError(f"empty range {text}: need LO <= HI")
         return lo, hi
     v = int(text)
     return v, v
@@ -46,19 +46,21 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {value}")
+        raise ValueError(f"need an integer >= 1, got {value}")
     return value
 
 
 def _time_limit(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text}")
+        raise ValueError(f"need a finite number >= 0, got {text}")
     return value
 
 
 # Each command imports only the modules it needs: every process pays for
-# the modules it imports, and bytecode caching may be off.  classify,
+# the modules it imports, and bytecode caching may be off.  The command
+# line is read by cmdline, which loads no module that the commands do not
+# load anyway, as argparse's gettext, locale and shutil were.  classify,
 # certify and check import verdicts alone, which states the rule and records
 # table certificates; it imports the group modules only on a route that
 # closes a group (cayley) or searches (search).  Where bytecode is not
@@ -128,7 +130,8 @@ def cmd_certify(args) -> int:
     text = cert.to_json()
     if args.out:
         try:
-            Path(args.out).write_text(text + "\n")
+            with open(args.out, "w") as out:
+                out.write(text + "\n")
         except OSError as exc:
             print(f"cannot write certificate {args.out}: {_one_line(exc)}",
                   file=sys.stderr)
@@ -159,7 +162,8 @@ def _check_entry(checks: tuple, i: int) -> str:
 def cmd_check(args) -> int:
     from .verdicts import Certificate, is_truncated_search, verify_certificate
     try:
-        cert = Certificate.from_json(Path(args.certificate).read_text())
+        with open(args.certificate) as recorded:
+            cert = Certificate.from_json(recorded.read())
         if is_truncated_search(cert):
             print(f"budget exhausted: {args.certificate} records a truncated "
                   "search, which cannot be reproduced", file=sys.stderr)
@@ -198,11 +202,11 @@ def cmd_check(args) -> int:
     return EXIT_MISMATCH
 
 
-def _write_checkpoint(path: Path, d: int) -> None:
+def _write_checkpoint(path: str, d: int) -> None:
     """Replace the checkpoint's value by d.  The value goes to a temporary
     file in the same directory, which is synced and then renamed over the
     checkpoint, so a crash leaves either the old value or the new one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     with open(tmp, "w") as out:
         out.write(f"{d}\n")
         out.flush()
@@ -213,13 +217,19 @@ def _write_checkpoint(path: Path, d: int) -> None:
 def cmd_zsigmondy(args) -> int:
     from . import numbers
     start = 3
-    checkpoint = Path(args.checkpoint) if args.checkpoint else None
+    checkpoint = os.path.normpath(args.checkpoint) if args.checkpoint else None
+    text = None
     try:
-        text = checkpoint.read_text().strip() if checkpoint and checkpoint.exists() else None
+        if checkpoint:
+            with open(checkpoint) as saved:
+                text = saved.read().strip()
     except OSError as exc:
-        print(f"cannot read checkpoint {checkpoint}: {_one_line(exc)}",
-              file=sys.stderr)
-        return EXIT_MISMATCH
+        # no checkpoint there (the errors pathlib's exists() reads as
+        # absent): the scan starts at d = 3
+        if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+            print(f"cannot read checkpoint {checkpoint}: {_one_line(exc)}",
+                  file=sys.stderr)
+            return EXIT_MISMATCH
     if text is not None:
         if not (text.isascii() and text.isdigit()):
             print(f"corrupt checkpoint {checkpoint}: {text[:40]!r} is not a "
@@ -272,60 +282,57 @@ def cmd_verify_lemmas(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="starcayley",
-        description="(n,k)-star graphs: construction, Cayley certification, "
-                    "and the arithmetic verification battery")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line: one table names each command's handler, its positionals
+# and its options, and cmdline.Parser reads a command line against it as
+# argparse did, and renders the usage and --help from it.
+COMMANDS = {
+    "graph": Command(cmd_graph, "build a star graph and export it",
+                     (("n", int), ("k", int)), {
+        "--format": Option(str, "dot", ("dot", "edges", "json"), help="export format"),
+        "--stats": Option(None, False,
+                          help="print vertex count, degree split and triangle census"),
+        "--budget-vertices": Option(_positive_int, DEFAULT_VERTEX_CAP,
+                                    help="the most vertices a graph may have"),
+    }),
+    "classify": Command(cmd_classify, "print the Cayley classification table", (), {
+        "--n-max": Option(int, None, required=True, help="the last n of the table"),
+        "--format": Option(str, "text", ("text", "csv"), help="table format"),
+    }),
+    "certify": Command(cmd_certify, "produce a Cayley certificate for (n,k)",
+                       (("n", int), ("k", int)), {
+        "--force-search": Option(None, False, help="search for a regular subgroup"),
+        "--budget-elements": Option(_positive_int, DEFAULT_ELEMENT_CAP,
+                                    help="the largest group to close"),
+        "--time-limit": Option(_time_limit, None,
+                               help="seconds before a search truncates to Unknown"),
+        "--out": Option(str, None, help="also write the certificate JSON to this path"),
+    }),
+    "check": Command(cmd_check, "re-run every check a certificate records",
+                     (("certificate", str),), {
+        "--budget-elements": Option(_positive_int, DEFAULT_ELEMENT_CAP,
+                                    help="the largest group to close"),
+        "--time-limit": Option(_time_limit, None,
+                               help="seconds before the replay of a search stops (exit 3)"),
+    }),
+    "zsigmondy": Command(cmd_zsigmondy, "scan 2^d-3 for primitive prime divisors (CSV)", (), {
+        "--d-max": Option(int, None, required=True, help="the last d to scan"),
+        "--checkpoint": Option(str, None, help="resume file holding the last verified d"),
+        "--checkpoint-every": Option(_positive_int, 100,
+                                     help="how many d between checkpoint writes"),
+    }),
+    "verify-lemmas": Command(cmd_verify_lemmas,
+                             "run the AGL(d,2) feasibility battery over a d range", (), {
+        "--d": Option(_parse_range, None, required=True, help="the d range, or one d",
+                      metavar="LO..HI"),
+    }),
+}
 
-    p = sub.add_parser("graph", help="build a star graph and export it")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--format", default="dot", choices=["dot", "edges", "json"])
-    p.add_argument("--stats", action="store_true",
-                   help="print vertex count, degree split and triangle census")
-    p.add_argument("--budget-vertices", type=_positive_int,
-                   default=DEFAULT_VERTEX_CAP)
-    p.set_defaults(func=cmd_graph)
+DESCRIPTION = ("(n,k)-star graphs: construction, Cayley certification, and the arithmetic\n"
+               "verification battery")
 
-    p = sub.add_parser("classify", help="print the Cayley classification table")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--format", default="text", choices=["text", "csv"])
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("certify", help="produce a Cayley certificate for (n,k)")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--force-search", action="store_true")
-    p.add_argument("--budget-elements", type=_positive_int,
-                   default=DEFAULT_ELEMENT_CAP)
-    p.add_argument("--time-limit", type=_time_limit, default=None,
-                   help="seconds before a search truncates to Unknown")
-    p.add_argument("--out", help="also write the certificate JSON to this path")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("check", help="re-run every check a certificate records")
-    p.add_argument("certificate")
-    p.add_argument("--budget-elements", type=_positive_int,
-                   default=DEFAULT_ELEMENT_CAP)
-    p.add_argument("--time-limit", type=_time_limit, default=None,
-                   help="seconds before the replay of a search stops (exit 3)")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("zsigmondy",
-                       help="scan 2^d-3 for primitive prime divisors (CSV)")
-    p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--checkpoint", help="resume file holding the last verified d")
-    p.add_argument("--checkpoint-every", type=_positive_int, default=100)
-    p.set_defaults(func=cmd_zsigmondy)
-
-    p = sub.add_parser("verify-lemmas",
-                       help="run the AGL(d,2) feasibility battery over a d range")
-    p.add_argument("--d", type=_parse_range, required=True, metavar="LO..HI")
-    p.set_defaults(func=cmd_verify_lemmas)
-
-    return parser
+def make_parser() -> Parser:
+    return Parser("starcayley", DESCRIPTION, COMMANDS)
 
 
 def main(argv=None) -> int:

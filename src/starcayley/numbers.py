@@ -21,10 +21,17 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb, factorial, gcd
 
-from .verdicts import agl_d2_order
-
 # literal factorial cross-checks are only feasible while (2^d)! stays small
 IDENTITY_CROSS_CHECK_MAX_D = 16
+
+
+def agl_d2_order(d: int) -> int:
+    """|AGL(d,2)| = 2^d (2^d - 1)(2^d - 2) ... (2^d - 2^(d-1))."""
+    n = 1 << d
+    order = n
+    for i in range(d):
+        order *= n - (1 << i)
+    return order
 
 
 def v2(x: int) -> int:

@@ -131,15 +131,6 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def agl_d2_order(d: int) -> int:
-    """|AGL(d,2)| = 2^d (2^d - 1)(2^d - 2) ... (2^d - 2^(d-1))."""
-    n = 1 << d
-    order = n
-    for i in range(d):
-        order *= n - (1 << i)
-    return order
-
-
 class ClassificationResult(namedtuple("ClassificationResult", "n k is_cayley clause")):
     __slots__ = ()
 

@@ -30,7 +30,6 @@ from functools import lru_cache
 
 from .gf import Field, SemilinearMap, field_of_order
 from .perm import Perm, PermGroup, closure, is_sharply_k_transitive
-from .verdicts import agl_d2_order
 
 
 def _perm_of(field: Field, a, b, c, d, frob_exp=0) -> Perm:
@@ -183,6 +182,8 @@ def agl(d: int) -> PermGroup:
     The order check certifies that :func:`_agl_d2_generators` really
     generate the full group.
     """
+    # numbers is imported here: no other witness needs it
+    from .numbers import agl_d2_order
     if d < 1:
         raise ValueError("need d >= 1")
     group = closure(_agl_d2_generators(d), cap=math.inf, name=f"AGL({d},2)")

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,12 +8,17 @@ import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from starcayley import cli, verdicts
-from starcayley.cli import main
+from starcayley import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, cli, verdicts
+from starcayley.cli import (_parse_range, _positive_int, _time_limit, cmd_certify,
+                            cmd_check, cmd_classify, cmd_graph, cmd_verify_lemmas,
+                            cmd_zsigmondy, main)
 
 
 def run_cli(capsys, *argv):
@@ -321,7 +328,8 @@ def test_arithmetic_commands_load_no_group_or_graph_module(tmp_path):
                                     ["verify-lemmas", "--d", "8..9"])
     assert codes == [0, 0]
     assert "starcayley.numbers" in loaded
-    for name in ("perm", "chain", "pairs", "cayley", "search", "gf", "stargraph"):
+    for name in ("perm", "chain", "pairs", "cayley", "search", "gf", "stargraph",
+                 "verdicts"):
         assert f"starcayley.{name}" not in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
@@ -405,6 +413,28 @@ def test_group_routes_load_perm_before_cayley(tmp_path):
     codes, loaded = _loaded_modules(tmp_path, ["certify", "9", "4"])
     assert codes == [0]
     assert loaded.index("starcayley.perm") < loaded.index("starcayley.cayley")
+
+
+@pytest.mark.parametrize("commands", [
+    [["graph", "12", "5", "--stats"]],
+    [["graph", "5", "3", "--format", "edges"]],
+    [["classify", "--n-max", "4"]],
+    [["certify", "34", "5", "--out", "cert.json"], ["check", "cert.json"]],
+    [["certify", "9", "4", "--out", "cert.json"], ["check", "cert.json"]],
+    [["certify", "6", "2"]],
+    [["zsigmondy", "--d-max", "10"]],
+    [["verify-lemmas", "--d", "3..9"]],
+], ids=["graph-stats", "graph-export", "classify", "table-certificate",
+        "witness-certificate", "refutation", "zsigmondy", "verify-lemmas"])
+def test_no_route_loads_argparse_gettext_locale_shutil_or_pathlib(tmp_path, commands):
+    # the command line is parsed from cli.COMMANDS; argparse would load
+    # gettext, locale and shutil.  A module the interpreter's site already
+    # loaded shows no import here, so shutil and pathlib are checked only
+    # where site does not load them.
+    codes, loaded = _loaded_modules(tmp_path, *commands)
+    assert codes == [0] * len(commands)
+    for name in ("argparse", "gettext", "locale", "shutil", "pathlib"):
+        assert name not in loaded
 
 
 @pytest.mark.parametrize("text", [
@@ -880,3 +910,207 @@ def test_certify_builds_a_sporadic_witness_only_when_it_fits_the_budget(tmp_path
                                "--budget-elements", str(budget))
         assert code == 0
         assert out == f"certificate reproduced: ({n},{k}) Cayley via {method}\n"
+
+
+# The argparse parser that cli.COMMANDS replaced, verbatim: the oracle that
+# the parser must agree with.
+def make_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="starcayley",
+        description="(n,k)-star graphs: construction, Cayley certification, "
+                    "and the arithmetic verification battery")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("graph", help="build a star graph and export it")
+    p.add_argument("n", type=int)
+    p.add_argument("k", type=int)
+    p.add_argument("--format", default="dot", choices=["dot", "edges", "json"])
+    p.add_argument("--stats", action="store_true",
+                   help="print vertex count, degree split and triangle census")
+    p.add_argument("--budget-vertices", type=_positive_int,
+                   default=DEFAULT_VERTEX_CAP)
+    p.set_defaults(func=cmd_graph)
+
+    p = sub.add_parser("classify", help="print the Cayley classification table")
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--format", default="text", choices=["text", "csv"])
+    p.set_defaults(func=cmd_classify)
+
+    p = sub.add_parser("certify", help="produce a Cayley certificate for (n,k)")
+    p.add_argument("n", type=int)
+    p.add_argument("k", type=int)
+    p.add_argument("--force-search", action="store_true")
+    p.add_argument("--budget-elements", type=_positive_int,
+                   default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--time-limit", type=_time_limit, default=None,
+                   help="seconds before a search truncates to Unknown")
+    p.add_argument("--out", help="also write the certificate JSON to this path")
+    p.set_defaults(func=cmd_certify)
+
+    p = sub.add_parser("check", help="re-run every check a certificate records")
+    p.add_argument("certificate")
+    p.add_argument("--budget-elements", type=_positive_int,
+                   default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--time-limit", type=_time_limit, default=None,
+                   help="seconds before the replay of a search stops (exit 3)")
+    p.set_defaults(func=cmd_check)
+
+    p = sub.add_parser("zsigmondy",
+                       help="scan 2^d-3 for primitive prime divisors (CSV)")
+    p.add_argument("--d-max", type=int, required=True)
+    p.add_argument("--checkpoint", help="resume file holding the last verified d")
+    p.add_argument("--checkpoint-every", type=_positive_int, default=100)
+    p.set_defaults(func=cmd_zsigmondy)
+
+    p = sub.add_parser("verify-lemmas",
+                       help="run the AGL(d,2) feasibility battery over a d range")
+    p.add_argument("--d", type=_parse_range, required=True, metavar="LO..HI")
+    p.set_defaults(func=cmd_verify_lemmas)
+
+    return parser
+
+
+_FLAGS = sorted({"-h", "--help",
+                 *(flag for spec in cli.COMMANDS.values() for flag in spec.options)})
+_WORDS = ["0", "1", "2", "4", "9", "34", "-1", "-5", "-0.5", "-.5", "1.5", "nan", "inf",
+          "-inf", "3..9", "9..3", "x", "dot", "csv", "json", "text", "cert.json", "certify",
+          "", "-", "--", "-x", "--bogus", "--=1", "-h", "-hh", "-hx", "--he", "--c",
+          "--checkp", "a b", "-1 2", "-5\n"]
+_GOOD = {int: ["2", "4", "9", "34", "-1"], str: ["cert.json", "-x"], _positive_int: ["1", "100"],
+         _time_limit: ["0", "2.5"], _parse_range: ["3..9", "8"]}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, its positionals, options given exactly, by a prefix or with
+    `=`, values right and wrong, unknown and extra words, in order or shuffled."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "--"]))
+    spec = cli.COMMANDS.get(command)
+    # half the lines of a command are well formed, but for prefixes that
+    # are not unique, a positional that reads as an option and a `--`
+    well_formed = spec is not None and draw(st.booleans())
+
+    def value(good):
+        if well_formed or draw(st.booleans()):
+            return draw(st.sampled_from(good))
+        return draw(st.sampled_from(_WORDS))
+
+    units = []
+    if spec and (well_formed or draw(st.integers(0, 4))):
+        units += [[value(_GOOD[convert])] for _, convert in spec.positionals]
+    if well_formed:
+        flags = [flag for flag, option in spec.options.items()
+                 if option.required or draw(st.booleans())]
+    else:
+        own = list(spec.options) if spec else _FLAGS
+        flags = draw(st.lists(st.sampled_from(own) | st.sampled_from(_FLAGS), max_size=4))
+    for flag in flags:
+        option = spec.options.get(flag) if spec else None
+        if well_formed and option.convert is None:
+            units.append([flag])
+            continue
+        forms = ["exact", "equals", "prefix"] + ([] if well_formed else ["alone"])
+        form = draw(st.sampled_from(forms))
+        good = (option.choices or _GOOD.get(option.convert, _WORDS)) if option else _WORDS
+        text = value(list(good))
+        if form == "prefix":
+            flag = flag[:draw(st.integers(min(3, len(flag)), len(flag)))]
+        units.append([f"{flag}={text}"] if form == "equals" else
+                     [flag] if form == "alone" else [flag, text])
+    if not well_formed:
+        units += [[word] for word in draw(st.lists(st.sampled_from(_WORDS), max_size=2))]
+    if draw(st.booleans()):
+        units = draw(st.permutations(units))
+    argv = [command, *(word for unit in units for word in unit)]
+    if well_formed and draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), "--")
+    if not well_formed and draw(st.booleans()):
+        argv = draw(st.permutations(argv))
+    return argv if well_formed else argv[draw(st.sampled_from([0, 0, 0, 1])):]
+
+
+def _outcome(parser, argv):
+    """("parsed", the namespace's fields, "") or (exit code, stderr, stdout)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return "parsed", vars(parser.parse_args(argv)), ""
+        except SystemExit as exc:
+            return exc.code, err.getvalue(), out.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+def test_the_parser_reads_every_line_as_argparse_did(argv):
+    # argparse reads a value that is the word `--` (`--out=--`, or a
+    # positional `--` after the first) as an empty list; this parser keeps
+    # the word.  Python 3.13's argparse reads -hx as -h.
+    assume(argv.count("--") < 2 and not any(word.endswith("=--") for word in argv))
+    assume(sys.version_info < (3, 13)
+           or not any(word.startswith("-h") and word != "-h" for word in argv))
+    with mock.patch.dict(os.environ, COLUMNS="80"):  # argparse's usage wraps at 78
+        old, new = _outcome(make_parser(), argv), _outcome(cli.make_parser(), argv)
+    assert new[0] == old[0]
+    if old[0] == "parsed":
+        assert new[1] == old[1]
+    elif old[0] == 2:
+        assert new[1].split("\n")[0] == old[1].split("\n")[0]
+        assert new[1].startswith("usage: starcayley")
+        # argparse words the failure of a converter of cli's in its own way
+        if not re.search(r"invalid _\w+ value: ", old[1]):
+            assert new[1] == old[1]
+    else:
+        assert old[0] == 0 and new[2].split("\n")[0] == old[2].split("\n")[0]
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_names_every_command_or_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: starcayley {command or ''}".rstrip())
+    if command is None:
+        names = list(cli.COMMANDS)
+    else:
+        spec = cli.COMMANDS[command]
+        names = [*(name for name, _ in spec.positionals), *spec.options]
+    for name in ["-h, --help", *names]:
+        assert re.search(rf"^ +{re.escape(name)}( |$)", out, re.M), name
+    assert max(map(len, out.splitlines())) <= 80
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "9", "4", "--out", "cert-9-4.json"],
+    ["check", "cert-9-4.json"],
+    ["certify", "8", "3", "--force-search", "--time-limit", "2"],
+    ["graph", "12", "5", "--stats"],
+    ["graph", "8", "4", "--format", "json"],
+    ["zsigmondy", "--d-max", "2510", "--checkpoint", "scan.ckpt"],
+    ["verify-lemmas", "--d", "3..40"],
+    ["classify", "--n-max", "34", "--format", "csv"],
+])
+def test_make_parser_carries_what_the_bench_replay_reads(argv):
+    # bench/replay.py parses each command line with make_parser().parse_args
+    reads = {"certify": ("n", "k", "force_search", "budget_elements", "time_limit", "out"),
+             "check": ("certificate", "budget_elements", "time_limit"),
+             "graph": ("n", "k", "format", "stats", "budget_vertices"),
+             "zsigmondy": ("d_max", "checkpoint"),
+             "verify-lemmas": ("d",),
+             "classify": ("n_max",)}
+    assert len({"command", *(name for names in reads.values() for name in names)}) == 15
+    args = cli.make_parser().parse_args(argv)
+    assert args.command == argv[0]
+    assert all(hasattr(args, name) for name in reads[argv[0]])
+    assert vars(args) == vars(make_parser().parse_args(argv))
+
+
+def test_a_value_that_is_the_word_dashdash_is_that_word(capsys):
+    # argparse made --n-max=-- an empty list, which cmd_classify then
+    # compared with 4 (a TypeError)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--n-max=--"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "starcayley classify: error: argument --n-max: invalid int value: '--'\n")
+    assert vars(cli.make_parser().parse_args(["check", "--", "--"]))["certificate"] == "--"
