@@ -25,11 +25,11 @@ class CapExceeded(RuntimeError):
 # dataclasses loads inspect, ast, dis and tokenize, about 10 ms of a process
 # whose group work takes 5-10 ms.
 _LAZY = {name: module for module, names in [
-    ("perm", ("Flag", "Lambda", "Perm", "PermGroup",
+    ("perm", ("AutPair", "Flag", "Lambda", "Perm", "PermGroup",
               "canonical_flag", "closure", "flag_count", "flag_stabilizer",
               "is_k_homogeneous", "is_k_transitive", "is_sharply_k_transitive",
               "is_sharply_lambda_transitive")),
-    ("pairs", ("AutPair", "PairGroup", "aut_product", "project_and_kernel",
+    ("pairs", ("PairGroup", "aut_product", "project_and_kernel",
                "symmetric_nu_group")),
     ("stargraph", ("EdgeKind", "StarGraph", "brute_force_automorphism_count",
                    "build", "edge_kind", "is_edge_in_triangle", "rank",

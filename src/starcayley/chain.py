@@ -12,6 +12,29 @@ from typing import Iterable, Sequence
 from . import CapExceeded
 
 
+def permutation(images: Sequence[int]) -> tuple[int, ...]:
+    """images as a tuple, once it is checked to be a permutation of 1..n."""
+    images = tuple(images)
+    if sorted(images) != list(range(1, len(images) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
+    return images
+
+
+def from_cycles(n: int, *cycles: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple of degree n of the product of disjoint cycles of
+    1-based points, once each point is checked to be in range and unrepeated."""
+    img = list(range(1, n + 1))
+    seen: set[int] = set()
+    for cyc in cycles:
+        for x in cyc:
+            if not 1 <= x <= n or x in seen:
+                raise ValueError(f"bad cycle point {x} in {cycles!r}")
+            seen.add(x)
+        for i, x in enumerate(cyc):
+            img[x - 1] = cyc[(i + 1) % len(cyc)]
+    return tuple(img)
+
+
 def cycle_type(images: Sequence[int]) -> tuple[int, ...]:
     """Sorted cycle lengths of a permutation in one-line notation, 1-cycles included."""
     seen = [False] * (len(images) + 1)

@@ -66,8 +66,10 @@ def _time_limit(text: str) -> float:
 # closes a group (cayley) or searches (search).  Where bytecode is not
 # cached, a module's whole syntax tree is held while it compiles, so a
 # process peaks at its largest compile: the group modules are compiled in
-# pieces, perm's engine in chain and the search apart from cayley, and perm,
-# the largest, is imported first, while the process is smallest.
+# pieces, the tuple engine in chain and the search apart from cayley, and
+# the routes run on chain's image tuples, so none compiles perm, the object
+# API and the largest group module.  A witness route imports cayley, then
+# chain, pairs, witness_groups and gf; a search route search first.
 
 
 def cmd_graph(args) -> int:

@@ -22,148 +22,136 @@ lists no pair.  A pair fixes the base vertex [1..k] iff mu(j) = nu(j) for
 j <= k.  The elements of a chain that map its first base points to given
 images are none or one coset of the pointwise stabiliser of those points, so
 the pairs fixing [1..k] are counted as that stabiliser's order times the
-number of wanted images some element has.  :class:`AutPair` is the public,
-serialised view, built only at the boundary.
+number of wanted images some element has.
+
+A :class:`PairGroup` holds its generators as flat tuples, and the
+certificate and search routes build it from flat tuples alone
+(:func:`flat_pair` reads and checks a pair given as image lists).
+:class:`~starcayley.perm.AutPair`, the object view of one pair, lives with
+the object API in :mod:`starcayley.perm`; ``pairs.AutPair`` still resolves.
+It, and the constructors and queries here that take or give
+:class:`~starcayley.perm.Perm` objects, import :mod:`starcayley.perm` when
+called, so a route that certifies, checks or searches never compiles it.
 """
 
 from __future__ import annotations
 
 import math
-from math import lcm
 from typing import Iterator, Sequence
 
-from .chain import StabChain, orbit
-from .perm import DEFAULT_ELEMENT_CAP, CapExceeded, Perm, PermGroup, closure
+from . import DEFAULT_ELEMENT_CAP, CapExceeded
+from .chain import StabChain, from_cycles, orbit, permutation
 
 
-def nu_is_admissible(nu: Perm, k: int) -> bool:
-    """True iff nu fixes 1 and everything above k."""
-    return all(x == i or 2 <= i <= k for i, x in enumerate(nu.images, 1))
+def nu_is_admissible(nu: Sequence[int], k: int) -> bool:
+    """True iff nu, an image tuple, fixes 1 and everything above k."""
+    return all(x == i or 2 <= i <= k for i, x in enumerate(nu, 1))
 
 
-class AutPair:
-    """One automorphism of the (n,k)-star graph, as a pair (mu, nu)."""
+def flat_pair(mu: Sequence[int], nu: Sequence[int] | None, n: int, k: int) -> tuple[int, ...]:
+    """The pair (mu, nu), given as image lists, as one flat tuple.
 
-    __slots__ = ("mu", "nu", "_hash")
+    Raises ValueError unless mu is a permutation of 1..n and nu, None for
+    the identity, one of 1..n that fixes 1 and every point above k.  The
+    checks are plain ``if`` statements, which ``python -O`` keeps.
+    """
+    mu = permutation(mu)
+    if len(mu) != n:
+        raise ValueError(f"mu has degree {len(mu)}, not n={n}")
+    if nu is None:
+        return mu + tuple(range(n + 1, n + k))
+    nu = permutation(nu)
+    if len(nu) != n or not nu_is_admissible(nu, k):
+        raise ValueError(f"nu {nu!r} is not a permutation of 1..{n} that fixes 1 "
+                         f"and every point above k={k}")
+    return mu + nu_tail(nu[1:k], n)
 
-    def __init__(self, mu: Perm, nu: Perm):
-        if mu.degree != nu.degree:
-            raise ValueError("mu and nu must share a degree")
-        self.mu = mu
-        self.nu = nu
-        self._hash = hash((mu.images, nu.images))
 
-    @property
-    def degree(self) -> int:
-        return self.mu.degree
-
-    def __mul__(self, other: "AutPair") -> "AutPair":
-        return AutPair(self.mu * other.mu, self.nu * other.nu)
-
-    def inverse(self) -> "AutPair":
-        return AutPair(self.mu.inverse(), self.nu.inverse())
-
-    def is_identity(self) -> bool:
-        return self.mu.is_identity() and self.nu.is_identity()
-
-    def order(self) -> int:
-        return lcm(self.mu.order(), self.nu.order())
-
-    def apply(self, vertex: Sequence[int]) -> tuple[int, ...]:
-        """Image of a k-permutation vertex under this automorphism."""
-        k = len(vertex)
-        if not nu_is_admissible(self.nu, k):
-            raise ValueError(
-                f"nu moves points outside 2..{k}: {self.nu!r}")
-        mu_img = self.mu.images
-        nu_inv = self.nu.inverse().images
-        return tuple(mu_img[vertex[nu_inv[i] - 1] - 1] for i in range(k))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AutPair) and self.mu == other.mu
-                and self.nu == other.nu)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"AutPair({self.mu!r}, {self.nu!r})"
-
-    def to_dict(self) -> dict:
-        return {"mu": self.mu.to_list(), "nu": self.nu.to_list()}
-
-    def flat(self, k: int) -> tuple[int, ...]:
-        """The pair as one permutation of n+k-1 points (see the module notes)."""
-        return self.mu.images + nu_tail(self.nu.images[1:k], self.degree)
-
-    @classmethod
-    def from_flat(cls, flat: tuple[int, ...], n: int) -> "AutPair":
-        return cls(Perm._raw(flat[:n]), Perm._raw(_nu_of_tail(flat[n:], n)))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AutPair":
-        return cls(Perm(data["mu"]), Perm(data["nu"]))
+def __getattr__(name: str):
+    # AutPair, the object view of a pair, lives with the object API in perm,
+    # which no certificate or search route compiles; it is imported on first use
+    if name == "AutPair":
+        from .perm import AutPair
+        return AutPair
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PairGroup:
     """A subgroup of S_n x S_{k-1}, the automorphism group of the star graph,
     held as one :class:`StabChain` on the n+k-1 flat points, on the base
     1..k, n+1..n+k-1, then the rest, which gives the order and membership.
-    Every group, a direct product H x T included, is made by :meth:`generate`,
-    so ``certify`` builds the very chain that ``check`` rebuilds from the
-    certificate.  No pair is listed; :meth:`iter_pairs` builds them on
-    demand.  :class:`AutPair` objects are built only by :meth:`iter_pairs`
-    and for the generators.
+
+    Built from flat generators (see the module notes), which ``flat``
+    keeps; :meth:`generate`, :meth:`direct_product` and :meth:`product`
+    make them from pairs or factors.  So ``certify`` builds the very chain
+    that ``check`` rebuilds from the certificate.  No pair is listed;
+    :meth:`iter_pairs` builds them on demand, and :attr:`generators` the
+    generators as :class:`AutPair` objects.
     """
 
-    __slots__ = ("n", "k", "name", "generators", "_chain", "order")
+    __slots__ = ("n", "k", "name", "flat", "_chain", "order")
 
-    def __init__(self, n: int, k: int, generators: Sequence[AutPair],
-                 name: str | None, chain: StabChain):
+    def __init__(self, n: int, k: int, flat: Sequence[tuple], name: str | None = None,
+                 cap: float = DEFAULT_ELEMENT_CAP):
         self.n = n
         self.k = k
         self.name = name
-        self.generators = tuple(generators)
-        self._chain = chain
-        self.order = chain.order()
+        self.flat = tuple(flat)
+        self._chain = StabChain(n + k - 1, self.flat,
+                                tuple(range(1, k + 1)) + tuple(range(n + 1, n + k)), cap)
+        self.order = self._chain.order()
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def product(cls, n: int, k: int, label: str | None, mus: Sequence[tuple],
+                nus: Sequence[tuple] = (), name: str | None = None) -> "PairGroup":
+        """H x T, generated by the pairs (g, 1) for g in ``mus`` and (1, s) for
+        each s in ``nus`` but the identity, all image tuples of degree n.
+
+        Unless given, the name is ``label`` (or "H"), with " x S_{k-1}"
+        when T has a generator.  Only the factors' generators are read, so
+        neither factor is closed on its own.  The chain has no element cap:
+        the callers know the product's order before they build it.
+        """
+        identity = tuple(range(1, n + 1))
+        nus = [s for s in nus if s != identity]
+        if name is None:
+            name = label or "H"
+            if nus:
+                name = f"{name} x S_{k - 1}"
+        flat = [flat_pair(g, None, n, k) for g in mus] + [flat_pair(identity, s, n, k)
+                                                          for s in nus]
+        return cls(n, k, flat, name, cap=math.inf)
 
     @classmethod
     def direct_product(cls, mu_group: PermGroup, k: int,
                        nu_group: PermGroup | None = None,
                        name: str | None = None) -> "PairGroup":
-        """All pairs (mu, nu) with mu from mu_group and nu from nu_group,
-        generated by the pairs (g, 1) and (1, s).
-
-        With nu_group omitted the nu side is trivial, giving {(mu, 1)}.  Only
-        the factors' generators are read, so neither factor is closed on its
-        own.  The chain has no element cap: the callers know the product's
-        order before they build it.
-        """
-        n = mu_group.degree
-        e = Perm.identity(n)
-        nus = [] if nu_group is None else [s for s in nu_group.generators if not s.is_identity()]
-        if name is None:
-            name = mu_group.name or "H"
-            if nus:
-                name = f"{name} x S_{k - 1}"
-        gens = [AutPair(g, e) for g in mu_group.generators] + [AutPair(e, s) for s in nus]
-        return cls.generate(n, k, gens, cap=math.inf, name=name)
+        """All pairs (mu, nu) with mu from mu_group and nu from nu_group
+        (:meth:`product` of their generators).  With nu_group omitted the
+        nu side is trivial, giving {(mu, 1)}."""
+        nus = () if nu_group is None else [s.images for s in nu_group.generators]
+        return cls.product(mu_group.degree, k, mu_group.name,
+                           [g.images for g in mu_group.generators], nus, name)
 
     @classmethod
     def generate(cls, n: int, k: int, generators: Sequence[AutPair],
                  cap: int = DEFAULT_ELEMENT_CAP, name=None) -> "PairGroup":
-        """The group the pairs generate, closed as one :class:`StabChain` on
-        the flat points, on the base 1..k, n+1..n+k-1, then the rest."""
+        """The group the :class:`AutPair` objects generate, closed as one
+        :class:`StabChain` on the flat points."""
         for g in generators:
-            if g.degree != n or not nu_is_admissible(g.nu, k):
+            if g.degree != n or not nu_is_admissible(g.nu.images, k):
                 raise ValueError(f"{g!r} is not a pair for the ({n},{k})-star graph")
-        chain = StabChain(n + k - 1, [g.flat(k) for g in generators],
-                          tuple(range(1, k + 1)) + tuple(range(n + 1, n + k)), cap)
-        return cls(n, k, generators, name, chain)
+        return cls(n, k, [g.flat(k) for g in generators], name, cap)
 
     # -- queries -------------------------------------------------------------
+
+    @property
+    def generators(self) -> tuple[AutPair, ...]:
+        """The generators as :class:`AutPair` objects, built on each call."""
+        from .perm import AutPair
+        return tuple(AutPair.from_flat(f, self.n) for f in self.flat)
 
     def _tails(self) -> set[tuple]:
         """The flat images of n+1..n+k-1 under the pairs: the orbit of that
@@ -171,7 +159,7 @@ class PairGroup:
         n, k = self.n, self.k
         if k == 1:
             return {()}
-        return orbit([tuple(range(n + 1, n + k))], [g.flat(k) for g in self.generators])
+        return orbit([tuple(range(n + 1, n + k))], self.flat)
 
     def base_stabilizer_order(self) -> int:
         """How many pairs fix the base vertex [1..k], counted by cosets (see
@@ -186,6 +174,7 @@ class PairGroup:
         """Every pair as an :class:`AutPair`, in the order of
         :meth:`StabChain.elements`: by the images of the base points
         1..k, n+1..n+k-1, then the rest."""
+        from .perm import AutPair
         return (AutPair.from_flat(f, self.n) for f in self._chain.elements())
 
     def __iter__(self) -> Iterator[AutPair]:
@@ -193,6 +182,18 @@ class PairGroup:
 
     def __len__(self) -> int:
         return self.order
+
+    def to_dict(self) -> dict:
+        """The certificate's witness: the name, n, k and each generator as
+        mu and nu, image lists of degree n."""
+        n = self.n
+        return {
+            "name": self.name,
+            "degree": n,
+            "k": self.k,
+            "generators": [{"mu": list(f[:n]), "nu": list(_nu_of_tail(f[n:], n))}
+                           for f in self.flat],
+        }
 
     def __repr__(self) -> str:
         label = self.name or "PairGroup"
@@ -210,11 +211,21 @@ def _nu_of_tail(tail: tuple[int, ...], n: int) -> tuple[int, ...]:
             + tuple(range(len(tail) + 2, n + 1)))
 
 
+def symmetric_nu_generators(n: int, k: int) -> list[tuple[int, ...]]:
+    """Generators of S_{k-1} on {2, ..., k}, image tuples of degree n: the
+    transposition (2 3) and the cycle (2 3 ... k), or for k <= 2 the
+    identity."""
+    if k < 3:
+        return [tuple(range(1, n + 1))]
+    return [from_cycles(n, (2, 3)), from_cycles(n, tuple(range(2, k + 1)))]
+
+
 def symmetric_nu_group(n: int, k: int) -> PermGroup:
     """S_{k-1} realized inside S_n as the permutations of {2, ..., k}."""
+    from .perm import Perm, PermGroup
     if k < 2:
         return PermGroup.trivial(n)
-    return PermGroup.symmetric_on(range(2, k + 1), n, name=f"S_{k - 1}")
+    return PermGroup(n, [*map(Perm._raw, symmetric_nu_generators(n, k))], name=f"S_{k - 1}")
 
 
 def aut_order(n: int, k: int) -> int:
@@ -233,9 +244,9 @@ def aut_product(n: int, k: int, cap: int = DEFAULT_ELEMENT_CAP) -> PairGroup:
     order = aut_order(n, k)
     if order > cap:
         raise CapExceeded(f"|S_{n} x S_{k - 1}| = {order} exceeds cap={cap}")
-    return PairGroup.direct_product(
-        PermGroup.symmetric(n), k, symmetric_nu_group(n, k),
-        name=f"S_{n} x S_{k - 1}")
+    s_n = [from_cycles(n, (1, 2)), from_cycles(n, tuple(range(1, n + 1)))]
+    return PairGroup.product(n, k, None, s_n, symmetric_nu_generators(n, k),
+                             name=f"S_{n} x S_{k - 1}")
 
 
 def project_and_kernel(group: PairGroup) -> tuple[PermGroup, PermGroup]:
@@ -247,9 +258,10 @@ def project_and_kernel(group: PairGroup) -> tuple[PermGroup, PermGroup]:
     is the first-isomorphism-theorem bookkeeping for the projection onto
     S_n.
     """
+    from .perm import Perm, PermGroup, closure
     n, label = group.n, group.name or "G"
     identity = tuple(range(1, n + 1))
-    h = closure([g.mu for g in group.generators] or [Perm._raw(identity)],
+    h = closure([Perm._raw(f[:n]) for f in group.flat] or [Perm._raw(identity)],
                 name=f"pi1({label})")
     kernel_nus = [_nu_of_tail(tail, n) for tail in group._tails()
                   if identity + tail in group._chain]

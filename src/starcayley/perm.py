@@ -1,8 +1,11 @@
-"""Permutations of {1..n}, finitely generated permutation groups, and the
-transitivity/homogeneity and flag predicates used throughout the package.
+"""The object API: permutations of {1..n}, finitely generated permutation
+groups, the transitivity/homogeneity and flag predicates, and the pairs
+(mu, nu) that act on the star graphs, for library callers, tests and demos.
 
 The tuple engine under them is :mod:`starcayley.chain`; the names used
-here are imported from it, so ``perm.StabChain`` still resolves.
+here are imported from it, so ``perm.StabChain`` still resolves.  The
+certificate and search routes run on that engine's image tuples and never
+import this module.
 
 Two conventions are fixed once, here, and used everywhere:
 
@@ -19,7 +22,8 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import DEFAULT_ELEMENT_CAP, CapExceeded
-from .chain import StabChain, _pointwise, cycle_type, orbit
+from .chain import StabChain, _pointwise, cycle_type, from_cycles, orbit, permutation
+from .pairs import _nu_of_tail, nu_is_admissible, nu_tail
 
 
 class Perm:
@@ -31,11 +35,8 @@ class Perm:
     __slots__ = ("images", "_hash")
 
     def __init__(self, images: Sequence[int]):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
-        self.images = images
-        self._hash = hash(images)
+        self.images = permutation(images)
+        self._hash = hash(self.images)
 
     @classmethod
     def _raw(cls, images: tuple) -> "Perm":
@@ -52,16 +53,7 @@ class Perm:
     @classmethod
     def from_cycles(cls, n: int, *cycles: Sequence[int]) -> "Perm":
         """Build a permutation of degree n from disjoint cycles of 1-based points."""
-        img = list(range(1, n + 1))
-        seen: set[int] = set()
-        for cyc in cycles:
-            for x in cyc:
-                if not 1 <= x <= n or x in seen:
-                    raise ValueError(f"bad cycle point {x} in {cycles!r}")
-                seen.add(x)
-            for i, x in enumerate(cyc):
-                img[x - 1] = cyc[(i + 1) % len(cyc)]
-        return cls._raw(tuple(img))
+        return cls._raw(from_cycles(n, *cycles))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Perm":
@@ -388,3 +380,73 @@ def is_sharply_lambda_transitive(group: PermGroup, lam) -> bool:
     if group.order != flag_count(parts, n):
         return False
     return flag_stabilizer(group, canonical_flag(sorted(parts), n)).order == 1
+
+
+# ---------------------------------------------------------------------------
+# automorphisms of the star graph as pairs of permutations
+
+
+class AutPair:
+    """One automorphism of the (n,k)-star graph, as a pair (mu, nu) of
+    :class:`Perm` objects: the object view of the flat pairs of
+    :mod:`starcayley.pairs`, which also resolves this name."""
+
+    __slots__ = ("mu", "nu", "_hash")
+
+    def __init__(self, mu: Perm, nu: Perm):
+        if mu.degree != nu.degree:
+            raise ValueError("mu and nu must share a degree")
+        self.mu = mu
+        self.nu = nu
+        self._hash = hash((mu.images, nu.images))
+
+    @property
+    def degree(self) -> int:
+        return self.mu.degree
+
+    def __mul__(self, other: "AutPair") -> "AutPair":
+        return AutPair(self.mu * other.mu, self.nu * other.nu)
+
+    def inverse(self) -> "AutPair":
+        return AutPair(self.mu.inverse(), self.nu.inverse())
+
+    def is_identity(self) -> bool:
+        return self.mu.is_identity() and self.nu.is_identity()
+
+    def order(self) -> int:
+        return lcm(self.mu.order(), self.nu.order())
+
+    def apply(self, vertex: Sequence[int]) -> tuple[int, ...]:
+        """Image of a k-permutation vertex under this automorphism."""
+        k = len(vertex)
+        if not nu_is_admissible(self.nu.images, k):
+            raise ValueError(
+                f"nu moves points outside 2..{k}: {self.nu!r}")
+        mu_img = self.mu.images
+        nu_inv = self.nu.inverse().images
+        return tuple(mu_img[vertex[nu_inv[i] - 1] - 1] for i in range(k))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, AutPair) and self.mu == other.mu
+                and self.nu == other.nu)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"AutPair({self.mu!r}, {self.nu!r})"
+
+    def to_dict(self) -> dict:
+        return {"mu": self.mu.to_list(), "nu": self.nu.to_list()}
+
+    def flat(self, k: int) -> tuple[int, ...]:
+        """The pair as one permutation of n+k-1 points (see :mod:`starcayley.pairs`)."""
+        return self.mu.images + nu_tail(self.nu.images[1:k], self.degree)
+
+    @classmethod
+    def from_flat(cls, flat: tuple[int, ...], n: int) -> "AutPair":
+        return cls(Perm._raw(flat[:n]), Perm._raw(_nu_of_tail(flat[n:], n)))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AutPair":
+        return cls(Perm(data["mu"]), Perm(data["nu"]))

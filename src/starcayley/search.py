@@ -14,7 +14,7 @@ from operator import itemgetter
 from . import DEFAULT_ELEMENT_CAP, CapExceeded
 from .cayley import sabidussi_direct
 from .chain import cycle_type, orbit, right_multiplication
-from .pairs import AutPair, PairGroup, nu_tail
+from .pairs import PairGroup, nu_tail
 from .verdicts import (METHOD_REFUTATION, VERDICT_CAYLEY, VERDICT_NOT_CAYLEY,
                        VERDICT_UNKNOWN, Certificate, factorize)
 
@@ -220,6 +220,5 @@ def _search_hit(n, k, gens) -> Certificate:
     for g in gens[::-1]:
         if g in orbit([identity], [h for h in gens if h != g], act=right_multiplication):
             gens.remove(g)
-    group = PairGroup.generate(n, k, [AutPair.from_flat(g, n) for g in gens],
-                               name=f"search-regular({n},{k})")
+    group = PairGroup(n, k, gens, name=f"search-regular({n},{k})")
     return sabidussi_direct(group, n, k)

@@ -275,15 +275,13 @@ def build_certificate(n: int, k: int, force_search: bool = False,
     """
     result = classify(n, k)
     if force_search or (n, k) in SEARCHED_NO_CASES:
-        # perm first: see the note on import order in cli.py
-        from . import perm, search
+        from . import search
         return search.search_regular_subgroup(n, k, cap=element_cap,
                                               time_limit=time_limit)
     recipe = witness_recipe(n, k) if result.is_cayley else None
     if recipe is None or _witness_order(n, k, recipe[2]) > element_cap:
         return table_certificate(n, k)
-    # perm first, and no search: see the note on import order in cli.py
-    from . import perm, cayley
+    from . import cayley
     return cayley.witness_certificate(n, k, recipe)
 
 
@@ -297,40 +295,22 @@ def verify_certificate(cert: Certificate, cap: int = DEFAULT_ELEMENT_CAP,
     and one by the older two-generator search is derived from it
     (:func:`search.derive_two_generator_search`); a replay the clock cuts
     short is a truncated search (:func:`is_truncated_search`), which
-    reproduces nothing.  A sharply k-transitive witness H, which nothing
-    writes any more, is closed as H x 1 on the chain of a direct certificate.
-    Raises ValueError unless n and k are integers with 1 <= k < n.
+    reproduces nothing.  A witness is re-run by
+    :func:`cayley.verify_witness`.  Raises ValueError unless n and k are
+    integers with 1 <= k < n, or when the witness is malformed.
     """
     n, k = cert.n, cert.k
     if type(n) is not int or type(k) is not int or not 1 <= k < n:
         raise ValueError(f"need integers 1 <= k < n, got ({n!r},{k!r})")
     if cert.method == METHOD_TABLE:
         fresh = table_certificate(n, k)
-    elif cert.method in (METHOD_DIRECT, METHOD_SHARP_K, METHOD_LAMBDA, METHOD_REFUTATION):
-        from . import perm, pairs, cayley
-        if cert.method in (METHOD_DIRECT, METHOD_SHARP_K):
-            e = perm.Perm.identity(n)
-            gens = [pairs.AutPair.from_dict(g) if cert.method == METHOD_DIRECT
-                    else pairs.AutPair(perm.Perm(g), e) for g in cert.witness["generators"]]
-            group = pairs.PairGroup.generate(n, k, gens, cap=cap,
-                                             name=cert.witness.get("name"))
-            if cert.method == METHOD_DIRECT:
-                fresh = cayley.sabidussi_direct(group, n, k)
-            else:
-                # orbit-stabiliser: H is k-transitive iff the base vertex's orbit,
-                # |H| / |Stab|, is all P(n,k) vertices; sharply so iff |H| = P(n,k)
-                order, vertices = group.order, math.perm(n, k)
-                checks = (("order_equals_vertex_count", order == vertices),
-                          ("k_transitive", order == vertices * group.base_stabilizer_order()))
-                verdict = VERDICT_CAYLEY if all(ok for _, ok in checks) else VERDICT_UNKNOWN
-                fresh = Certificate(n, k, verdict, METHOD_SHARP_K, cert.witness, checks)
-        elif cert.method == METHOD_LAMBDA:
-            h = perm.PermGroup.from_dict(cert.witness, cap=cap)
-            fresh = cayley.certify_via_lambda(h, n, k)
-        else:
-            from . import search
-            fresh = search.derive_two_generator_search(
-                cert, search.search_regular_subgroup(n, k, cap=cap, time_limit=time_limit))
+    elif cert.method in (METHOD_DIRECT, METHOD_SHARP_K, METHOD_LAMBDA):
+        from . import cayley
+        fresh = cayley.verify_witness(cert, cap)
+    elif cert.method == METHOD_REFUTATION:
+        from . import search
+        fresh = search.derive_two_generator_search(
+            cert, search.search_regular_subgroup(n, k, cap=cap, time_limit=time_limit))
     else:
         raise ValueError(f"unknown certificate method {cert.method!r}")
     reproduced = (fresh.verdict == cert.verdict and fresh.checks == cert.checks)

@@ -3,12 +3,14 @@ groups over small fields, affine groups over GF(2)^d, and the two sharply
 transitive Mathieu groups.
 
 Every cached constructor returns a :class:`~starcayley.perm.PermGroup`
-acting on 1-based points, with its order verified on a stabiliser chain.
-Each witness a certificate closes also has an ``*_unclosed`` constructor
-(:func:`agl1_unclosed`, :func:`pgl2_unclosed`, :func:`psl2_unclosed`,
-:func:`pgammal2_unclosed`, :func:`mathieu11_unclosed`,
-:func:`mathieu12_unclosed`), which returns its generators alone, the same
-list the cached constructor closes.  The certificate closes that group
+acting on 1-based points, with its order verified on a stabiliser chain,
+and imports :mod:`starcayley.perm` when called.  Each witness a certificate
+closes also has an ``*_unclosed`` constructor (:func:`agl1_unclosed`,
+:func:`pgl2_unclosed`, :func:`psl2_unclosed`, :func:`pgammal2_unclosed`,
+:func:`mathieu11_unclosed`, :func:`mathieu12_unclosed`), which returns the
+witness's name, its degree and its generators as image tuples, each checked
+to be a permutation: the same list the cached constructor closes, with no
+:class:`~starcayley.perm.Perm` built.  The certificate closes that group
 once, on the chain whose order its checks compare with the closed form: a
 pair group for the direct-product witnesses, and for (33,30) PGammaL(2,32)'s
 own chain, which the flag check then walks.  Projective
@@ -28,18 +30,26 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .chain import from_cycles, permutation
 from .gf import Field, SemilinearMap, field_of_order
-from .perm import Perm, PermGroup, closure, is_sharply_k_transitive
 
 
-def _perm_of(field: Field, a, b, c, d, frob_exp=0) -> Perm:
-    return Perm(SemilinearMap(field, a, b, c, d, frob_exp).to_images())
+def _images_of(field: Field, a, b, c, d, frob_exp=0) -> tuple[int, ...]:
+    return permutation(SemilinearMap(field, a, b, c, d, frob_exp).to_images())
 
 
-def _affine_perm(field: Field, a: int, b: int, frob_exp: int = 0) -> Perm:
+def _affine_images(field: Field, a: int, b: int, frob_exp: int = 0) -> tuple[int, ...]:
     """x -> a x^s + b on the q finite points only: the semilinear map with
     c = 0, d = 1, which fixes infinity."""
-    return Perm(SemilinearMap(field, a, b, 0, 1, frob_exp).to_images()[:field.q])
+    return permutation(SemilinearMap(field, a, b, 0, 1, frob_exp).to_images()[:field.q])
+
+
+def _group(unclosed: tuple) -> PermGroup:
+    """The group of an ``*_unclosed`` constructor's (name, degree,
+    generators), its chain not built yet."""
+    from .perm import Perm, PermGroup
+    name, degree, gens = unclosed
+    return PermGroup(degree, [*map(Perm._raw, gens)], name=name)
 
 
 def _verified(group: PermGroup, order: int) -> PermGroup:
@@ -71,32 +81,30 @@ def agammal1_order(q: int) -> int:
     return agl1_order(q) * field_of_order(q).m
 
 
-def _pgl2_generators(f: Field) -> list[Perm]:
+def _pgl2_generators(f: Field) -> list[tuple[int, ...]]:
     g = f.primitive_element()
-    return [_perm_of(f, 1, 1, 0, 1),   # x -> x + 1
-            _perm_of(f, g, 0, 0, 1),   # x -> g x
-            _perm_of(f, 0, 1, 1, 0)]   # x -> 1/x
+    return [_images_of(f, 1, 1, 0, 1),   # x -> x + 1
+            _images_of(f, g, 0, 0, 1),   # x -> g x
+            _images_of(f, 0, 1, 1, 0)]   # x -> 1/x
 
 
-def _agl1_generators(f: Field) -> list[Perm]:
-    return [_affine_perm(f, 1, 1), _affine_perm(f, f.primitive_element(), 0)]
+def _agl1_generators(f: Field) -> list[tuple[int, ...]]:
+    return [_affine_images(f, 1, 1), _affine_images(f, f.primitive_element(), 0)]
 
 
-def pgl2_unclosed(q: int) -> PermGroup:
-    """PGL(2,q) from its three generators, its chain not built yet: for a
-    caller that closes it once, on the chain whose order it checks."""
-    return PermGroup(q + 1, _pgl2_generators(field_of_order(q)), name=f"PGL(2,{q})")
+def pgl2_unclosed(q: int) -> tuple[str, int, list[tuple[int, ...]]]:
+    """PGL(2,q)'s name, degree and three generators, for a caller that
+    closes the group once, on the chain whose order it checks."""
+    return f"PGL(2,{q})", q + 1, _pgl2_generators(field_of_order(q))
 
 
-def agl1_unclosed(q: int) -> PermGroup:
-    """AGL(1,q) from its two generators, its chain not built yet (see
-    :func:`pgl2_unclosed`)."""
-    return PermGroup(q, _agl1_generators(field_of_order(q)), name=f"AGL(1,{q})")
+def agl1_unclosed(q: int) -> tuple[str, int, list[tuple[int, ...]]]:
+    """AGL(1,q)'s name, degree and two generators (see :func:`pgl2_unclosed`)."""
+    return f"AGL(1,{q})", q, _agl1_generators(field_of_order(q))
 
 
-def psl2_unclosed(q: int) -> PermGroup:
-    """PSL(2,q) from its generators, its chain not built yet (see
-    :func:`pgl2_unclosed`).
+def psl2_unclosed(q: int) -> tuple[str, int, list[tuple[int, ...]]]:
+    """PSL(2,q)'s name, degree and generators (see :func:`pgl2_unclosed`).
 
     For even q the determinant-1 action coincides with PGL(2,q), and the
     generators are PGL(2,q)'s; only odd q gives the index-2 subgroup,
@@ -107,44 +115,44 @@ def psl2_unclosed(q: int) -> PermGroup:
         gens = _pgl2_generators(f)
     else:
         g = f.primitive_element()
-        gens = [_perm_of(f, 1, 1, 0, 1),
-                _perm_of(f, f.mul(g, g), 0, 0, 1),
-                _perm_of(f, 0, f.neg(1), 1, 0)]
-    return PermGroup(q + 1, gens, name=f"PSL(2,{q})")
+        gens = [_images_of(f, 1, 1, 0, 1),
+                _images_of(f, f.mul(g, g), 0, 0, 1),
+                _images_of(f, 0, f.neg(1), 1, 0)]
+    return f"PSL(2,{q})", q + 1, gens
 
 
-def pgammal2_unclosed(q: int) -> PermGroup:
-    """PGammaL(2,q), PGL(2,q) extended by the Frobenius x -> x^p, from its
-    generators, its chain not built yet (see :func:`pgl2_unclosed`)."""
+def pgammal2_unclosed(q: int) -> tuple[str, int, list[tuple[int, ...]]]:
+    """PGammaL(2,q), PGL(2,q) extended by the Frobenius x -> x^p: its name,
+    degree and generators (see :func:`pgl2_unclosed`)."""
     f = field_of_order(q)
     gens = _pgl2_generators(f)
     if f.m > 1:
-        gens.append(_perm_of(f, 1, 0, 0, 1, frob_exp=1))
-    return PermGroup(q + 1, gens, name=f"PGammaL(2,{q})")
+        gens.append(_images_of(f, 1, 0, 0, 1, frob_exp=1))
+    return f"PGammaL(2,{q})", q + 1, gens
 
 
 @lru_cache(maxsize=None)
 def pgl2(q: int) -> PermGroup:
     """PGL(2,q) acting on the q+1 points of the projective line."""
-    return _verified(pgl2_unclosed(q), pgl_order(q))
+    return _verified(_group(pgl2_unclosed(q)), pgl_order(q))
 
 
 @lru_cache(maxsize=None)
 def psl2(q: int) -> PermGroup:
     """PSL(2,q) on the projective line (see :func:`psl2_unclosed`)."""
-    return _verified(psl2_unclosed(q), psl_order(q))
+    return _verified(_group(psl2_unclosed(q)), psl_order(q))
 
 
 @lru_cache(maxsize=None)
 def pgammal2(q: int) -> PermGroup:
     """PGammaL(2,q) on the projective line."""
-    return _verified(pgammal2_unclosed(q), pgammal_order(q))
+    return _verified(_group(pgammal2_unclosed(q)), pgammal_order(q))
 
 
 @lru_cache(maxsize=None)
 def agl1(q: int) -> PermGroup:
     """AGL(1,q): the maps x -> a x + b (a nonzero) on the q field points."""
-    return _verified(agl1_unclosed(q), agl1_order(q))
+    return _verified(_group(agl1_unclosed(q)), agl1_order(q))
 
 
 @lru_cache(maxsize=None)
@@ -153,14 +161,14 @@ def agammal1(q: int) -> PermGroup:
     f = field_of_order(q)
     gens = _agl1_generators(f)
     if f.m > 1:
-        gens.append(_affine_perm(f, 1, 0, frob_exp=1))
-    group = closure(gens, cap=math.inf, name=f"AGammaL(1,{q})")
-    return _verified(group, agammal1_order(q))
+        gens.append(_affine_images(f, 1, 0, frob_exp=1))
+    return _verified(_group((f"AGammaL(1,{q})", q, gens)), agammal1_order(q))
 
 
 def _agl_d2_generators(d: int) -> list[Perm]:
     """The translation by e0, the cyclic coordinate shift and the
     transvection e1 -> e0 + e1, as permutations of GF(2)^d."""
+    from .perm import Perm
     size = 1 << d
 
     def as_perm(f) -> Perm:
@@ -184,6 +192,7 @@ def agl(d: int) -> PermGroup:
     """
     # numbers is imported here: no other witness needs it
     from .numbers import agl_d2_order
+    from .perm import closure
     if d < 1:
         raise ValueError("need d >= 1")
     group = closure(_agl_d2_generators(d), cap=math.inf, name=f"AGL({d},2)")
@@ -205,21 +214,21 @@ _M11_GENERATORS = (
 _M12_EXTRA_GENERATOR = ((1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10))
 
 
-def mathieu11_unclosed() -> PermGroup:
-    """M11 from its two generators, its chain not built yet (see
-    :func:`pgl2_unclosed`)."""
-    return PermGroup(11, [Perm.from_cycles(11, *cycs) for cycs in _M11_GENERATORS],
-                     name="M11")
+def mathieu11_unclosed() -> tuple[str, int, list[tuple[int, ...]]]:
+    """M11's name, degree and two generators (see :func:`pgl2_unclosed`)."""
+    return "M11", 11, [from_cycles(11, *cycs) for cycs in _M11_GENERATORS]
 
 
-def mathieu12_unclosed() -> PermGroup:
-    """M12, M11's generators on 12 points and one more, its chain not built
-    yet (see :func:`pgl2_unclosed`)."""
-    gens = [Perm.from_cycles(12, *cycs) for cycs in (*_M11_GENERATORS, _M12_EXTRA_GENERATOR)]
-    return PermGroup(12, gens, name="M12")
+def mathieu12_unclosed() -> tuple[str, int, list[tuple[int, ...]]]:
+    """M12's name, degree and generators, M11's on 12 points and one more
+    (see :func:`pgl2_unclosed`)."""
+    gens = [from_cycles(12, *cycs) for cycs in (*_M11_GENERATORS, _M12_EXTRA_GENERATOR)]
+    return "M12", 12, gens
 
 
-def _sharply_transitive(group: PermGroup, k: int) -> PermGroup:
+def _sharply_transitive(unclosed: tuple, k: int) -> PermGroup:
+    from .perm import is_sharply_k_transitive
+    group = _group(unclosed)
     if not is_sharply_k_transitive(group, k):
         raise AssertionError(f"embedded {group.name} generator data failed verification")
     return group

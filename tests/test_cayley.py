@@ -20,7 +20,8 @@ from starcayley.cayley import certify_via_lambda, sabidussi_direct
 from starcayley.chain import StabChain, cycle_type
 from starcayley.pairs import (AutPair, PairGroup, aut_order, aut_product, nu_tail,
                               project_and_kernel, symmetric_nu_group)
-from starcayley.perm import Perm, PermGroup, closure, flag_count, is_k_homogeneous
+from starcayley.perm import (Perm, PermGroup, canonical_flag, closure, flag_count,
+                             flag_stabilizer, is_k_homogeneous)
 from starcayley.search import search_regular_subgroup
 from starcayley.stargraph import rank
 from starcayley.verdicts import (METHOD_SHARP_K, Certificate, build_certificate, classify,
@@ -577,15 +578,17 @@ def test_build_then_verify_round_trip(n, k, force_search):
     assert reproduced, fresh
 
 
-def _generate_calls(monkeypatch):
+def _pair_groups_built(monkeypatch):
+    """Return the list that records (n, k) of each PairGroup built from then
+    on: each closes one flat chain, from flat tuples."""
     calls = []
-    generate = PairGroup.generate.__func__
+    init = PairGroup.__init__
 
-    def spy(cls, *args, **kwargs):
-        calls.append(args[:2])
-        return generate(cls, *args, **kwargs)
+    def spy(self, n, k, *args, **kwargs):
+        calls.append((n, k))
+        init(self, n, k, *args, **kwargs)
 
-    monkeypatch.setattr(PairGroup, "generate", classmethod(spy))
+    monkeypatch.setattr(PairGroup, "__init__", spy)
     return calls
 
 
@@ -595,7 +598,7 @@ def _with_generators(cert, generators):
 
 
 def test_tampered_product_witness_fails_to_reproduce(monkeypatch):
-    calls = _generate_calls(monkeypatch)
+    calls = _pair_groups_built(monkeypatch)
     cert = build_certificate(9, 4)
     gens = cert.witness["generators"]
     assert verify_certificate(cert)[0]
@@ -619,7 +622,7 @@ def _with_a_mixed_pair(cert):
 
 
 def test_mixed_generator_witness_takes_generic_path(monkeypatch):
-    calls = _generate_calls(monkeypatch)
+    calls = _pair_groups_built(monkeypatch)
     reproduced, fresh = verify_certificate(_with_a_mixed_pair(build_certificate(9, 4)))
     assert reproduced, fresh
     # certify and check each close one chain
@@ -650,7 +653,7 @@ def test_k_2_and_k_3_witnesses_close_one_chain(monkeypatch, n, k):
     # AGL(1,25) and PGL(2,27) are closed only inside the pair group: certify
     # closes one chain, and never the cached, verified H on its own
     chains = _chains_built_with_no_cached_witness(monkeypatch)
-    calls = _generate_calls(monkeypatch)
+    calls = _pair_groups_built(monkeypatch)
     cert = build_certificate(n, k)
     assert cert.verdict == "Cayley" and cert.method == "DirectRegularAction"
     assert calls == [(n, k)] and chains == [n + k - 1]
@@ -667,16 +670,18 @@ def test_sporadic_product_witnesses_close_one_chain(monkeypatch, n, k):
 
 
 def test_flag_witness_closes_one_chain(monkeypatch):
-    # (33,30) closes PGammaL(2,32) once; the flag check walks that chain, and
-    # the one element it keeps, the identity, makes the stabiliser's chain
+    # (33,30) closes PGammaL(2,32) once; the flag check counts the canonical
+    # flag's stabiliser on a walk of that chain, and builds no chain for it
     chains = _chains_built_with_no_cached_witness(monkeypatch)
     cert = build_certificate(33, 30)
     assert cert.verdict == "Cayley" and cert.method == "LambdaTransitiveWitness"
-    assert chains == [33, 33]
+    assert chains == [33]
 
 
 def test_flag_check_lists_no_stabiliser_and_builds_no_second_chain(monkeypatch):
-    h = witness_groups_mod.pgammal2(32)
+    expected = certify_via_lambda(witness_groups_mod.pgammal2(32), 33, 30)
+    name, degree, gens = witness_groups_mod.pgammal2_unclosed(32)
+    h = StabChain(degree, gens)
     chains = _chains_built_with_no_cached_witness(monkeypatch)
     elements = StabChain.elements
 
@@ -686,13 +691,28 @@ def test_flag_check_lists_no_stabiliser_and_builds_no_second_chain(monkeypatch):
         return elements(self, level, within)
 
     monkeypatch.setattr(StabChain, "elements", filtered_walk_only)
-    cert = certify_via_lambda(h, 33, 30)
+    cert = cayley.flag_certificate(h, name, gens, 33, 30)
     assert cert.verdict == "Cayley" and len(cert.checks) == 3 and cert.all_passed()
-    # the only chain built is the one-element stabiliser's, none on another base
-    assert chains == [33]
+    assert cert == expected
+    # the check walks H's chain and builds none
+    assert chains == []
     reproduced, fresh = verify_certificate(Certificate.from_json(cert.to_json()))
     assert reproduced and fresh.all_passed()
-    assert chains == [33, 33, 33]
+    # check closes H once, and builds no other chain
+    assert chains == [33]
+
+
+@pytest.mark.parametrize("make,n,k,order", [
+    (lambda: witness_groups_mod.pgammal2(32), 33, 30, 1),
+    (lambda: PermGroup.symmetric(6), 6, 4, 12),
+], ids=["PGammaL(2,32)-(3,29,1)", "S_6-(2,3,1)"])
+def test_tuple_flag_count_matches_the_flag_stabilizer(make, n, k, order):
+    # the flag check counts on H's chain what flag_stabilizer closes as a group
+    group = make()
+    lam = (n - k, k - 1, 1)
+    assert flag_stabilizer(group, canonical_flag(lam, n)).order == order
+    chain = StabChain(n, [g.images for g in group.generators])
+    assert cayley.canonical_flag_stabilizer_order(chain, n, k) == order
 
 
 def test_mixed_generator_witness_lists_no_pair(monkeypatch):

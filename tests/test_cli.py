@@ -407,12 +407,23 @@ def test_search_routes_load_the_search_and_no_witness_group(tmp_path):
         assert f"starcayley.{name}" not in loaded
 
 
-def test_group_routes_load_perm_before_cayley(tmp_path):
-    # compiling perm before the modules that import it keeps peak memory lower
-    # where bytecode is not cached
-    codes, loaded = _loaded_modules(tmp_path, ["certify", "9", "4"])
-    assert codes == [0]
-    assert loaded.index("starcayley.perm") < loaded.index("starcayley.cayley")
+@pytest.mark.parametrize("commands", [
+    *([["certify", n, k, "--out", "cert.json"], ["check", "cert.json"]]
+      for n, k in [("9", "4"), ("33", "30"), ("25", "2"), ("28", "3"), ("6", "2")]),
+    [["certify", "6", "4", "--force-search", "--out", "cert.json"], ["check", "cert.json"]],
+    [["check", str(Path(__file__).parent / "data" / "sharpk-11-4.json")]],
+    [["certify", "8", "3", "--force-search", "--time-limit", "2"]],
+], ids=["9-4", "33-30", "25-2", "28-3", "refutation-6-2", "search-hit-6-4", "sharpk-11-4",
+        "search-8-3-time-limit"])
+def test_no_cli_route_loads_perm(tmp_path, commands):
+    # the certificate and search routes run on image tuples; perm, the
+    # object API, is left to library callers
+    codes, loaded = _loaded_modules(tmp_path, *commands)
+    # the time-limited search may run out of time on a slow host
+    assert all(code == 0 or (code == 3 and "--time-limit" in command)
+               for code, command in zip(codes, commands)), codes
+    assert "starcayley.cayley" in loaded and "starcayley.chain" in loaded
+    assert "starcayley.perm" not in loaded
 
 
 @pytest.mark.parametrize("commands", [
@@ -437,6 +448,12 @@ def test_no_route_loads_argparse_gettext_locale_shutil_or_pathlib(tmp_path, comm
         assert name not in loaded
 
 
+def _with_witness_fields(nk, **fields) -> str:
+    """The certificate certify writes for (n,k), its witness's fields replaced."""
+    cert = verdicts.build_certificate(*nk)
+    return cert._replace(witness=dict(cert.witness, **fields)).to_json()
+
+
 @pytest.mark.parametrize("text", [
     '{"n": 9, "k": 4}',
     "not json at all",
@@ -452,12 +469,53 @@ def test_no_route_loads_argparse_gettext_locale_shutil_or_pathlib(tmp_path, comm
     *(f'{{"n": {n}, "k": {k}, "verdict": "NotCayley", "method": "ExhaustiveSearchRefutation",'
       ' "witness": null, "checks": [{"name": "transversal_search_exhausted", "pass": true}]}'
       for n, k in [(5, 0), (5, 6), (1, 1), (5, 5)]),
+    # a nu that moves a point above k, and flag generators of two degrees
+    '{"n": 5, "k": 2, "verdict": "Cayley", "method": "DirectRegularAction",'
+    ' "witness": {"generators": [{"mu": [2, 3, 4, 5, 1], "nu": [1, 3, 2, 4, 5]}]},'
+    ' "checks": [{"name": "x", "pass": true}]}',
+    '{"n": 5, "k": 2, "verdict": "Cayley", "method": "LambdaTransitiveWitness",'
+    ' "witness": {"generators": [[2, 3, 4, 5, 1], [2, 1, 3, 4]]},'
+    ' "checks": [{"name": "x", "pass": true}]}',
+    # a witness whose degree, k or lam disagrees with the certificate's (n,k)
+    _with_witness_fields((33, 30), lam=[1, 1, 31]),
+    _with_witness_fields((33, 30), degree=99),
+    _with_witness_fields((9, 4), degree=10, k=7),
 ], ids=["missing-fields", "not-json", "json-list", "bad-generator", "unknown-method",
         "direct-k-0", "direct-k-negative", "direct-k-bool", "refutation-k-0",
-        "refutation-k-above-n", "refutation-1-1", "refutation-k-equals-n"])
+        "refutation-k-above-n", "refutation-1-1", "refutation-k-equals-n",
+        "direct-nu-moves-a-point-above-k", "lambda-generators-of-two-degrees",
+        "lambda-lam-mismatch", "lambda-degree-mismatch", "direct-degree-and-k-mismatch"])
 def test_check_malformed_certificate_exits_2_with_one_line(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("malformed certificate")
+
+
+@pytest.mark.parametrize("method,checks", [
+    ("DirectRegularAction", ["order_equals_vertex_count", "base_vertex_stabilizer_trivial",
+                             "evaluation_map_bijective"]),
+    ("SharpKTransitiveWitness", ["order_equals_vertex_count", "k_transitive"]),
+], ids=["direct", "sharpk"])
+def test_pair_witness_with_no_generator_is_malformed_and_builds_no_chain(tmp_path, capsys,
+                                                                        monkeypatch, method,
+                                                                        checks):
+    # with no generator list to back it, n = 10^6 would size a chain of
+    # 10^6 + 2 base points, four containers each
+    from starcayley.chain import StabChain
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(StabChain, "__init__", refuse)
+    n, k = 10 ** 6, 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "n": n, "k": k, "verdict": "Cayley", "method": method,
+        "witness": {"name": "H", "degree": n, "k": k, "generators": []},
+        "checks": [{"name": name, "pass": True} for name in checks], "notes": []}))
     code, out, err = run_cli(capsys, "check", str(bad))
     assert code == 2
     assert out == ""

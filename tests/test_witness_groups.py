@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import starcayley
+import starcayley.witness_groups as witness_groups_mod
 from starcayley.case_elim import _FINITE_FAMILY_DATA, CaseFamily
 from starcayley.chain import StabChain
 from starcayley.perm import (canonical_flag, flag_stabilizer, is_k_homogeneous,
@@ -176,3 +179,15 @@ def test_constructed_orders_match_the_family_table():
                           (CaseFamily.AGAMMAL1_8, agammal1(8)),
                           (CaseFamily.AGAMMAL1_32, agammal1(32))]:
         assert (group.degree, group.order) == _FINITE_FAMILY_DATA[family], family
+
+
+@pytest.mark.parametrize("second", [((3, 7, 11, 8), (4, 10, 5, 3)),
+                                    ((3, 7, 11, 12), (4, 10, 5, 6))],
+                         ids=["repeated-point", "point-out-of-range"])
+def test_mathieu_cycle_points_are_checked(monkeypatch, second):
+    # the embedded cycles are read into image tuples with a plain check,
+    # which python -O keeps
+    long_cycle, _ = witness_groups_mod._M11_GENERATORS
+    monkeypatch.setattr(witness_groups_mod, "_M11_GENERATORS", (long_cycle, second))
+    with pytest.raises(ValueError, match="bad cycle point"):
+        witness_groups_mod.mathieu11_unclosed()
